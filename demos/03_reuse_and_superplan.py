@@ -6,7 +6,8 @@ if it fails part-way the surviving prefix seeds a resumed search. When every
 world has a plan, the execution sequences merge into a trie that branches
 where they differ, and each branch point gets a knowledge-acquisition
 operator (observe, then pick the branch) or evidence weights when no
-observation can tell the worlds apart.
+observation can tell the worlds apart. ``plan_superplan`` runs all of this
+for every world in one call.
 """
 
 from importlib import resources
@@ -15,11 +16,10 @@ from uplan import (
     ReviewPolicy,
     continue_from,
     generate_pstates,
-    insert_ka_operators,
-    merge_plans,
     parse_domain,
     parse_evidence,
     plan_for_pstate,
+    plan_superplan,
     rank_pstates,
     reapply_plan,
 )
@@ -48,12 +48,12 @@ print("  (the beyond-visual-range attack needs a positively identified"
 bomber_plan = continue_from(result, bomber, spec)
 print("  resumed plan:", ", ".join(str(s) for s in bomber_plan.execution_sequence))
 
-print("\nmerging into a super-plan:")
-superplan = merge_plans(
-    [(donor, donor.worlds), (bomber_plan, bomber_plan.worlds)],
-    worlds, spec.coverage_threshold,
-)
-superplan = insert_ka_operators(superplan, worlds)
+print("\nthe whole pipeline in one call: rank the worlds, reuse or plan each,"
+      " merge, insert knowledge acquisition")
+superplan, library = plan_superplan(spec, evidence)
+for plan in library:
+    print(f"  plan for {', '.join(sorted(plan.worlds))}:",
+          ", ".join(str(s) for s in plan.execution_sequence))
 
 for point in superplan.branch_points():
     observations = ", ".join(f"{p}@{lvl}" for lvl, p in point.ka.observe)

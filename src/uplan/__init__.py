@@ -72,7 +72,6 @@ from .planner import (
     PlanTrace,
     ReviewPolicy,
     Search,
-    SearchNode,
     deduce_effects,
     expected_fulfilment,
     operator_probability,
@@ -84,6 +83,7 @@ from .planner import (
     update_and_node,
     update_or_node,
 )
+from .pipeline import plan_superplan
 from .reapply import (
     ReapplyResult,
     continue_from,

@@ -3,18 +3,13 @@ sensitivity data.
 
 Exit codes: 0 success, 1 domain/planning errors, 2 unreadable input or bad
 usage, 3 search budget exhausted. Identical inputs produce byte-identical
-outputs; the UPLAN_WORKERS environment variable bounds how many donor-plan
-reapplications are assessed in parallel (the reuse decisions themselves stay
-in rank order).
+outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .dsl import lint_domain, parse_domain, parse_evidence
 from .errors import (
@@ -24,15 +19,8 @@ from .errors import (
     ParseFailure,
     PlanFailure,
 )
-from .evidence import generate_pstates, rank_pstates
-from .planner import DEFAULT_NODE_BUDGET, PlanTrace, ReviewPolicy, plan_for_pstate
-from .reapply import (
-    continue_from,
-    insert_ka_operators,
-    merge_plans,
-    reapply_plan,
-    select_best_partial,
-)
+from .pipeline import plan_superplan
+from .planner import DEFAULT_NODE_BUDGET, ReviewPolicy
 from .sensitivity import (
     ErrorBoundedEF,
     contour_csv,
@@ -44,21 +32,6 @@ from .sensitivity import (
 from .serialize import dumps_plan, dumps_superplan
 
 
-@dataclass
-class RunConfig:
-    """Everything one `uplan plan` invocation needs."""
-
-    domain_path: str
-    evidence_path: str
-    out_path: str | None = None
-    trace: bool = False
-    rho: float | None = None
-    budget: int = DEFAULT_NODE_BUDGET
-    threshold: tuple | None = None
-    per_world: bool = False
-    workers: int = 1
-
-
 def _read(path: str) -> str | None:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -68,14 +41,12 @@ def _read(path: str) -> str | None:
         return None
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("UPLAN_WORKERS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            print(f"warning: ignoring UPLAN_WORKERS={raw!r}", file=sys.stderr)
-    return os.cpu_count() or 1
+def _lint_fails(spec, domain_path: str) -> bool:
+    """Print the linter's diagnostics; True when any of them is an error."""
+    diagnostics = lint_domain(spec)
+    for diag in diagnostics:
+        print(f"{domain_path}: {diag}", file=sys.stderr)
+    return any(d.severity == "error" for d in diagnostics)
 
 
 def cmd_validate(domain_path: str) -> int:
@@ -88,103 +59,57 @@ def cmd_validate(domain_path: str) -> int:
         for error in failure.errors:
             print(str(error), file=sys.stderr)
         return 1
-    diagnostics = lint_domain(spec)
-    for diag in diagnostics:
-        print(f"{domain_path}: {diag}", file=sys.stderr)
-    if any(d.severity == "error" for d in diagnostics):
+    if _lint_fails(spec, domain_path):
         return 1
     print(f"{domain_path}: ok ({len(spec.operators)} operators, "
           f"{spec.n_levels} levels)")
     return 0
 
 
-def cmd_plan(config: RunConfig) -> int:
-    domain_text = _read(config.domain_path)
-    evidence_text = _read(config.evidence_path)
+def cmd_plan(args) -> int:
+    threshold = None
+    if args.threshold is not None:
+        try:
+            s, _, p = args.threshold.partition(",")
+            threshold = (float(s), float(p))
+        except ValueError:
+            print(f"error: bad --threshold {args.threshold!r}", file=sys.stderr)
+            return 2
+    domain_text = _read(args.domain)
+    evidence_text = _read(args.evidence)
     if domain_text is None or evidence_text is None:
         return 2
     try:
-        spec = parse_domain(domain_text, filename=config.domain_path)
-        evidence = parse_evidence(evidence_text, filename=config.evidence_path)
+        spec = parse_domain(domain_text, filename=args.domain)
+        evidence = parse_evidence(evidence_text, filename=args.evidence)
     except ParseFailure as failure:
         for error in failure.errors:
             print(str(error), file=sys.stderr)
         return 1
-    diagnostics = lint_domain(spec)
-    for diag in diagnostics:
-        print(f"{config.domain_path}: {diag}", file=sys.stderr)
-    if any(d.severity == "error" for d in diagnostics):
+    if _lint_fails(spec, args.domain):
         return 1
 
-    policy = None if config.rho is None else ReviewPolicy(offset_fraction=config.rho)
-    threshold = config.threshold or spec.coverage_threshold
-
+    policy = None if args.rho is None else ReviewPolicy(offset_fraction=args.rho)
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     try:
-        worlds = rank_pstates(generate_pstates(evidence, spec.compat, spec.n_levels))
-    except NoPossibleWorldError as exc:
+        superplan, library = plan_superplan(spec, evidence, policy=policy,
+                                            budget=args.budget, threshold=threshold,
+                                            trace=trace)
+    except (NoPossibleWorldError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (PlanFailure, BudgetExceededError) as exc:
+        print(f"error: world {exc.world_id}: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, PlanFailure) else 3
 
-    library: list = []  # finished plans, in creation order
-    try:
-        for world in worlds:
-            if config.workers > 1 and len(library) > 1:
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    results = list(pool.map(
-                        lambda item: reapply_plan(item[1], world, spec,
-                                                  order=item[0],
-                                                  budget=config.budget),
-                        enumerate(library),
-                    ))
-            else:
-                results = [reapply_plan(plan, world, spec, order=i,
-                                        budget=config.budget)
-                           for i, plan in enumerate(library)]
-            fulls = [r for r in results if r.kind == "full"]
-            partials = [r for r in results if r.kind == "partial"]
-            if fulls:
-                best = select_best_partial(fulls)
-                best.donor.worlds.add(world.id)
-                if config.trace:
-                    print(f"; world {world.id}: reusing existing plan in full",
-                          file=sys.stderr)
-                continue
-            trace = PlanTrace() if config.trace else None
-            if partials:
-                best = select_best_partial(partials)
-                plan = continue_from(best, world, spec, budget=config.budget,
-                                     trace=trace)
-                if config.trace:
-                    print(f"; world {world.id}: resumed after a reusable prefix "
-                          f"of {best.prefix_length} step(s)", file=sys.stderr)
-            else:
-                plan = plan_for_pstate(world, spec, policy=policy,
-                                       budget=config.budget, trace=trace)
-            library.append(plan)
-            if trace is not None:
-                for line in trace.to_lines():
-                    print(f"; {world.id} {line}", file=sys.stderr)
-    except PlanFailure as exc:
-        print(f"error: world {world.id}: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"error: world {world.id}: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        superplan = merge_plans([(p, p.worlds) for p in library], worlds, threshold)
-    except CoverageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    superplan = insert_ka_operators(superplan, worlds)
     payload = dumps_superplan(superplan)
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
-    if config.per_world:
-        base = config.out_path or "superplan.json"
+    if args.per_world:
+        base = args.out or "superplan.json"
         stem = base[:-5] if base.endswith(".json") else base
         for plan in library:
             for world_id in sorted(plan.worlds):
@@ -276,26 +201,7 @@ def main(argv=None) -> int:
     if args.command == "validate":
         return cmd_validate(args.domain)
     if args.command == "plan":
-        threshold = None
-        if args.threshold is not None:
-            try:
-                s, _, p = args.threshold.partition(",")
-                threshold = (float(s), float(p))
-            except ValueError:
-                print(f"error: bad --threshold {args.threshold!r}", file=sys.stderr)
-                return 2
-        config = RunConfig(
-            domain_path=args.domain,
-            evidence_path=args.evidence,
-            out_path=args.out,
-            trace=args.trace,
-            rho=args.rho,
-            budget=args.budget,
-            threshold=threshold,
-            per_world=args.per_world,
-            workers=_workers_from_env(),
-        )
-        return cmd_plan(config)
+        return cmd_plan(args)
     return cmd_sensitivity(args)
 
 

@@ -24,6 +24,7 @@ from .model import (
     ProbabilityRule,
     Proposition,
     ReductionOperator,
+    patterns_unify,
 )
 from .planner import ReviewPolicy
 
@@ -760,19 +761,6 @@ def _parse_mass(p: _Parser, masses: list):
 
 # --- linter -----------------------------------------------------------------
 
-def _patterns_unify(a: Proposition, b: Proposition) -> bool:
-    """Could some ground instance match both patterns?"""
-    if a.predicate != b.predicate or a.polarity != b.polarity:
-        return False
-    if len(a.args) != len(b.args):
-        return False
-    from .model import is_variable
-    return all(
-        is_variable(x) or is_variable(y) or x == y
-        for x, y in zip(a.args, b.args)
-    )
-
-
 def _effect_change(op: str, prop: Proposition) -> Proposition:
     """The change literal an effect produces: retracts flip polarity."""
     return prop if op == "assert" else prop.negated()
@@ -789,7 +777,7 @@ def lint_domain(spec: DomainSpec) -> list:
         for op, prop, _level in ri.effects:
             change = _effect_change(op, prop)
             for j, rj in enumerate(rules):
-                if _patterns_unify(change, rj.trigger):
+                if patterns_unify(change, rj.trigger):
                     edges[i].add(j)
     state = {}  # 0 visiting, 1 done
 
@@ -856,7 +844,7 @@ def lint_domain(spec: DomainSpec) -> list:
             for candidate in spec.operators:
                 if candidate.abstraction_level < op.abstraction_level:
                     continue
-                if any(_patterns_unify(post, target) and post_level == level
+                if any(post_level == level and patterns_unify(post, target)
                        for post, post_level in candidate.postconditions):
                     referenced.append(candidate.name)
         for ref in referenced:

@@ -29,9 +29,13 @@ class NoPossibleWorldError(UplanError):
 class PlanFailure(UplanError):
     """The root goal cannot be reduced to an executable plan."""
 
+    world_id = None  # the pipeline sets it to the world being planned
+
 
 class BudgetExceededError(UplanError):
     """The search expanded more nodes than the configured budget allows."""
+
+    world_id = None  # the pipeline sets it to the world being planned
 
 
 class CoverageError(UplanError):

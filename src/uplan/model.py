@@ -85,6 +85,18 @@ def match(pattern: Proposition, fact: Proposition, bindings: dict | None = None)
     return out
 
 
+def patterns_unify(a: Proposition, b: Proposition) -> bool:
+    """Could some ground instance match both patterns?"""
+    if a.predicate != b.predicate or a.polarity != b.polarity:
+        return False
+    if len(a.args) != len(b.args):
+        return False
+    return all(
+        is_variable(x) or is_variable(y) or x == y
+        for x, y in zip(a.args, b.args)
+    )
+
+
 @dataclass(frozen=True)
 class AbstractionLevel:
     """One layer of a P-state. Index 1 is the most abstract description."""
@@ -112,6 +124,11 @@ class EvidentialInterval:
             raise ValueError(
                 f"invalid evidential interval [{self.support}, {self.plausibility}]"
             )
+
+    def meets(self, threshold) -> bool:
+        """Whether both bounds reach a (support, plausibility) threshold."""
+        min_support, min_plausibility = threshold
+        return self.support >= min_support and self.plausibility >= min_plausibility
 
 
 VACUOUS_INTERVAL = EvidentialInterval(0.0, 1.0)

@@ -41,6 +41,7 @@ from .model import (
     enforce_compatibility,
     holds,
     match,
+    patterns_unify,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
@@ -57,22 +58,10 @@ class ReviewPolicy:
     """
 
     offset_fraction: float = 0.1
-    mode: str = "per-level-linear"
 
     def __post_init__(self):
         if math.isnan(self.offset_fraction) or self.offset_fraction < 0:
             raise ValueError("offset fraction must be >= 0")
-        if self.mode != "per-level-linear":
-            raise ValueError(f"unknown review mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    """A frontier record: the node picked for expansion and its priority."""
-
-    node: PlanNode
-    priority: float
-    level: int
 
 
 @dataclass(frozen=True)
@@ -444,14 +433,14 @@ class Search:
             goal_op, self.spec.goal_fulfilment, self.initial, None
         )
         while True:
-            point = self._next_point()
-            if point is None:
+            node = self._next_point()
+            if node is None:
                 break
-            self._expand(point.node)
+            self._expand(node)
         steps = tuple(self._collect_steps(self.root))
         return Plan(root=self.root, worlds={self.initial.id}, execution_sequence=steps)
 
-    def _next_point(self) -> SearchNode | None:
+    def _next_point(self) -> PlanNode | None:
         """Leftmost incomplete node of the active subtree, finalizing on the way."""
         while True:
             node = self.root
@@ -460,7 +449,7 @@ class Search:
             restart = False
             while True:
                 if node.status == STATUS_NEW:
-                    return SearchNode(node, node.ef, node.operator.abstraction_level)
+                    return node
                 if node.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
                     return None  # only reachable for the root
                 if node.status == STATUS_FAILED:
@@ -603,7 +592,7 @@ class Search:
         for op in self.spec.operators:
             if op.abstraction_level < node.operator.abstraction_level:
                 continue  # helpers come from equal or lower abstraction
-            if any(_asserts(post, post_level, target, level)
+            if any(post_level == level and patterns_unify(post, target)
                    for post, post_level in op.postconditions):
                 probability = operator_probability(op, state)
                 ef = expected_fulfilment(node.base.fulfilment, probability)
@@ -858,19 +847,6 @@ class Search:
                 yield from self._collect_steps(child)
         elif node.expansion == EXPANSION_OR:
             yield from self._collect_steps(node.selected_child)
-
-
-def _asserts(post: Proposition, post_level: int, target: Proposition, level: int) -> bool:
-    """Could this postcondition make the target pattern true?"""
-    if post_level != level or post.polarity != target.polarity:
-        return False
-    if post.predicate != target.predicate or len(post.args) != len(target.args):
-        return False
-    from .model import is_variable
-    return all(
-        is_variable(a) or is_variable(b) or a == b
-        for a, b in zip(post.args, target.args)
-    )
 
 
 class ReplayHalt(UplanError):

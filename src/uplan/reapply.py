@@ -28,7 +28,7 @@ from .model import (
     SuperPlanNode,
     holds,
 )
-from .planner import ReplayHalt, Search
+from .planner import DEFAULT_NODE_BUDGET, ReplayHalt, ReviewPolicy, Search
 
 
 @dataclass
@@ -63,10 +63,11 @@ def donor_script(plan: Plan) -> tuple:
 
 
 def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
-                 budget: int = 100_000) -> ReapplyResult:
+                 budget: int = DEFAULT_NODE_BUDGET,
+                 policy: ReviewPolicy | None = None) -> ReapplyResult:
     """Assess whether a donor plan works, wholly or in part, for a new world."""
     script, paths = donor_script(plan)
-    search = Search(ps, spec, script=script, replay_paths=paths,
+    search = Search(ps, spec, policy=policy, script=script, replay_paths=paths,
                     halt_on_failure=True, budget=budget)
     try:
         rebuilt = search.run()
@@ -82,14 +83,15 @@ def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
 
 
 def continue_from(result: ReapplyResult, ps: PState, spec,
-                  budget: int = 100_000, trace=None) -> Plan:
+                  budget: int = DEFAULT_NODE_BUDGET, trace=None,
+                  policy: ReviewPolicy | None = None) -> Plan:
     """Resume planning for a world whose donor replay failed part-way.
 
     The donor's choices stay scripted; when one fails, its planfail directive
     applies and the search continues freely from there.
     """
     script, paths = donor_script(result.donor)
-    search = Search(ps, spec, script=script, replay_paths=paths,
+    search = Search(ps, spec, policy=policy, script=script, replay_paths=paths,
                     halt_on_failure=False, budget=budget, trace=trace)
     return search.run()
 
@@ -119,14 +121,11 @@ def merge_plans(plans, worlds, threshold=(0.0, 0.0)) -> SuperPlan:
     one path; divergence points become branch points whose alternatives carry
     the union of contributing worlds.
     """
-    min_support, min_plausibility = threshold
     covered = set()
     for _plan, world_ids in plans:
         covered |= set(world_ids)
     for world in worlds:
-        above = (world.interval.support >= min_support
-                 and world.interval.plausibility >= min_plausibility)
-        if above and world.id not in covered:
+        if world.interval.meets(threshold) and world.id not in covered:
             raise CoverageError(
                 f"world {world.id!r} is above the coverage threshold but has no plan",
                 world_id=world.id,

@@ -143,14 +143,60 @@ def test_plan_trace_flag_emits_lines(fixture_paths, tmp_path, capsys):
     assert "expand" in err and "review-switch" in err
 
 
-def test_plan_workers_do_not_change_output(fixture_paths, tmp_path, monkeypatch):
+def test_plan_rho_reaches_resumed_worlds(fixture_paths, tmp_path, capsys):
     domain, evidence = fixture_paths
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("UPLAN_WORKERS", "1")
-    assert main(["plan", domain, evidence, "--out", str(a)]) == 0
-    monkeypatch.setenv("UPLAN_WORKERS", "4")
-    assert main(["plan", domain, evidence, "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    out = tmp_path / "sp.json"
+    assert main(["plan", domain, evidence, "--out", str(out), "--rho", "1000",
+                 "--per-world", "--trace"]) == 0
+    bomber = json.loads((tmp_path / "sp-bomber+radar_contact.json").read_text())
+    assert [s["action"] for s in bomber["execution_sequence"]] == \
+        ["Activate_Radar", "Set_Bearing", "Visual_Lock", "Fire_Ready"]
+    assert "review-switch" not in capsys.readouterr().err
+    # Without --rho the domain's review policy still switches the bomber.
+    default = tmp_path / "default.json"
+    assert main(["plan", domain, evidence, "--out", str(default),
+                 "--per-world", "--trace"]) == 0
+    bomber = json.loads((tmp_path / "default-bomber+radar_contact.json").read_text())
+    assert [s["action"] for s in bomber["execution_sequence"]] == \
+        ["Activate_Radar", "Bank_Turn"]
+    assert "review-switch" in capsys.readouterr().err
+    assert default.read_bytes() != out.read_bytes()
+
+
+_TWO_WORLD_DOMAIN = """
+levels 1
+goal Do 100.0
+coverage 0.5 0.5
+operator Do
+  level 1
+  necessary (ready)@1
+  plot do-all
+    assert (done)@1
+  probability
+    default 1.0
+"""
+_TWO_WORLD_EVIDENCE = """
+frame f {good bad}
+  good -> (ready)@1
+mass f {good}=0.9 {good bad}=0.1
+"""
+
+
+def test_plan_skips_worlds_below_coverage_threshold(tmp_path, capsys):
+    domain = tmp_path / "d.domain"
+    evidence = tmp_path / "e.evidence"
+    domain.write_text(_TWO_WORLD_DOMAIN)
+    evidence.write_text(_TWO_WORLD_EVIDENCE)
+    out = tmp_path / "sp.json"
+    assert main(["plan", str(domain), str(evidence), "--out", str(out), "--trace"]) == 0
+    assert "world bad: below the coverage threshold" in capsys.readouterr().err
+    sp = loads_superplan(out.read_text())
+    bad = dict(sp.worlds)["bad"]
+    assert (bad.support, bad.plausibility) == pytest.approx((0.0, 0.1))
+    assert sp.branch_points() == []
+    assert [s.operator for s in sp.paths()[0]] == ["Do"]
+    assert main(["plan", str(domain), str(evidence), "--threshold", "0,0"]) == 1
+    assert "world bad:" in capsys.readouterr().err
 
 
 def test_sensitivity_check_verdict(capsys):
