@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +55,28 @@ def test_plan_outputs_are_byte_identical(fixture_paths, tmp_path):
     assert main(["plan", domain, evidence, "--out", str(a)]) == 0
     assert main(["plan", domain, evidence, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("options, golden", [
+    ([], "air_combat.superplan.json"),
+    (["--rho", "1000"], "air_combat.rho1000.superplan.json"),
+])
+def test_plan_matches_golden_superplan(fixture_paths, tmp_path, options, golden):
+    domain, evidence = fixture_paths
+    out = tmp_path / "sp.json"
+    assert main(["plan", domain, evidence, "--out", str(out), *options]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_plan_trace_matches_golden(fixture_paths, tmp_path, capsys):
+    domain, evidence = fixture_paths
+    assert main(["plan", domain, evidence, "--out", str(tmp_path / "sp.json"),
+                 "--trace"]) == 0
+    err = capsys.readouterr().err.encode("utf-8")
+    assert err == (GOLDEN / "air_combat.trace.txt").read_bytes()
 
 
 def test_plan_single_world_no_branches(tmp_path):
