@@ -75,6 +75,11 @@ def cmd_plan(args) -> int:
         except ValueError:
             print(f"error: bad --threshold {args.threshold!r}", file=sys.stderr)
             return 2
+    try:
+        policy = None if args.rho is None else ReviewPolicy(offset_fraction=args.rho)
+    except ValueError:
+        print(f"error: bad --rho {args.rho!r}", file=sys.stderr)
+        return 2
     domain_text = _read(args.domain)
     evidence_text = _read(args.evidence)
     if domain_text is None or evidence_text is None:
@@ -89,7 +94,6 @@ def cmd_plan(args) -> int:
     if _lint_fails(spec, args.domain):
         return 1
 
-    policy = None if args.rho is None else ReviewPolicy(offset_fraction=args.rho)
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     try:
         superplan, library = plan_superplan(spec, evidence, policy=policy,

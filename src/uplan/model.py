@@ -519,7 +519,8 @@ class SuperPlanNode:
 
     Action nodes carry a step and a single continuation. Branch points carry
     either a knowledge-acquisition operator or per-alternative evidence
-    weights, never neither.
+    weights, never neither; :func:`uplan.reapply.merge_plans` attaches one
+    or the other as it creates each branch point.
     """
 
     step: GroundStep | None = None
@@ -554,18 +555,16 @@ class SuperPlan:
     def paths(self):
         """All root-to-leaf action sequences (one per alternative combination)."""
         results = []
-
-        def descend(node, prefix):
+        stack = [(self.root, ())]
+        while stack:
+            node, prefix = stack.pop()
+            steps = list(prefix)
+            while node is not None and not node.is_branch:
+                steps.append(node.step)
+                node = node.next
             if node is None:
-                results.append(tuple(prefix))
-                return
-            if node.is_branch:
-                for alt in node.alternatives:
-                    descend(alt.subtree, prefix)
-                return
-            prefix.append(node.step)
-            descend(node.next, prefix)
-            prefix.pop()
-
-        descend(self.root, [])
+                results.append(tuple(steps))
+            else:
+                prefix = tuple(steps)
+                stack.extend((alt.subtree, prefix) for alt in reversed(node.alternatives))
         return results

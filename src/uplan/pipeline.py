@@ -15,7 +15,6 @@ from .evidence import generate_pstates, rank_pstates
 from .planner import DEFAULT_NODE_BUDGET, PlanTrace, plan_for_pstate
 from .reapply import (
     continue_from,
-    insert_ka_operators,
     merge_plans,
     reapply_plan,
     select_best_partial,
@@ -52,8 +51,7 @@ def plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
             raise
         if plan is not None:
             library.append(plan)
-    superplan = merge_plans([(p, p.worlds) for p in library], worlds, threshold)
-    return insert_ka_operators(superplan, worlds), library
+    return merge_plans([(p, p.worlds) for p in library], worlds, threshold), library
 
 
 def _plan_world(world, library, spec, policy, budget, trace):

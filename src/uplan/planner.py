@@ -375,16 +375,17 @@ class PreconditionResult:
 class Search:
     """One planning run over a single P-state.
 
-    ``script`` maps tree paths (tuples of child indices from the root) to a
-    forced OR choice, which is how plan reapplication replays a donor plan:
-    scripted ORs are pinned against review until their choice fails. With
-    ``halt_on_failure`` the search raises :class:`ReplayHalt` at the first
-    planfail inside the scripted region instead of recovering.
+    ``script`` maps the tree paths (tuples of child indices from the root)
+    of a donor plan to its OR choices, None at AND nodes and leaves, which is
+    how plan reapplication replays a donor plan: scripted ORs are pinned
+    against review until their choice fails. With ``halt_on_failure`` the
+    search raises :class:`ReplayHalt` at the first planfail inside the
+    scripted region instead of recovering.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
                  budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
-                 script: dict | None = None, replay_paths=None,
+                 script: dict | None = None,
                  halt_on_failure: bool = False,
                  helper_depth: int = DEFAULT_HELPER_DEPTH):
         self.initial = ps
@@ -393,7 +394,6 @@ class Search:
         self.budget = budget
         self.trace = trace
         self.script = script or {}
-        self.replay_paths = replay_paths or set()
         self.halt_on_failure = halt_on_failure
         self.helper_depth = helper_depth
         self.expansions = 0
@@ -830,7 +830,7 @@ class Search:
             propagate_updates(replacement, self.trace)
 
     def _in_script(self, node: PlanNode) -> bool:
-        return bool(self.replay_paths) and self._path(node) in self.replay_paths
+        return bool(self.script) and self._path(node) in self.script
 
     # -- plan extraction --
 

@@ -43,13 +43,13 @@ class ReapplyResult:
     order: int = 0               # donor's position in the plan library
 
 
-def donor_script(plan: Plan) -> tuple:
-    """Extract (or-choice script, replayable node paths) from a donor plan."""
+def donor_script(plan: Plan) -> dict:
+    """Map every node path of a donor plan to its OR choice, or to None at
+    AND nodes and leaves: the script a replay of the plan follows."""
     script = {}
-    paths = set()
 
     def walk(node: PlanNode, path: tuple):
-        paths.add(path)
+        script[path] = None
         if node.expansion == EXPANSION_OR:
             selected = node.selected_child
             script[path] = node.selected_index
@@ -59,15 +59,14 @@ def donor_script(plan: Plan) -> tuple:
                 walk(child, path + (child.plot_index,))
 
     walk(plan.root, ())
-    return script, paths
+    return script
 
 
 def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
                  budget: int = DEFAULT_NODE_BUDGET,
                  policy: ReviewPolicy | None = None) -> ReapplyResult:
     """Assess whether a donor plan works, wholly or in part, for a new world."""
-    script, paths = donor_script(plan)
-    search = Search(ps, spec, policy=policy, script=script, replay_paths=paths,
+    search = Search(ps, spec, policy=policy, script=donor_script(plan),
                     halt_on_failure=True, budget=budget)
     try:
         rebuilt = search.run()
@@ -90,8 +89,7 @@ def continue_from(result: ReapplyResult, ps: PState, spec,
     The donor's choices stay scripted; when one fails, its planfail directive
     applies and the search continues freely from there.
     """
-    script, paths = donor_script(result.donor)
-    search = Search(ps, spec, policy=policy, script=script, replay_paths=paths,
+    search = Search(ps, spec, policy=policy, script=donor_script(result.donor),
                     halt_on_failure=False, budget=budget, trace=trace)
     return search.run()
 
@@ -119,7 +117,9 @@ def merge_plans(plans, worlds, threshold=(0.0, 0.0)) -> SuperPlan:
     the plans were built for. Every world at or above the coverage threshold
     must be covered by some plan. Identical execution sequences collapse into
     one path; divergence points become branch points whose alternatives carry
-    the union of contributing worlds.
+    the union of contributing worlds, each branch point with a
+    knowledge-acquisition operator or evidence weights
+    (:func:`insert_ka_operators`).
     """
     covered = set()
     for _plan, world_ids in plans:
@@ -133,48 +133,39 @@ def merge_plans(plans, worlds, threshold=(0.0, 0.0)) -> SuperPlan:
 
     # Group identical sequences, keeping first-seen order for determinism.
     grouped: dict = {}
-    for index, (plan, world_ids) in enumerate(plans):
-        seq = tuple(plan.execution_sequence)
-        if seq in grouped:
-            grouped[seq][0] |= set(world_ids)
-        else:
-            grouped[seq] = [set(world_ids), index]
-    entries = sorted(
-        ((seq, frozenset(ids), order) for seq, (ids, order) in grouped.items()),
-        key=lambda e: e[2],
-    )
+    for plan, world_ids in plans:
+        grouped.setdefault(tuple(plan.execution_sequence), set()).update(world_ids)
+    by_id = {w.id: w for w in worlds}
 
     def build(entries, depth):
-        alive = [(seq, ids, order) for seq, ids, order in entries]
-        if not alive:
-            return None
-        heads = {seq[depth] if depth < len(seq) else _END for seq, _, _ in alive}
-        if len(heads) == 1:
-            head = next(iter(heads))
-            if head is _END:
-                return None
-            return SuperPlanNode(step=head, next=build(alive, depth + 1))
-        # Divergence: one alternative per distinct head, in first-seen order.
-        buckets: dict = {}
-        for seq, ids, order in alive:
-            head = seq[depth] if depth < len(seq) else _END
-            buckets.setdefault(head, []).append((seq, ids, order))
-        ordered = sorted(buckets.values(), key=lambda group: min(g[2] for g in group))
-        alternatives = []
-        for group in ordered:
-            worlds_union = frozenset().union(*(ids for _, ids, _ in group))
-            head = group[0][0][depth] if depth < len(group[0][0]) else _END
-            if head is _END:
-                subtree = None
-            else:
-                subtree = SuperPlanNode(step=head, next=build(group, depth + 1))
-            alternatives.append(SuperPlanAlternative(subtree, worlds_union))
-        return SuperPlanNode(alternatives=tuple(alternatives))
+        """The super-plan from ``depth`` on for (sequence, worlds) entries
+        that agree before it: a loop over the shared steps, one call per
+        alternative of the branch point that ends them."""
+        steps = []
+        while True:
+            # One bucket per distinct head, in first-seen order.
+            buckets: dict = {}
+            for seq, ids in entries:
+                buckets.setdefault(seq[depth] if depth < len(seq) else _END,
+                                   []).append((seq, ids))
+            if len(buckets) != 1 or _END in buckets:
+                break
+            steps.append(next(iter(buckets)))
+            depth += 1
+        node = None
+        if len(buckets) > 1:
+            node = insert_ka_operators(
+                [(build(group, depth), frozenset().union(*(ids for _, ids in group)))
+                 for group in buckets.values()],
+                by_id,
+            )
+        for step in reversed(steps):
+            node = SuperPlanNode(step=step, next=node)
+        return node
 
-    root = build(entries, 0)
     world_index = tuple(sorted(((w.id, w.interval) for w in worlds),
                                key=lambda pair: pair[0]))
-    return SuperPlan(root=root, worlds=world_index)
+    return SuperPlan(root=build(list(grouped.items()), 0), worlds=world_index)
 
 
 def _combined_interval(world_ids, by_id) -> EvidentialInterval:
@@ -244,29 +235,14 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
     )
 
 
-def insert_ka_operators(sp: SuperPlan, worlds) -> SuperPlan:
-    """Attach a knowledge-acquisition operator to every branch point that can
-    be discriminated by observation; weight the alternatives by evidence
-    otherwise."""
-    by_id = {w.id: w for w in worlds}
-
-    def rebuild(node):
-        if node is None:
-            return None
-        if not node.is_branch:
-            return SuperPlanNode(step=node.step, next=rebuild(node.next))
-        alternatives = tuple(
-            SuperPlanAlternative(rebuild(alt.subtree), alt.worlds, None)
-            for alt in node.alternatives
-        )
-        ka = _discriminator([alt.worlds for alt in alternatives], by_id)
-        if ka is not None:
-            return SuperPlanNode(ka=ka, alternatives=alternatives)
-        weighted = tuple(
-            SuperPlanAlternative(alt.subtree, alt.worlds,
-                                 _combined_interval(alt.worlds, by_id))
-            for alt in alternatives
-        )
-        return SuperPlanNode(alternatives=weighted)
-
-    return SuperPlan(root=rebuild(sp.root), worlds=sp.worlds)
+def insert_ka_operators(branches, by_id) -> SuperPlanNode:
+    """The branch point for ``branches``, (subtree, world-id set) pairs: a
+    knowledge-acquisition operator when observations tell the world sets
+    apart, evidence weights on the alternatives otherwise. ``by_id`` maps
+    world ids to P-states."""
+    ka = _discriminator([worlds for _, worlds in branches], by_id)
+    return SuperPlanNode(ka=ka, alternatives=tuple(
+        SuperPlanAlternative(subtree, worlds,
+                             _combined_interval(worlds, by_id) if ka is None else None)
+        for subtree, worlds in branches
+    ))

@@ -42,7 +42,7 @@ from uplan.planner import (
     update_and_node,
     update_or_node,
 )
-from uplan.reapply import insert_ka_operators, merge_plans, reapply_plan
+from uplan.reapply import merge_plans, reapply_plan
 from uplan.sensitivity import ratio_threshold, sensitivity_grid
 
 from conftest import prop
@@ -376,8 +376,7 @@ def test_criterion_6_reapply_merge(air_combat_spec, air_combat_worlds):
     # The shipped two-world fixture: one branch point, KA on the single
     # proposition that differs between the worlds.
     pairs = [(p, p.worlds) for p in plans.values()]
-    sp = insert_ka_operators(merge_plans(pairs, air_combat_worlds),
-                             air_combat_worlds)
+    sp = merge_plans(pairs, air_combat_worlds)
     points = sp.branch_points()
     assert len(points) == 1
     ka = points[0].ka

@@ -186,6 +186,13 @@ def test_plan_rho_reaches_resumed_worlds(fixture_paths, tmp_path, capsys):
     assert default.read_bytes() != out.read_bytes()
 
 
+@pytest.mark.parametrize("rho", ["-1", "nan"])
+def test_plan_bad_rho_exits_two(fixture_paths, capsys, rho):
+    domain, evidence = fixture_paths
+    assert main(["plan", domain, evidence, "--rho", rho]) == 2
+    assert "error: bad --rho" in capsys.readouterr().err
+
+
 _TWO_WORLD_DOMAIN = """
 levels 1
 goal Do 100.0

@@ -51,3 +51,39 @@ operator Do
     with pytest.raises(PlanFailure) as info:
         plan_superplan(spec, evidence)
     assert info.value.world_id == "only"
+
+
+_RADAR_FRAME = """
+frame radar {on off}
+  on -> (radar active)@3
+
+mass radar {on}=0.7 {on off}=0.3
+"""
+
+
+def _world_path(superplan, world_id):
+    """The operators a world executes: the alternative holding the world is
+    followed at every branch point."""
+    ops, node = [], superplan.root
+    while node is not None:
+        if node.is_branch:
+            node = next(alt.subtree for alt in node.alternatives
+                        if world_id in alt.worlds)
+        else:
+            ops.append(node.step.operator)
+            node = node.next
+    return ops
+
+
+@pytest.mark.xfail(strict=True, reason="a world reused in full gets the donor's "
+                   "sequence, not its own replay's helper steps")
+def test_pipeline_full_reuse_keeps_helper_steps(air_combat_spec):
+    evidence = parse_evidence(fixture_text("air_combat.evidence") + _RADAR_FRAME)
+    superplan, _ = plan_superplan(air_combat_spec, evidence)
+    # The radar-on worlds rank first, so their plans become the donors.
+    assert max(superplan.worlds, key=lambda pair: pair[1].support)[0].endswith("+on")
+    for world_id, _ in superplan.worlds:
+        if world_id.endswith("+off"):
+            ops = _world_path(superplan, world_id)
+            assert "Activate_Radar" in ops
+            assert "Radar_Lock" not in ops[:ops.index("Activate_Radar")]

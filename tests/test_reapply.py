@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uplan.errors import CoverageError
 from uplan.model import (
@@ -6,6 +7,9 @@ from uplan.model import (
     GroundStep,
     Plan,
     PlanNode,
+    SuperPlan,
+    SuperPlanAlternative,
+    SuperPlanNode,
     Values,
     make_pstate,
     state_edit,
@@ -14,12 +18,14 @@ from uplan.model import (
 from uplan.planner import ReviewPolicy, plan_for_pstate
 from uplan.reapply import (
     ReapplyResult,
+    _combined_interval,
+    _discriminator,
     continue_from,
-    insert_ka_operators,
     merge_plans,
     reapply_plan,
     select_best_partial,
 )
+from uplan.serialize import dumps_superplan
 
 from conftest import prop
 from test_planner import op, spec_of
@@ -219,7 +225,7 @@ def test_ka_single_forced_discriminator():
         (fake_plan(["a", "x"], {"w1"}), {"w1"}),
         (fake_plan(["a", "y"], {"w2"}), {"w2"}),
     ]
-    sp = insert_ka_operators(merge_plans(plans, [w1, w2]), [w1, w2])
+    sp = merge_plans(plans, [w1, w2])
     point = sp.branch_points()[0]
     assert point.ka is not None
     assert point.ka.observe == ((1, prop("(marker)")),)
@@ -234,7 +240,7 @@ def test_ka_indistinguishable_worlds_get_evidence_weights():
         (fake_plan(["x"], {"w1"}), {"w1"}),
         (fake_plan(["y"], {"w2"}), {"w2"}),
     ]
-    sp = insert_ka_operators(merge_plans(plans, [w1, w2]), [w1, w2])
+    sp = merge_plans(plans, [w1, w2])
     point = sp.branch_points()[0]
     assert point.ka is None
     weights = [alt.weight for alt in point.alternatives]
@@ -253,7 +259,7 @@ def test_ka_joint_pair_cover():
         (fake_plan(["right"], {"w3", "w4"}), {"w3", "w4"}),
     ]
     worlds = [w1, w2, w3, w4]
-    sp = insert_ka_operators(merge_plans(plans, worlds), worlds)
+    sp = merge_plans(plans, worlds)
     point = sp.branch_points()[0]
     assert point.ka is not None
     assert point.ka.observe == ((1, prop("(p)")), (1, prop("(q)")))
@@ -269,3 +275,123 @@ def test_flattened_paths_reproduce_inputs(air_combat_spec, air_combat_worlds):
     sp = merge_plans(plans, air_combat_worlds)
     paths = {tuple(p) for p in sp.paths()}
     assert paths == {tuple(p.execution_sequence) for p, _ in plans}
+
+
+# --- reference: the two-pass recursive merge ----------------------------------
+
+_END = object()
+
+
+def reference_merge_plans(plans, worlds) -> SuperPlan:
+    """A plain trie of the sequences, built by one recursive call per step,
+    with branch points that carry neither KA operators nor weights."""
+    grouped: dict = {}
+    for index, (plan, world_ids) in enumerate(plans):
+        seq = tuple(plan.execution_sequence)
+        if seq in grouped:
+            grouped[seq][0] |= set(world_ids)
+        else:
+            grouped[seq] = [set(world_ids), index]
+    entries = sorted(
+        ((seq, frozenset(ids), order) for seq, (ids, order) in grouped.items()),
+        key=lambda e: e[2],
+    )
+
+    def build(entries, depth):
+        if not entries:
+            return None
+        heads = {seq[depth] if depth < len(seq) else _END for seq, _, _ in entries}
+        if len(heads) == 1:
+            head = next(iter(heads))
+            if head is _END:
+                return None
+            return SuperPlanNode(step=head, next=build(entries, depth + 1))
+        buckets: dict = {}
+        for seq, ids, order in entries:
+            head = seq[depth] if depth < len(seq) else _END
+            buckets.setdefault(head, []).append((seq, ids, order))
+        ordered = sorted(buckets.values(), key=lambda group: min(g[2] for g in group))
+        alternatives = []
+        for group in ordered:
+            worlds_union = frozenset().union(*(ids for _, ids, _ in group))
+            head = group[0][0][depth] if depth < len(group[0][0]) else _END
+            if head is _END:
+                subtree = None
+            else:
+                subtree = SuperPlanNode(step=head, next=build(group, depth + 1))
+            alternatives.append(SuperPlanAlternative(subtree, worlds_union))
+        return SuperPlanNode(alternatives=tuple(alternatives))
+
+    world_index = tuple(sorted(((w.id, w.interval) for w in worlds),
+                               key=lambda pair: pair[0]))
+    return SuperPlan(root=build(entries, 0), worlds=world_index)
+
+
+def reference_insert_ka_operators(sp: SuperPlan, worlds) -> SuperPlan:
+    """A copy of the trie whose branch points get a KA operator or weights."""
+    by_id = {w.id: w for w in worlds}
+
+    def rebuild(node):
+        if node is None:
+            return None
+        if not node.is_branch:
+            return SuperPlanNode(step=node.step, next=rebuild(node.next))
+        alternatives = tuple(
+            SuperPlanAlternative(rebuild(alt.subtree), alt.worlds, None)
+            for alt in node.alternatives
+        )
+        ka = _discriminator([alt.worlds for alt in alternatives], by_id)
+        if ka is not None:
+            return SuperPlanNode(ka=ka, alternatives=alternatives)
+        weighted = tuple(
+            SuperPlanAlternative(alt.subtree, alt.worlds,
+                                 _combined_interval(alt.worlds, by_id))
+            for alt in alternatives
+        )
+        return SuperPlanNode(alternatives=weighted)
+
+    return SuperPlan(root=rebuild(sp.root), worlds=sp.worlds)
+
+
+_FACTS = [prop("(p)"), prop("(q)"), prop("(r)")]
+_BOUNDS = [0.0, 0.1, 0.25, 0.5]
+
+
+@st.composite
+def plans_and_worlds(draw):
+    """1 to 6 plans over a three-step alphabet (duplicates, prefixes and
+    empty sequences are all likely), each serving one or two worlds whose
+    facts come from a three-proposition pool, so that some branch points can
+    be told apart by observation and some cannot."""
+    n_plans = draw(st.integers(1, 6))
+    plans, worlds = [], []
+    for i in range(n_plans):
+        steps = draw(st.lists(st.sampled_from("abc"), max_size=4))
+        ids = {f"w{i}.{k}" for k in range(draw(st.integers(1, 2)))}
+        plans.append((fake_plan(steps, ids), ids))
+        for wid in sorted(ids):
+            facts = draw(st.lists(st.sampled_from(_FACTS), unique=True))
+            s = draw(st.sampled_from(_BOUNDS))
+            worlds.append(world(wid, s=s, p=s + draw(st.sampled_from(_BOUNDS)),
+                                contents={1: facts}))
+    return plans, worlds
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans_and_worlds())
+def test_merge_matches_two_pass_reference(case):
+    plans, worlds = case
+    expected = reference_insert_ka_operators(reference_merge_plans(plans, worlds),
+                                             worlds)
+    sp = merge_plans(plans, worlds)
+    assert dumps_superplan(sp) == dumps_superplan(expected)
+    for point in sp.branch_points():
+        assert point.ka is not None or all(alt.weight is not None
+                                           for alt in point.alternatives)
+
+
+def test_merge_and_walks_handle_a_5000_step_plan():
+    steps = [f"s{i}" for i in range(5000)]
+    sp = merge_plans([(fake_plan(steps, {"w"}), {"w"})], [world("w")])
+    assert [s.operator for s in sp.paths()[0]] == steps
+    assert sp.branch_points() == []
