@@ -85,9 +85,6 @@ class DomainSpec:
                 return op
         raise KeyError(name)
 
-    def has_operator(self, name: str) -> bool:
-        return any(op.name == name for op in self.operators)
-
 
 # --- tokenizer -------------------------------------------------------------
 

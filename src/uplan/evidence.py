@@ -74,12 +74,6 @@ class MassFunction:
         if abs(total - 1.0) > MASS_SUM_TOLERANCE:
             raise ValueError(f"masses sum to {total}, not 1")
 
-    def mass_of(self, subset: frozenset) -> float:
-        for s, m in self.masses:
-            if s == subset:
-                return m
-        return 0.0
-
 
 def _canonical(masses: dict) -> tuple:
     return tuple(sorted(masses.items(), key=lambda kv: sorted(kv[0])))

@@ -15,6 +15,7 @@ so a later review can resume them.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, CompatibilityViolation, PlanFailure, UplanError
@@ -322,13 +323,13 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
     """
     state = ps
     log = []
-    queue = [
+    queue = deque(
         (prop if op == "assert" else prop.negated(), level)
         for op, prop, level in changed
-    ]
+    )
     fired = 0
     while queue:
-        literal, level = queue.pop(0)
+        literal, level = queue.popleft()
         for rule in rules:
             bindings = match(rule.trigger, literal)
             if bindings is None:
@@ -784,7 +785,7 @@ class Search:
             raise ReplayHalt(node, reason)
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
-            if not getattr(node, "recovery_attempted", False):
+            if not node.recovery_attempted:
                 self._recover(node, directive)
                 return
             directive = PLANFAIL_BACKTRACK

@@ -12,6 +12,7 @@ a knowledge-acquisition operator or evidence weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CoverageError, PlanFailure
@@ -177,61 +178,54 @@ def _combined_interval(world_ids, by_id) -> EvidentialInterval:
 
 
 def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
-    """Greedy set cover: observations whose truth values tell the world sets
-    of every pair of alternatives apart, or None when none exists."""
-    pairs = []
-    for i in range(len(world_sets)):
-        for j in range(i + 1, len(world_sets)):
-            for w1 in sorted(world_sets[i]):
-                for w2 in sorted(world_sets[j]):
-                    pairs.append((w1, w2))
-    if not pairs:
-        return None
-    involved = sorted({w for ws in world_sets for w in ws})
-    candidates = []
-    seen = set()
-    for wid in involved:
-        world = by_id[wid]
-        for level_index in range(1, world.n_levels + 1):
-            for prop in world.facts(level_index):
-                key = (level_index, prop)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(key)
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    """Observations whose truth values tell the world sets apart, or None
+    when none can.
 
-    def separates(candidate, pair):
-        level, prop = candidate
-        w1, w2 = pair
-        return holds(by_id[w1], level, prop) != holds(by_id[w2], level, prop)
+    The worlds are partitioned into blocks, one per outcome of the
+    observations chosen so far, and two worlds of different alternatives are
+    still confused exactly when they share a block. Each round greedily adds
+    the first candidate, in sorted order, that splits the most confused pairs
+    (Quinlan's test selection over a refined partition), until no block
+    mixes alternatives.
+    """
+    # One (world, alternative) entry each: a world listed under two
+    # alternatives stays confused with itself, and gets no KA operator.
+    entries = [(wid, index) for index, ws in enumerate(world_sets) for wid in ws]
+    candidates = sorted({(level, prop) for wid, _ in entries
+                         for level in range(1, by_id[wid].n_levels + 1)
+                         for prop in by_id[wid].facts(level)})
 
-    chosen = []
-    uncovered = list(pairs)
-    while uncovered:
-        best, best_covered = None, []
+    def confused(block):
+        """Pairs of ``block``'s entries from different alternatives."""
+        counts = Counter(index for _, index in block)
+        return (len(block) ** 2 - sum(n * n for n in counts.values())) // 2
+
+    def refine(blocks, level, prop):
+        """Split every block by the truth of ``prop`` at ``level``."""
+        refined = {}
+        for outcome, block in blocks.items():
+            for entry in block:
+                truth = "T" if holds(by_id[entry[0]], level, prop) else "F"
+                refined.setdefault(outcome + truth, []).append(entry)
+        return refined
+
+    if not confused(entries):
+        return None  # a single alternative: nothing to tell apart
+    blocks, chosen = {"": entries}, []
+    while mixed := {o: block for o, block in blocks.items() if confused(block)}:
+        remaining = sum(map(confused, mixed.values()))
+        best, best_gain = None, 0
         for candidate in candidates:
-            if candidate in chosen:
-                continue
-            covered = [p for p in uncovered if separates(candidate, p)]
-            if len(covered) > len(best_covered):
-                best, best_covered = candidate, covered
+            gain = remaining - sum(map(confused, refine(mixed, *candidate).values()))
+            if gain > best_gain:
+                best, best_gain = candidate, gain
         if best is None:
             return None  # some pair is observationally indistinguishable
         chosen.append(best)
-        uncovered = [p for p in uncovered if p not in best_covered]
-
-    maps = {}
-    for index, ws in enumerate(world_sets):
-        for wid in sorted(ws):
-            outcome = "".join(
-                "T" if holds(by_id[wid], lvl, prop) else "F" for lvl, prop in chosen
-            )
-            existing = maps.get(outcome)
-            if existing is not None and existing != index:
-                return None  # cover missed a collision; treat as indistinguishable
-            maps[outcome] = index
+        blocks = refine(blocks, *best)
     return KnowledgeAcquisitionOperator(
-        observe=tuple(chosen), maps=tuple(sorted(maps.items())),
+        observe=tuple(chosen),
+        maps=tuple(sorted((outcome, block[0][1]) for outcome, block in blocks.items())),
     )
 
 

@@ -1,16 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uplan.errors import CoverageError
 from uplan.model import (
     EvidentialInterval,
     GroundStep,
+    KnowledgeAcquisitionOperator,
     Plan,
     PlanNode,
     SuperPlan,
     SuperPlanAlternative,
     SuperPlanNode,
     Values,
+    holds,
     make_pstate,
     state_edit,
     subgoal,
@@ -18,7 +20,6 @@ from uplan.model import (
 from uplan.planner import ReviewPolicy, plan_for_pstate
 from uplan.reapply import (
     ReapplyResult,
-    _combined_interval,
     _discriminator,
     continue_from,
     merge_plans,
@@ -277,7 +278,7 @@ def test_flattened_paths_reproduce_inputs(air_combat_spec, air_combat_worlds):
     assert paths == {tuple(p.execution_sequence) for p, _ in plans}
 
 
-# --- reference: the two-pass recursive merge ----------------------------------
+# --- references: the two-pass recursive merge and the greedy pair cover -------
 
 _END = object()
 
@@ -327,6 +328,72 @@ def reference_merge_plans(plans, worlds) -> SuperPlan:
     return SuperPlan(root=build(entries, 0), worlds=world_index)
 
 
+def reference_discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
+    """Greedy set cover: observations whose truth values tell the world sets
+    of every pair of alternatives apart, or None when none exists."""
+    pairs = []
+    for i in range(len(world_sets)):
+        for j in range(i + 1, len(world_sets)):
+            for w1 in sorted(world_sets[i]):
+                for w2 in sorted(world_sets[j]):
+                    pairs.append((w1, w2))
+    if not pairs:
+        return None
+    involved = sorted({w for ws in world_sets for w in ws})
+    candidates = []
+    seen = set()
+    for wid in involved:
+        world = by_id[wid]
+        for level_index in range(1, world.n_levels + 1):
+            for prop in world.facts(level_index):
+                key = (level_index, prop)
+                if key not in seen:
+                    seen.add(key)
+                    candidates.append(key)
+    candidates.sort(key=lambda c: (c[0], c[1]))
+
+    def separates(candidate, pair):
+        level, prop = candidate
+        w1, w2 = pair
+        return holds(by_id[w1], level, prop) != holds(by_id[w2], level, prop)
+
+    chosen = []
+    uncovered = list(pairs)
+    while uncovered:
+        best, best_covered = None, []
+        for candidate in candidates:
+            if candidate in chosen:
+                continue
+            covered = [p for p in uncovered if separates(candidate, p)]
+            if len(covered) > len(best_covered):
+                best, best_covered = candidate, covered
+        if best is None:
+            return None  # some pair is observationally indistinguishable
+        chosen.append(best)
+        uncovered = [p for p in uncovered if p not in best_covered]
+
+    maps = {}
+    for index, ws in enumerate(world_sets):
+        for wid in sorted(ws):
+            outcome = "".join(
+                "T" if holds(by_id[wid], lvl, prop) else "F" for lvl, prop in chosen
+            )
+            existing = maps.get(outcome)
+            if existing is not None and existing != index:
+                return None  # cover missed a collision; treat as indistinguishable
+            maps[outcome] = index
+    return KnowledgeAcquisitionOperator(
+        observe=tuple(chosen), maps=tuple(sorted(maps.items())),
+    )
+
+
+def reference_weight(world_ids, by_id) -> EvidentialInterval:
+    """Capped sums of the worlds' supports and plausibilities."""
+    support = min(1.0, sum(by_id[w].interval.support for w in world_ids))
+    plausibility = min(1.0, sum(by_id[w].interval.plausibility for w in world_ids))
+    return EvidentialInterval(support, max(support, plausibility))
+
+
 def reference_insert_ka_operators(sp: SuperPlan, worlds) -> SuperPlan:
     """A copy of the trie whose branch points get a KA operator or weights."""
     by_id = {w.id: w for w in worlds}
@@ -340,12 +407,11 @@ def reference_insert_ka_operators(sp: SuperPlan, worlds) -> SuperPlan:
             SuperPlanAlternative(rebuild(alt.subtree), alt.worlds, None)
             for alt in node.alternatives
         )
-        ka = _discriminator([alt.worlds for alt in alternatives], by_id)
+        ka = reference_discriminator([alt.worlds for alt in alternatives], by_id)
         if ka is not None:
             return SuperPlanNode(ka=ka, alternatives=alternatives)
         weighted = tuple(
-            SuperPlanAlternative(alt.subtree, alt.worlds,
-                                 _combined_interval(alt.worlds, by_id))
+            SuperPlanAlternative(alt.subtree, alt.worlds, reference_weight(alt.worlds, by_id))
             for alt in alternatives
         )
         return SuperPlanNode(alternatives=weighted)
@@ -388,6 +454,49 @@ def test_merge_matches_two_pass_reference(case):
     for point in sp.branch_points():
         assert point.ka is not None or all(alt.weight is not None
                                            for alt in point.alternatives)
+
+
+# `not (r)` holds exactly where `(r)` does not, so as an observation it splits
+# the same pairs; it sorts first and so wins that tie.
+_KA_POOL = [prop("(p)"), prop("(q a)"), prop("(r)"), prop("not (r)")]
+
+
+@st.composite
+def disjoint_world_sets(draw):
+    """2 to 4 disjoint world sets, some possibly empty, over 2 to 12 worlds
+    of 1 or 2 levels. The small fact pool makes worlds of different
+    alternatives that no observation tells apart common."""
+    n_sets = draw(st.integers(2, 4))
+    n_worlds = draw(st.integers(2, 12))
+    n_levels = draw(st.integers(1, 2))
+    owners = draw(st.lists(st.integers(0, n_sets - 1),
+                           min_size=n_worlds, max_size=n_worlds))
+    worlds = [
+        make_pstate(f"w{k:02d}", n_levels, EvidentialInterval(0.5, 0.5), {
+            level: draw(st.lists(st.sampled_from(_KA_POOL), unique=True))
+            for level in range(1, n_levels + 1)
+        })
+        for k in range(n_worlds)
+    ]
+    world_sets = [frozenset(w.id for w, owner in zip(worlds, owners) if owner == i)
+                  for i in range(n_sets)]
+    return world_sets, worlds
+
+
+@settings(max_examples=500, deadline=None)
+@given(disjoint_world_sets())
+@example(([frozenset({"w00"}), frozenset({"w01"})],  # indistinguishable
+          [world("w00", contents={1: [prop("(p)")]}),
+           world("w01", contents={1: [prop("(p)")]})]))
+@example(([frozenset({"w00", "w01"}), frozenset({"w02", "w03"})],  # needs two observations
+          [world("w00", contents={1: [prop("(p)"), prop("(r)")]}),
+           world("w01"),
+           world("w02", contents={1: [prop("(p)")]}),
+           world("w03", contents={1: [prop("(r)")]})]))
+def test_discriminator_matches_greedy_pair_cover(case):
+    world_sets, worlds = case
+    by_id = {w.id: w for w in worlds}
+    assert _discriminator(world_sets, by_id) == reference_discriminator(world_sets, by_id)
 
 
 def test_merge_and_walks_handle_a_5000_step_plan():
