@@ -78,12 +78,16 @@ class DomainSpec:
     goal_fulfilment: float = 1000.0
     review: ReviewPolicy = field(default_factory=ReviewPolicy)
     coverage_threshold: tuple = (0.0, 0.0)
+    _by_name: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        by_name = {}
+        for op in self.operators:
+            by_name.setdefault(op.name, op)  # on duplicate names the first wins
+        object.__setattr__(self, "_by_name", by_name)
 
     def operator(self, name: str) -> ReductionOperator:
-        for op in self.operators:
-            if op.name == name:
-                return op
-        raise KeyError(name)
+        return self._by_name[name]
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -4,11 +4,22 @@ World states (:class:`PState`) are immutable; editing returns a new value so
 plan nodes can keep snapshots of the state they were planned against. Plan
 trees (:class:`PlanNode`) are the one mutable structure here: a tree is owned
 by a single search and never shared between concurrent searches.
+
+Each level of a P-state (:class:`AbstractionLevel`) is indexed by predicate:
+a dict maps every predicate to a sorted tuple of that predicate's facts, both
+polarities together. Facts are checked for groundness and sorted once, when a
+level is built. Matching and lookups touch one predicate's tuple only, and
+since propositions order by predicate first, that tuple lists its facts in the
+same order as the sorted level does. :func:`apply_edits` shares structure with
+the state it edits: untouched levels, and untouched tuples of an edited level,
+are the same objects in both states; only an edited predicate's tuple is
+copied.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import CompatibilityViolation, LevelRangeError
@@ -97,19 +108,104 @@ def patterns_unify(a: Proposition, b: Proposition) -> bool:
     )
 
 
-@dataclass(frozen=True)
+# Buckets up to this size are searched by a scan, larger ones by bisection.
+_SCAN_LIMIT = 8
+
+
 class AbstractionLevel:
-    """One layer of a P-state. Index 1 is the most abstract description."""
+    """One layer of a P-state. Index 1 is the most abstract description.
 
-    index: int
-    propositions: frozenset = frozenset()
+    A value, never modified once built. The facts are held by predicate:
+    :meth:`facts_for` returns one predicate's facts as a sorted tuple. Two
+    levels are equal when their indices and facts are.
+    """
 
-    def __post_init__(self):
-        if self.index < 1:
+    __slots__ = ("index", "_buckets")
+
+    def __init__(self, index: int, propositions=frozenset()):
+        if index < 1:
             raise ValueError("abstraction level indices start at 1")
-        for p in self.propositions:
+        grouped = {}
+        for p in set(propositions):
             if not p.is_ground:
                 raise ValueError(f"non-ground proposition {p} in abstraction level")
+            grouped.setdefault(p.predicate, []).append(p)
+        self.index = index
+        self._buckets = {pred: tuple(sorted(facts)) for pred, facts in grouped.items()}
+
+    @property
+    def propositions(self) -> frozenset:
+        """All facts of the level, as a set built on each call."""
+        return frozenset(p for bucket in self._buckets.values() for p in bucket)
+
+    def facts_for(self, predicate: str) -> tuple:
+        """The facts of one predicate, sorted; empty if there are none."""
+        return self._buckets.get(predicate, ())
+
+    def __contains__(self, p: Proposition) -> bool:
+        bucket = self._buckets.get(p.predicate, ())
+        if len(bucket) <= _SCAN_LIMIT:
+            return p in bucket
+        i = bisect_left(bucket, p)
+        return i < len(bucket) and bucket[i] == p
+
+    def sorted_facts(self) -> list:
+        """All facts in sorted order: the buckets joined in predicate order."""
+        return [p for pred in sorted(self._buckets) for p in self._buckets[pred]]
+
+    def _edited(self, op: str, p: Proposition) -> "AbstractionLevel":
+        """This level after one assert or retract of a ground proposition.
+
+        Asserting removes the complement. Only ``p``'s predicate gets a new
+        tuple; the level itself is returned when nothing changes.
+        """
+        bucket = self._buckets.get(p.predicate, ())
+        if op == "assert":
+            new = _without(_with(bucket, p), p.negated())
+        elif op == "retract":
+            new = _without(bucket, p)
+            if new is bucket:
+                log.debug("retract of absent %s at level %d ignored", p, self.index)
+        else:
+            raise ValueError(f"unknown edit op {op!r}")
+        if new is bucket:
+            return self
+        buckets = dict(self._buckets)
+        if new:
+            buckets[p.predicate] = new
+        else:
+            del buckets[p.predicate]
+        level = AbstractionLevel.__new__(AbstractionLevel)
+        level.index = self.index
+        level._buckets = buckets  # already sorted, ground and non-empty
+        return level
+
+    def __eq__(self, other):
+        if not isinstance(other, AbstractionLevel):
+            return NotImplemented
+        return self.index == other.index and self._buckets == other._buckets
+
+    def __hash__(self):
+        return hash((self.index, frozenset(self._buckets.items())))
+
+    def __repr__(self):
+        return f"AbstractionLevel({self.index}, {self.sorted_facts()!r})"
+
+
+def _with(bucket: tuple, p: Proposition) -> tuple:
+    """``bucket`` with ``p`` inserted in order; the same tuple if present."""
+    i = bisect_left(bucket, p)
+    if i < len(bucket) and bucket[i] == p:
+        return bucket
+    return bucket[:i] + (p,) + bucket[i:]
+
+
+def _without(bucket: tuple, p: Proposition) -> tuple:
+    """``bucket`` with ``p`` removed; the same tuple if absent."""
+    i = bisect_left(bucket, p)
+    if i < len(bucket) and bucket[i] == p:
+        return bucket[:i] + bucket[i + 1:]
+    return bucket
 
 
 @dataclass(frozen=True)
@@ -161,7 +257,7 @@ class PState:
 
     def facts(self, index: int):
         """Ground propositions at a level, in sorted order for determinism."""
-        return sorted(self.level(index).propositions)
+        return self.level(index).sorted_facts()
 
 
 def make_pstate(id: str, n_levels: int, interval: EvidentialInterval = VACUOUS_INTERVAL,
@@ -169,7 +265,7 @@ def make_pstate(id: str, n_levels: int, interval: EvidentialInterval = VACUOUS_I
     """Build a P-state from {level index: iterable of propositions}."""
     contents = contents or {}
     levels = tuple(
-        AbstractionLevel(i, frozenset(contents.get(i, ())))
+        AbstractionLevel(i, contents.get(i, ()))
         for i in range(1, n_levels + 1)
     )
     return PState(id, levels, interval)
@@ -182,7 +278,7 @@ def holds(ps: PState, level: int, p: Proposition) -> bool:
     its positive form is absent. Absence of a positive proposition means false
     at that level, each level being a complete description on its own.
     """
-    present = p.positive() in ps.level(level).propositions
+    present = p.positive() in ps.level(level)
     return present if p.polarity else not present
 
 
@@ -191,30 +287,18 @@ def apply_edits(ps: PState, edits) -> PState:
 
     Asserting a proposition removes its complement so a level never carries
     both p and (not p). Retracting an absent proposition is a logged no-op.
+    Untouched levels are shared with ``ps``.
     """
-    level_sets = [set(level.propositions) for level in ps.levels]
+    levels = list(ps.levels)
     for op, prop, level_index in edits:
-        if not 1 <= level_index <= len(level_sets):
+        if not 1 <= level_index <= len(levels):
             raise LevelRangeError(
-                f"edit level {level_index} out of range 1..{len(level_sets)}"
+                f"edit level {level_index} out of range 1..{len(levels)}"
             )
         if not prop.is_ground:
             raise ValueError(f"edit proposition {prop} is not ground")
-        bucket = level_sets[level_index - 1]
-        if op == "assert":
-            bucket.discard(prop.negated())
-            bucket.add(prop)
-        elif op == "retract":
-            if prop in bucket:
-                bucket.discard(prop)
-            else:
-                log.debug("retract of absent %s at level %d ignored", prop, level_index)
-        else:
-            raise ValueError(f"unknown edit op {op!r}")
-    levels = tuple(
-        AbstractionLevel(i + 1, frozenset(bucket)) for i, bucket in enumerate(level_sets)
-    )
-    return PState(ps.id, levels, ps.interval)
+        levels[level_index - 1] = levels[level_index - 1]._edited(op, prop)
+    return PState(ps.id, tuple(levels), ps.interval)
 
 
 @dataclass(frozen=True)
@@ -248,7 +332,8 @@ def enforce_compatibility(ps: PState, rels) -> PState:
             if not (1 <= rel.if_at_level <= current.n_levels
                     and 1 <= rel.then_at_level <= current.n_levels):
                 raise LevelRangeError(f"compatibility relation {rel} out of level range")
-            for fact in current.facts(rel.if_at_level):
+            antecedents = current.level(rel.if_at_level).facts_for(rel.if_pattern.predicate)
+            for fact in antecedents:
                 bindings = match(rel.if_pattern, fact)
                 if bindings is None:
                     continue
@@ -259,7 +344,7 @@ def enforce_compatibility(ps: PState, rels) -> PState:
                     )
                 if holds(current, rel.then_at_level, consequent):
                     continue
-                if consequent.negated() in current.level(rel.then_at_level).propositions:
+                if consequent.negated() in current.level(rel.then_at_level):
                     raise CompatibilityViolation(
                         f"relation {rel} demands {consequent} at level "
                         f"{rel.then_at_level} but its negation is asserted",
@@ -409,6 +494,9 @@ class PlanNode:
     update rules as the subtree grows. ``ef`` always equals
     current.fulfilment * current.probability after an update pass.
     Nodes compare by identity: a tree belongs to exactly one search.
+    ``deepest_level`` is the deepest operator abstraction level in the
+    subtree (helpers excluded); the search keeps it current as it adds and
+    swaps children.
     """
 
     operator: ReductionOperator
@@ -428,6 +516,10 @@ class PlanNode:
     node_id: int = -1
     plot_index: int = 0
     recovery_attempted: bool = False
+    deepest_level: int = field(init=False)
+
+    def __post_init__(self):
+        self.deepest_level = self.operator.abstraction_level
 
     @property
     def ef(self) -> float:

@@ -134,29 +134,29 @@ def match_conjunction(ps: PState, pairs, bindings: dict | None = None):
     tried in sorted order, so the result is deterministic); negative patterns
     succeed when no positive instance exists.
     """
+    return _match_from(ps, tuple(pairs), 0, dict(bindings) if bindings else {})
 
-    pairs = list(pairs)
 
-    def descend(i, current):
-        if i == len(pairs):
-            return current
-        pattern, level = pairs[i]
-        p = pattern.substitute(current)
-        if p.polarity:
-            for fact in ps.facts(level):
-                extended = match(p, fact, current)
-                if extended is not None:
-                    result = descend(i + 1, extended)
-                    if result is not None:
-                        return result
+def _match_from(ps: PState, pairs: tuple, i: int, current: dict):
+    """:func:`match_conjunction` of ``pairs[i:]`` under the bindings so far."""
+    if i == len(pairs):
+        return current
+    pattern, level = pairs[i]
+    p = pattern.substitute(current)
+    facts = ps.level(level).facts_for(p.predicate)
+    if p.polarity:
+        for fact in facts:
+            extended = match(p, fact, current)
+            if extended is not None:
+                result = _match_from(ps, pairs, i + 1, extended)
+                if result is not None:
+                    return result
+        return None
+    positive = p.positive()
+    for fact in facts:
+        if match(positive, fact) is not None:
             return None
-        positive = p.positive()
-        for fact in ps.facts(level):
-            if match(positive, fact) is not None:
-                return None
-        return descend(i + 1, current)
-
-    return descend(0, dict(bindings) if bindings else {})
+    return _match_from(ps, pairs, i + 1, current)
 
 
 def operator_probability(op: ReductionOperator, ps: PState) -> float:
@@ -249,12 +249,16 @@ def recompute_values(root: PlanNode):
     return root
 
 
-def _deepest_known_level(node: PlanNode) -> int:
-    deepest = node.operator.abstraction_level
-    for n in node.walk():
-        if n.operator.abstraction_level > deepest:
-            deepest = n.operator.abstraction_level
-    return deepest
+def _refresh_deepest(node: PlanNode):
+    """Recompute ``deepest_level`` from ``node`` rootward after its children
+    changed, stopping at the first node whose value stays the same."""
+    while node is not None:
+        deepest = max([node.operator.abstraction_level]
+                      + [child.deepest_level for child in node.children])
+        if deepest == node.deepest_level:
+            return
+        node.deepest_level = deepest
+        node = node.parent
 
 
 def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> float:
@@ -280,12 +284,11 @@ def review_decisions(node: PlanNode, policy: ReviewPolicy,
         if current.expansion == EXPANSION_OR and id(current) not in pinned:
             selected = current.selected_child
             if selected is not None and selected.status != STATUS_FAILED:
-                deepest = _deepest_known_level(selected)
                 best, best_ef = None, selected.ef
                 for sibling in current.applicable_children():
                     if sibling is selected:
                         continue
-                    gap = deepest - sibling.operator.abstraction_level
+                    gap = selected.deepest_level - sibling.operator.abstraction_level
                     offset = review_offset(policy, gap, sibling.ef)
                     if sibling.ef > selected.ef + offset and sibling.ef > best_ef:
                         best, best_ef = sibling, sibling.ef
@@ -349,7 +352,7 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
                     )
                 if op == "assert" and holds(state, effect_level, ground):
                     continue
-                if op == "retract" and ground not in state.level(effect_level).propositions:
+                if op == "retract" and ground not in state.level(effect_level):
                     continue
                 state = apply_edits(state, [(op, ground, effect_level)])
                 log.append((op, ground, effect_level, rule.name or str(rule.trigger)))
@@ -751,6 +754,7 @@ class Search:
             update_and_node(node)
             if self.trace is not None:
                 self.trace.record("update", node, before=before, after=_triple(node))
+        _refresh_deepest(node)
 
     # -- completion and failure --
 
@@ -822,6 +826,7 @@ class Search:
         else:
             index = parent.children.index(node)
             parent.children[index] = replacement
+            _refresh_deepest(parent)
             if parent.expansion == EXPANSION_OR and parent.selected_index == index:
                 parent.current = replacement.current.copy()
         if self.trace is not None:

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uplan.errors import CompatibilityViolation, LevelRangeError
 from uplan.model import (
+    AbstractionLevel,
     CompatibilityRelation,
     EvidentialInterval,
     Proposition,
@@ -12,6 +15,7 @@ from uplan.model import (
     make_pstate,
     match,
 )
+from uplan.planner import match_conjunction
 
 from conftest import prop
 
@@ -154,3 +158,130 @@ def test_proposition_requires_predicate():
 def test_pstate_rejects_unground():
     with pytest.raises(ValueError):
         make_pstate("w", 1, contents={1: [Proposition("p", ("?x",))]})
+
+
+# --- predicate-indexed levels against the set-based reference -----------------
+
+def reference_apply_edits(level_sets, edits):
+    """The set-based ``apply_edits`` that predicate-indexed levels replaced,
+    on a list of per-level frozensets."""
+    level_sets = [set(s) for s in level_sets]
+    for op, prop, level in edits:
+        bucket = level_sets[level - 1]
+        if op == "assert":
+            bucket.discard(prop.negated())
+            bucket.add(prop)
+        else:
+            bucket.discard(prop)
+    return [frozenset(s) for s in level_sets]
+
+
+def reference_match_conjunction(level_sets, pairs, bindings=None):
+    """The sorted-scan ``match_conjunction`` that bucket scans replaced."""
+    pairs = list(pairs)
+
+    def descend(i, current):
+        if i == len(pairs):
+            return current
+        pattern, level = pairs[i]
+        p = pattern.substitute(current)
+        facts = sorted(level_sets[level - 1])
+        if p.polarity:
+            for fact in facts:
+                extended = match(p, fact, current)
+                if extended is not None:
+                    result = descend(i + 1, extended)
+                    if result is not None:
+                        return result
+            return None
+        positive = p.positive()
+        for fact in facts:
+            if match(positive, fact) is not None:
+                return None
+        return descend(i + 1, current)
+
+    return descend(0, dict(bindings) if bindings else {})
+
+
+N_LEVELS = 3
+ARITY = {"p": 2, "q": 2, "r": 1}
+CONSTANTS = ("a", "b", "c", "d")
+VARIABLES = ("?x", "?y")
+
+
+def atoms(terms):
+    """Positive literals of the predicates in ``ARITY`` over ``terms``."""
+    return [Proposition(pred, args) for pred, arity in ARITY.items()
+            for args in itertools.product(terms, repeat=arity)]
+
+
+UNIVERSE = atoms(CONSTANTS) + [a.negated() for a in atoms(CONSTANTS)]
+facts_st = st.sampled_from(UNIVERSE)
+edits_st = st.tuples(st.sampled_from(["assert", "retract"]), facts_st,
+                     st.integers(1, N_LEVELS))
+# Sparse levels, or dense ones from a bit mask over the 72 ground literals:
+# p and q then have buckets of about 16 facts, past the size at which
+# membership switches from a scan to bisection.
+dense_st = st.binary(min_size=len(UNIVERSE) // 8, max_size=len(UNIVERSE) // 8).map(
+    lambda mask: {fact for i, fact in enumerate(UNIVERSE) if mask[i // 8] >> i % 8 & 1})
+level_facts_st = st.one_of(st.sets(facts_st, max_size=10), dense_st)
+contents_st = st.fixed_dictionaries(
+    {level: level_facts_st for level in range(1, N_LEVELS + 1)}
+)
+batches_st = st.lists(st.lists(edits_st, max_size=6), min_size=1, max_size=6)
+
+
+def _edited_state(contents, batches):
+    ps = make_pstate("w", N_LEVELS, contents=contents)
+    ref = [frozenset(contents[level]) for level in range(1, N_LEVELS + 1)]
+    for edits in batches:
+        ps, ref = apply_edits(ps, edits), reference_apply_edits(ref, edits)
+    return ps, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(contents_st, batches_st)
+def test_indexed_levels_match_set_reference(contents, batches):
+    ps = make_pstate("w", N_LEVELS, contents=contents)
+    ref = [frozenset(contents[level]) for level in range(1, N_LEVELS + 1)]
+    for edits in batches:
+        before = ps
+        ps, ref = apply_edits(ps, edits), reference_apply_edits(ref, edits)
+        edited_levels = {level for _, _, level in edits}
+        for level in range(1, N_LEVELS + 1):
+            facts = ref[level - 1]
+            assert ps.level(level).propositions == facts
+            assert ps.facts(level) == sorted(facts)
+            for fact in UNIVERSE:
+                assert (fact in ps.level(level)) == (fact in facts)
+                expected = fact.positive() in facts
+                assert holds(ps, level, fact) == (expected if fact.polarity else not expected)
+            rebuilt = AbstractionLevel(level, facts)
+            assert ps.level(level) == rebuilt
+            assert hash(ps.level(level)) == hash(rebuilt)
+            if level not in edited_levels:
+                assert ps.level(level) is before.level(level)
+                continue
+            edited_predicates = {p.predicate for _, p, lvl in edits if lvl == level}
+            for pred in ARITY:
+                if pred not in edited_predicates:
+                    assert (ps.level(level).facts_for(pred)
+                            is before.level(level).facts_for(pred))
+
+
+# Four in five patterns positive, so that a fair share of conjunctions bind.
+patterns_st = st.tuples(st.sampled_from(atoms(VARIABLES + CONSTANTS)),
+                        st.sampled_from([True, True, True, True, False])).map(
+    lambda drawn: drawn[0] if drawn[1] else drawn[0].negated())
+conjunctions_st = st.lists(st.tuples(patterns_st, st.integers(1, N_LEVELS)),
+                           min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(contents_st, batches_st, st.lists(conjunctions_st, min_size=1, max_size=5),
+       st.sampled_from([None, {"?x": "a"}, {"?y": "d"}]))
+def test_bucket_matching_matches_sorted_scan(contents, batches, conjunctions, bindings):
+    ps, ref = _edited_state(contents, batches)
+    for pairs in conjunctions:
+        assert (match_conjunction(ps, pairs, bindings)
+                == reference_match_conjunction(ref, pairs, bindings))

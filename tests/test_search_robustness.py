@@ -16,7 +16,7 @@ from uplan.model import (
     state_edit,
     subgoal,
 )
-from uplan.planner import PlanTrace, ReviewPolicy, plan_for_pstate
+from uplan.planner import PlanTrace, ReviewPolicy, Search, plan_for_pstate
 
 PROPS = [Proposition(f"p{i}") for i in range(6)]
 
@@ -67,16 +67,21 @@ def random_domain(rng):
     )
 
 
-def test_random_domains_terminate_cleanly_and_deterministically():
+def corpus():
+    """200 (domain, initial P-state) pairs, the same on every call."""
     rng = random.Random(424242)
-    outcomes = {"plan": 0, "failure": 0, "budget": 0}
     for _ in range(200):
         spec = random_domain(rng)
         contents = {
             level: [p for p in PROPS if rng.random() < 0.4]
             for level in (1, 2, 3)
         }
-        ps = make_pstate("w", 3, contents=contents)
+        yield spec, make_pstate("w", 3, contents=contents)
+
+
+def test_random_domains_terminate_cleanly_and_deterministically():
+    outcomes = {"plan": 0, "failure": 0, "budget": 0}
+    for spec, ps in corpus():
         try:
             first, second = PlanTrace(), PlanTrace()
             plan = plan_for_pstate(ps, spec, budget=300, trace=first)
@@ -93,3 +98,58 @@ def test_random_domains_terminate_cleanly_and_deterministically():
     # The generator must actually exercise all three outcomes.
     assert outcomes["plan"] > 20
     assert outcomes["failure"] > 20
+
+
+def reference_deepest_level(node):
+    """The subtree walk that the stored ``PlanNode.deepest_level`` replaced."""
+    deepest = node.operator.abstraction_level
+    for n in node.walk():
+        if n.operator.abstraction_level > deepest:
+            deepest = n.operator.abstraction_level
+    return deepest
+
+
+class CheckedSearch(Search):
+    """A search that compares every node's stored deepest level with the
+    walk after each expansion."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+
+    def _expand(self, node):
+        super()._expand(node)
+        for n in self.root.walk():
+            assert n.deepest_level == reference_deepest_level(n), n.name
+            self.checked += 1
+
+
+def recovery_drops_deepest_subtree():
+    """Op0 -> Op1 (do-all: Op2@3, Op3@2); Op3's necessary precondition
+    fails, so Op1 fails and its recovery Op4@1 replaces the only level-3
+    subtree."""
+    operators = (
+        ReductionOperator("Op0", 1, plot=(subgoal("Op1", 1000.0),)),
+        ReductionOperator("Op1", 1, plot=(subgoal("Op2", 1000.0), subgoal("Op3", 1000.0)),
+                          planfail="Op4"),
+        ReductionOperator("Op2", 3, plot=(state_edit(("assert", PROPS[0], 3)),)),
+        ReductionOperator("Op3", 2, necessary=((PROPS[1], 3),)),
+        ReductionOperator("Op4", 1),
+    )
+    spec = DomainSpec(n_levels=3, operators=operators, goal="Op0")
+    return spec, make_pstate("w", 3)
+
+
+def test_stored_deepest_level_matches_subtree_walk():
+    checked = recoveries = 0
+    for spec, ps in [*corpus(), recovery_drops_deepest_subtree()]:
+        search = CheckedSearch(ps, spec, budget=300)
+        try:
+            search.run()
+        except (PlanFailure, BudgetExceededError):
+            pass
+        checked += search.checked
+        recoveries += sum(n.recovery_attempted for n in search.root.walk())
+    # The corpus must grow trees that span levels and swap in recoveries.
+    assert checked > 10_000
+    assert recoveries > 5
