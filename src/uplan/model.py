@@ -108,16 +108,14 @@ def patterns_unify(a: Proposition, b: Proposition) -> bool:
     )
 
 
-# Buckets up to this size are searched by a scan, larger ones by bisection.
-_SCAN_LIMIT = 8
-
-
 class AbstractionLevel:
     """One layer of a P-state. Index 1 is the most abstract description.
 
     A value, never modified once built. The facts are held by predicate:
     :meth:`facts_for` returns one predicate's facts as a sorted tuple. Two
-    levels are equal when their indices and facts are.
+    levels are equal when their indices and facts are. Setting an attribute
+    raises, since :func:`apply_edits` shares levels, and the tuples inside
+    them, between states; the bucket dict is never changed after it is built.
     """
 
     __slots__ = ("index", "_buckets")
@@ -130,8 +128,15 @@ class AbstractionLevel:
             if not p.is_ground:
                 raise ValueError(f"non-ground proposition {p} in abstraction level")
             grouped.setdefault(p.predicate, []).append(p)
-        self.index = index
-        self._buckets = {pred: tuple(sorted(facts)) for pred, facts in grouped.items()}
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_buckets",
+                           {pred: tuple(sorted(facts)) for pred, facts in grouped.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AbstractionLevel is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AbstractionLevel is immutable: cannot delete {name!r}")
 
     @property
     def propositions(self) -> frozenset:
@@ -144,8 +149,6 @@ class AbstractionLevel:
 
     def __contains__(self, p: Proposition) -> bool:
         bucket = self._buckets.get(p.predicate, ())
-        if len(bucket) <= _SCAN_LIMIT:
-            return p in bucket
         i = bisect_left(bucket, p)
         return i < len(bucket) and bucket[i] == p
 
@@ -176,8 +179,9 @@ class AbstractionLevel:
         else:
             del buckets[p.predicate]
         level = AbstractionLevel.__new__(AbstractionLevel)
-        level.index = self.index
-        level._buckets = buckets  # already sorted, ground and non-empty
+        object.__setattr__(level, "index", self.index)
+        # Already sorted, ground and non-empty.
+        object.__setattr__(level, "_buckets", buckets)
         return level
 
     def __eq__(self, other):
@@ -495,8 +499,9 @@ class PlanNode:
     current.fulfilment * current.probability after an update pass.
     Nodes compare by identity: a tree belongs to exactly one search.
     ``deepest_level`` is the deepest operator abstraction level in the
-    subtree (helpers excluded); the search keeps it current as it adds and
-    swaps children.
+    subtree (helpers excluded). It stays current only while ``children`` is
+    changed through :meth:`set_children`; changing the list in place leaves
+    it stale.
     """
 
     operator: ReductionOperator
@@ -519,7 +524,23 @@ class PlanNode:
     deepest_level: int = field(init=False)
 
     def __post_init__(self):
-        self.deepest_level = self.operator.abstraction_level
+        deepest = self.operator.abstraction_level
+        for child in self.children:
+            deepest = max(deepest, child.deepest_level)
+        self.deepest_level = deepest
+
+    def set_children(self, children: list):
+        """Replace the children and recompute ``deepest_level`` rootward,
+        stopping at the first ancestor whose value stays the same."""
+        self.children = children
+        node = self
+        while node is not None:
+            deepest = max([node.operator.abstraction_level]
+                          + [child.deepest_level for child in node.children])
+            if deepest == node.deepest_level:
+                return
+            node.deepest_level = deepest
+            node = node.parent
 
     @property
     def ef(self) -> float:

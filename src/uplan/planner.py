@@ -249,18 +249,6 @@ def recompute_values(root: PlanNode):
     return root
 
 
-def _refresh_deepest(node: PlanNode):
-    """Recompute ``deepest_level`` from ``node`` rootward after its children
-    changed, stopping at the first node whose value stays the same."""
-    while node is not None:
-        deepest = max([node.operator.abstraction_level]
-                      + [child.deepest_level for child in node.children])
-        if deepest == node.deepest_level:
-            return
-        node.deepest_level = deepest
-        node = node.parent
-
-
 def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> float:
     """Slack a sibling must clear before it may take over a reviewed branch."""
     if math.isinf(policy.offset_fraction):
@@ -653,7 +641,7 @@ class Search:
         if op.plot_mode == CHOOSE_ONE:
             for _, entry, child_op, probability, _ef in rank_candidates(helper, state, self.spec):
                 child = self._instantiate(child_op, entry.fulfilment, state, helper)
-                helper.children = [child]
+                helper.set_children([child])
                 helper.expansion = EXPANSION_OR
                 helper.selected_index = 0
                 outcome = self._expand_to_completion(child, state, depth - 1)
@@ -671,7 +659,7 @@ class Search:
             child = self._instantiate(self.spec.operator(entry.subgoal_name),
                                       entry.fulfilment, current, helper)
             child.plot_index = len(helper.children)
-            helper.children.append(child)
+            helper.set_children([*helper.children, child])
             outcome = self._expand_to_completion(child, current, depth - 1)
             if outcome is None:
                 return None
@@ -726,7 +714,7 @@ class Search:
             for index, entry, child_op, probability, _ef in ranked:
                 child = self._instantiate(child_op, entry.fulfilment, state, node)
                 by_index[index] = child
-            node.children = [by_index[i] for i in sorted(by_index)]
+            node.set_children([by_index[i] for i in sorted(by_index)])
             for child in node.children:
                 child.plot_index = node.children.index(child)
             node.expansion = EXPANSION_OR
@@ -743,18 +731,19 @@ class Search:
                 self.trace.record("select", node, after=_triple(node),
                                   detail=node.selected_child.name)
         else:
+            children = []
             for entry in entries:
                 child = self._instantiate(self.spec.operator(entry.subgoal_name),
                                           entry.fulfilment, state, node)
-                child.plot_index = len(node.children)
-                node.children.append(child)
+                child.plot_index = len(children)
+                children.append(child)
+            node.set_children(children)
             node.expansion = EXPANSION_AND
             node.status = STATUS_EXPANDED
             before = _triple(node)
             update_and_node(node)
             if self.trace is not None:
                 self.trace.record("update", node, before=before, after=_triple(node))
-        _refresh_deepest(node)
 
     # -- completion and failure --
 
@@ -825,8 +814,9 @@ class Search:
             self.root = replacement
         else:
             index = parent.children.index(node)
-            parent.children[index] = replacement
-            _refresh_deepest(parent)
+            children = list(parent.children)
+            children[index] = replacement
+            parent.set_children(children)
             if parent.expansion == EXPANSION_OR and parent.selected_index == index:
                 parent.current = replacement.current.copy()
         if self.trace is not None:

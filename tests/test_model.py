@@ -8,7 +8,9 @@ from uplan.model import (
     AbstractionLevel,
     CompatibilityRelation,
     EvidentialInterval,
+    PlanNode,
     Proposition,
+    ReductionOperator,
     apply_edits,
     enforce_compatibility,
     holds,
@@ -158,6 +160,35 @@ def test_proposition_requires_predicate():
 def test_pstate_rejects_unground():
     with pytest.raises(ValueError):
         make_pstate("w", 1, contents={1: [Proposition("p", ("?x",))]})
+
+
+def test_level_rejects_attribute_writes():
+    ps = make_pstate("w", 2, contents={1: [prop("(p a)")]})
+    edited = apply_edits(ps, [("assert", prop("(q a)"), 1)])
+    for level in (ps.level(1), edited.level(1)):
+        with pytest.raises(AttributeError):
+            level.index = 2
+        with pytest.raises(AttributeError):
+            level._buckets = {}
+        with pytest.raises(AttributeError):
+            del level.index
+    assert edited.level(1).facts_for("p") is ps.level(1).facts_for("p")
+
+
+def test_set_children_keeps_deepest_level_current():
+    def plan_node(level, parent=None, children=()):
+        return PlanNode(operator=ReductionOperator(f"L{level}", level),
+                        parent=parent, children=list(children))
+
+    assert plan_node(1, children=[plan_node(3)]).deepest_level == 3
+    root = plan_node(1)
+    mid = plan_node(1, parent=root)
+    root.set_children([mid])
+    mid.set_children([plan_node(2, parent=mid), plan_node(3, parent=mid)])
+    assert (root.deepest_level, mid.deepest_level) == (3, 3)
+    # Swapping out the only level-3 child lowers every ancestor again.
+    mid.set_children([mid.children[0], plan_node(1, parent=mid)])
+    assert (root.deepest_level, mid.deepest_level) == (2, 2)
 
 
 # --- predicate-indexed levels against the set-based reference -----------------

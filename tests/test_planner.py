@@ -66,10 +66,10 @@ def node(f, p, expansion="unexpanded", children=(), status="new"):
     n = PlanNode(operator=DUMMY, base=Values(f, p), current=Values(f, p))
     n.expansion = expansion
     n.status = status
-    for child in children:
+    for index, child in enumerate(children):
         child.parent = n
-        child.plot_index = len(n.children)
-        n.children.append(child)
+        child.plot_index = index
+    n.set_children(list(children))
     return n
 
 
