@@ -72,6 +72,8 @@ def cmd_plan(args) -> int:
         try:
             s, _, p = args.threshold.partition(",")
             threshold = (float(s), float(p))
+            if not (0 <= threshold[0] <= 1 and 0 <= threshold[1] <= 1):
+                raise ValueError("threshold outside [0, 1]")
         except ValueError:
             print(f"error: bad --threshold {args.threshold!r}", file=sys.stderr)
             return 2

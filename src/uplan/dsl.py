@@ -1,15 +1,20 @@
 """Parser, linter and pretty-printer for the domain and evidence file formats.
 
 Both formats are keyword-block UTF-8 text with s-expression proposition
-literals and ``;`` comments. The parser recovers from errors and reports
-everything it finds; it must survive arbitrary byte soup, so every failure
-path records a diagnostic instead of raising. ``docs/grammar.md`` carries the
-full grammar.
+literals and ``;`` comments. One regular expression splits the text into
+tokens: a word is a run of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that
+``->`` ends, and a number if ``float()`` accepts it. Tokens keep their offset;
+line and column are worked out only for errors. The parser recovers from
+errors and reports everything it finds; it must survive arbitrary byte soup,
+so every failure path records a diagnostic instead of raising.
+``docs/grammar.md`` carries the full grammar.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseFailure
 from .evidence import EvidenceSet, Frame, MassFunction, _canonical
@@ -92,95 +97,53 @@ class DomainSpec:
 
 # --- tokenizer -------------------------------------------------------------
 
-_SPECIALS = "(){}@="
-_IDENT_EXTRA = "_-?.+/'*<!&%$#~^|\\"
+# One match per token: whitespace and comments are skipped inside the match.
+# ``bad`` is a run of characters that start no token; ``\Z`` stops a trailing
+# comment from being backtracked into.
+_TOKEN_RE = re.compile(r"""
+    (?: \s | ;[^\n]* )*
+    (?: (?P<darrow> => ) | (?P<arrow> -> )
+      | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<lbrace> \{ ) | (?P<rbrace> \} )
+      | (?P<at> @ ) | (?P<equals> = )
+      | (?P<word> (?: [\w?.+/'*<!&%$#~^|\\] | -(?!>) )+ )
+      | (?P<bad> [^\s;(){}@=\w?.+/'*<!&%$#~^|\\-]+ )
+      | \Z )
+    """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # lparen rparen lbrace rbrace at equals arrow darrow ident number eof
     text: str
     value: float | None
-    line: int
-    column: int
+    pos: int  # offset into the text
+
+
+def _where(text: str, pos: int) -> tuple:
+    """The 1-based (line, column) of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str, filename: str, errors: list) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    bad_run_start = None
-
-    def flush_bad(end_line, end_col):
-        nonlocal bad_run_start
-        if bad_run_start and len(errors) < MAX_ERRORS:
-            errors.append(ParseError(filename, bad_run_start[0], bad_run_start[1],
-                                     "unexpected characters", bad_run_start[2]))
-        bad_run_start = None
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            flush_bad(line, col)
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            flush_bad(line, col)
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            flush_bad(line, col)
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("=>", i):
-            flush_bad(line, col)
-            tokens.append(_Token("darrow", "=>", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            flush_bad(line, col)
-            tokens.append(_Token("arrow", "->", None, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _SPECIALS:
-            flush_bad(line, col)
-            kind = {"(": "lparen", ")": "rparen", "{": "lbrace",
-                    "}": "rbrace", "@": "at", "=": "equals"}[c]
-            tokens.append(_Token(kind, c, None, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalnum() or c in _IDENT_EXTRA:
-            flush_bad(line, col)
-            start, start_col = i, col
-            while i < n:
-                ch = text[i]
-                if not (ch.isalnum() or ch in _IDENT_EXTRA):
-                    break
-                if ch == "-" and text.startswith("->", i):
-                    break
-                i += 1
-                col += 1
-            word = text[start:i]
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # only whitespace and comments were left
+            break
+        word, pos = m.group(kind), m.start(kind)
+        if kind == "word":
             try:
-                value = float(word)
-                tokens.append(_Token("number", word, value, line, start_col))
+                tokens.append(_Token("number", word, float(word), pos))
             except ValueError:
-                tokens.append(_Token("ident", word, None, line, start_col))
-            continue
-        # Unclassifiable character: fold runs into a single diagnostic.
-        if bad_run_start is None:
-            bad_run_start = (line, col, c)
-        i += 1
-        col += 1
-    flush_bad(line, col)
-    tokens.append(_Token("eof", "", None, line, col))
+                tokens.append(_Token("ident", word, None, pos))
+        elif kind == "bad":
+            if len(errors) < MAX_ERRORS:
+                errors.append(ParseError(filename, *_where(text, pos),
+                                         "unexpected characters", word[0]))
+        else:
+            tokens.append(_Token(kind, word, None, pos))
+    # A comment on the last line, with no newline after it, puts the end at its ';'.
+    end = text.find(";", text.rfind("\n") + 1)
+    tokens.append(_Token("eof", "", None, len(text) if end < 0 else end))
     return tokens
 
 
@@ -188,6 +151,7 @@ def _tokenize(text: str, filename: str, errors: list) -> list:
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
         self.errors: list = []
         self.tokens = _tokenize(text, filename, self.errors)
@@ -210,9 +174,8 @@ class _Parser:
     def error(self, message: str, tok: _Token | None = None):
         tok = tok or self.peek()
         if len(self.errors) < MAX_ERRORS:
-            self.errors.append(
-                ParseError(self.filename, tok.line, tok.column, message, tok.text)
-            )
+            self.errors.append(ParseError(self.filename, *_where(self.text, tok.pos),
+                                          message, tok.text))
 
     def skip_to(self, keywords):
         """Error recovery: drop tokens until a statement keyword or EOF."""
@@ -239,7 +202,7 @@ class _Parser:
         value = self.expect_number(what)
         if value is None:
             return None
-        if value != int(value):
+        if not value.is_integer():  # also rejects inf and nan
             self.error(f"{what} must be an integer")
             return None
         return int(value)
@@ -312,7 +275,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     compat = []
     rules = []
     operators = []
-    op_locations = {}
+    names = set()
     subgoal_refs = []   # (parent op, subgoal name, token) for resolution
     recover_refs = []   # (op name, recovery name, token)
 
@@ -342,7 +305,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                     goal = (name, tok)
             if p.peek().kind == "number":
                 goal_fulfilment = p.advance().value
-                if goal_fulfilment < 0:
+                if not goal_fulfilment >= 0:
                     p.error("goal fulfilment must be >= 0")
                     goal_fulfilment = 1000.0
         elif keyword == "review":
@@ -350,7 +313,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                 p.advance()
             value = p.expect_number("offset fraction after 'review rho'")
             if value is not None:
-                if value < 0:
+                if not value >= 0:
                     p.error("review rho must be >= 0")
                 else:
                     rho = value
@@ -358,7 +321,10 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
             s = p.expect_number("coverage support threshold")
             pl = p.expect_number("coverage plausibility threshold")
             if s is not None and pl is not None:
-                coverage = (s, pl)
+                if not (0 <= s <= 1 and 0 <= pl <= 1):
+                    p.error("coverage thresholds must lie in [0, 1]")
+                else:
+                    coverage = (s, pl)
         elif keyword == "compat":
             rel = _parse_compat(p)
             if rel is not None:
@@ -370,11 +336,10 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
         elif keyword == "operator":
             op = _parse_operator(p, subgoal_refs, recover_refs)
             if op is not None:
-                tok = op_locations.get(op.name)
-                if tok is not None:
+                if op.name in names:
                     p.error(f"duplicate operator name {op.name!r}")
                 else:
-                    op_locations[op.name] = p.peek()
+                    names.add(op.name)
                     operators.append(op)
 
     # Resolution pass.
@@ -383,7 +348,6 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
         n_levels = 1
     if goal is None:
         p.error("missing goal declaration", p.peek())
-    names = {op.name for op in operators}
     for parent, ref, tok in subgoal_refs:
         if ref not in names:
             p.error(f"plot of {parent!r} references undeclared operator {ref!r}", tok)
@@ -613,7 +577,7 @@ def _parse_plot_entries(p: _Parser, parent: str, subgoal_refs: list):
             p.advance()
             fulfilment = p.expect_number(f"fulfilment after subgoal {tok.text!r}")
             if fulfilment is not None:
-                if fulfilment < 0:
+                if not fulfilment >= 0:
                     p.error("fulfilment must be >= 0")
                 else:
                     entries.append(PlotEntry("subgoal", subgoal_name=tok.text,

@@ -232,7 +232,6 @@ class EvidentialInterval:
 
 
 VACUOUS_INTERVAL = EvidentialInterval(0.0, 1.0)
-CERTAIN_INTERVAL = EvidentialInterval(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -513,7 +512,6 @@ class PlanNode:
     pstate_before: PState | None = None
     pstate_after: PState | None = None
     pstate_after_helpers: PState | None = None
-    side_effects: list = field(default_factory=list)
     helpers: list = field(default_factory=list)
     parent: "PlanNode | None" = None
     status: str = STATUS_NEW

@@ -438,7 +438,6 @@ class Search:
             node = self.root
             if node.status == STATUS_FAILED:
                 raise PlanFailure(f"goal {node.name!r} cannot be reduced to a plan")
-            restart = False
             while True:
                 if node.status == STATUS_NEW:
                     return node
@@ -454,11 +453,9 @@ class Search:
                     )
                     if pending is None:
                         self._finalize(node)
-                        restart = True
                         break
                     if pending.status == STATUS_FAILED:
                         self._planfail(node, f"child {pending.name} failed")
-                        restart = True
                         break
                     node = pending
                     continue
@@ -467,15 +464,11 @@ class Search:
                     raise UplanError(f"OR node {node.name} has no selection")
                 if selected.status == STATUS_FAILED:
                     self._reselect(node)
-                    restart = True
                     break
                 if selected.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
                     self._finalize(node)
-                    restart = True
                     break
                 node = selected
-            if restart:
-                continue
 
     # -- expansion --
 
@@ -682,8 +675,7 @@ class Search:
                     )
                 edits.append((op, ground, level))
         after = apply_edits(state, edits)
-        after, side_effects = deduce_effects(after, self.spec.causal_rules, edits)
-        node.side_effects = side_effects
+        after, _ = deduce_effects(after, self.spec.causal_rules, edits)
         try:
             after = enforce_compatibility(after, self.spec.compat)
         except CompatibilityViolation:

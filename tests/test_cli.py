@@ -193,6 +193,13 @@ def test_plan_bad_rho_exits_two(fixture_paths, capsys, rho):
     assert "error: bad --rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["2,2", "nan,0", "0,-0.5", "0.5"])
+def test_plan_bad_threshold_exits_two(fixture_paths, capsys, threshold):
+    domain, evidence = fixture_paths
+    assert main(["plan", domain, evidence, "--threshold", threshold]) == 2
+    assert "error: bad --threshold" in capsys.readouterr().err
+
+
 _TWO_WORLD_DOMAIN = """
 levels 1
 goal Do 100.0

@@ -1,7 +1,16 @@
+import math
+import re
+import sys
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uplan.dsl import (
+    MAX_ERRORS,
+    ParseError,
+    _tokenize,
+    _where,
     format_domain,
     format_evidence,
     lint_domain,
@@ -289,3 +298,173 @@ def test_parser_never_crashes_on_token_soup(text):
             parser(text)
         except ParseFailure:
             pass
+
+
+# --- non-finite and out-of-range numbers ------------------------------------
+
+_VALID_DOMAIN = """
+levels 2
+goal A 1.0
+review rho 0.1
+coverage 0.5 0.5
+operator A
+  level 1
+  necessary (x)@1
+  plot do-all
+    B 10.0
+operator B
+  level 2
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("levels 2", "levels inf", "level count after 'levels' must be an integer"),
+    ("levels 2", "levels 1e400", "level count after 'levels' must be an integer"),
+    ("level 1", "level nan", "abstraction level must be an integer"),
+    ("(x)@1", "(x)@inf", "level index after '@' must be an integer"),
+    ("rho 0.1", "rho nan", "review rho must be >= 0"),
+    ("goal A 1.0", "goal A nan", "goal fulfilment must be >= 0"),
+    ("B 10.0", "B nan", "fulfilment must be >= 0"),
+    ("coverage 0.5 0.5", "coverage 5 5", "coverage thresholds must lie in [0, 1]"),
+    ("coverage 0.5 0.5", "coverage nan nan", "coverage thresholds must lie in [0, 1]"),
+    ("coverage 0.5 0.5", "coverage 0.5 -0.1", "coverage thresholds must lie in [0, 1]"),
+])
+def test_bad_numbers_are_parse_errors(old, new, message):
+    parse_domain(_VALID_DOMAIN)  # so the replaced number is the only fault
+    assert old in _VALID_DOMAIN
+    text = _VALID_DOMAIN.replace(old, new, 1)
+    assert message in [e.message for e in errors_of(text)]
+
+
+# --- the lexer against the character-loop tokenizer it replaced --------------
+
+_SPECIALS = "(){}@="
+_IDENT_EXTRA = "_-?.+/'*<!&%$#~^|\\"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # lparen rparen lbrace rbrace at equals arrow darrow ident number eof
+    text: str
+    value: float | None
+    line: int
+    column: int
+
+
+def reference_tokenize(text: str, filename: str, errors: list) -> list:
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    bad_run_start = None
+
+    def flush_bad(end_line, end_col):
+        nonlocal bad_run_start
+        if bad_run_start and len(errors) < MAX_ERRORS:
+            errors.append(ParseError(filename, bad_run_start[0], bad_run_start[1],
+                                     "unexpected characters", bad_run_start[2]))
+        bad_run_start = None
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            flush_bad(line, col)
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            flush_bad(line, col)
+            i += 1
+            col += 1
+            continue
+        if c == ";":
+            flush_bad(line, col)
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith("=>", i):
+            flush_bad(line, col)
+            tokens.append(_Token("darrow", "=>", None, line, col))
+            i += 2
+            col += 2
+            continue
+        if text.startswith("->", i):
+            flush_bad(line, col)
+            tokens.append(_Token("arrow", "->", None, line, col))
+            i += 2
+            col += 2
+            continue
+        if c in _SPECIALS:
+            flush_bad(line, col)
+            kind = {"(": "lparen", ")": "rparen", "{": "lbrace",
+                    "}": "rbrace", "@": "at", "=": "equals"}[c]
+            tokens.append(_Token(kind, c, None, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isalnum() or c in _IDENT_EXTRA:
+            flush_bad(line, col)
+            start, start_col = i, col
+            while i < n:
+                ch = text[i]
+                if not (ch.isalnum() or ch in _IDENT_EXTRA):
+                    break
+                if ch == "-" and text.startswith("->", i):
+                    break
+                i += 1
+                col += 1
+            word = text[start:i]
+            try:
+                value = float(word)
+                tokens.append(_Token("number", word, value, line, start_col))
+            except ValueError:
+                tokens.append(_Token("ident", word, None, line, start_col))
+            continue
+        # Unclassifiable character: fold runs into a single diagnostic.
+        if bad_run_start is None:
+            bad_run_start = (line, col, c)
+        i += 1
+        col += 1
+    flush_bad(line, col)
+    tokens.append(_Token("eof", "", None, line, col))
+    return tokens
+
+
+_LEX_PIECES = [
+    "operator", "levels", "goal", "plot", "when", "frame", "mass", "not",
+    "(", ")", "{", "}", "@", "=", "->", "=>", "-", ">", ";", "; note", "; -> x",
+    " ", "\n", "\t", "\r", "\x0b", "\x1c", "\x85",
+    "é", "²", "٣", "[", '"', "\x00",
+    "1e3", "inf", "nan", "1_000", ".5", "-2", "?x", "a", "Z_9", "'", "\\",
+]
+
+
+def _same_value(a, b):
+    return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_tokenizer_matches_reference(text):
+    errors, ref_errors = [], []
+    tokens = _tokenize(text, "f", errors)
+    expected = reference_tokenize(text, "f", ref_errors)
+    assert errors == ref_errors
+    assert [(t.kind, t.text) for t in tokens] == [(t.kind, t.text) for t in expected]
+    for tok, ref in zip(tokens, expected):
+        assert _same_value(tok.value, ref.value)
+        assert _where(text, tok.pos) == (ref.line, ref.column)
+
+
+def test_tokenizer_error_cap_matches_reference():
+    text = "a [ " * (MAX_ERRORS + 10) + "; end"
+    errors, ref_errors = [], []
+    _tokenize(text, "f", errors)
+    reference_tokenize(text, "f", ref_errors)
+    assert len(errors) == MAX_ERRORS and errors == ref_errors
+
+
+def test_regex_classes_match_str_predicates():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
