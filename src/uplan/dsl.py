@@ -94,6 +94,16 @@ class DomainSpec:
     def operator(self, name: str) -> ReductionOperator:
         return self._by_name[name]
 
+    def achievers(self, target: Proposition, level: int, min_level: int) -> list:
+        """The operators that may serve as helpers for ``target`` at ``level``
+        when the operator that needs it sits at abstraction level ``min_level``:
+        those of equal or lower abstraction (level >= ``min_level``) with a
+        postcondition at ``level`` that unifies with ``target``."""
+        return [op for op in self.operators
+                if op.abstraction_level >= min_level
+                and any(post_level == level and patterns_unify(post, target)
+                        for post, post_level in op.postconditions)]
+
 
 # --- tokenizer -------------------------------------------------------------
 
@@ -806,12 +816,8 @@ def lint_domain(spec: DomainSpec) -> list:
         if op.planfail not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
             referenced.append(op.planfail)
         for target, level in op.satisfiable:
-            for candidate in spec.operators:
-                if candidate.abstraction_level < op.abstraction_level:
-                    continue
-                if any(post_level == level and patterns_unify(post, target)
-                       for post, post_level in candidate.postconditions):
-                    referenced.append(candidate.name)
+            referenced.extend(candidate.name for candidate in
+                              spec.achievers(target, level, op.abstraction_level))
         for ref in referenced:
             if ref not in reachable:
                 reachable.add(ref)

@@ -97,15 +97,33 @@ def match(pattern: Proposition, fact: Proposition, bindings: dict | None = None)
 
 
 def patterns_unify(a: Proposition, b: Proposition) -> bool:
-    """Could some ground instance match both patterns?"""
+    """Could some ground instance match both patterns?
+
+    The two patterns' variables are kept apart, even where their names
+    agree; a variable repeated within one pattern must take one value.
+    """
     if a.predicate != b.predicate or a.polarity != b.polarity:
         return False
     if len(a.args) != len(b.args):
         return False
-    return all(
-        is_variable(x) or is_variable(y) or x == y
-        for x, y in zip(a.args, b.args)
-    )
+    parent = {}  # union-find over (side, variable) terms and constants
+
+    def find(term):
+        while term in parent:
+            term = parent[term]
+        return term
+
+    for x, y in zip(a.args, b.args):
+        x = find((0, x) if is_variable(x) else x)
+        y = find((1, y) if is_variable(y) else y)
+        if x != y:
+            if isinstance(x, tuple):
+                parent[x] = y
+            elif isinstance(y, tuple):
+                parent[y] = x
+            else:
+                return False  # two different constants
+    return True
 
 
 class AbstractionLevel:

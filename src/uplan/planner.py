@@ -10,13 +10,22 @@ selections are reviewed against their siblings, switching only when a sibling
 clears the selected branch's value plus an offset that grows with the
 abstraction-level gap. Switched-away branches are suspended, never deleted,
 so a later review can resume them.
+
+A satisfiable precondition that does not hold is achieved by a helper, drawn
+from :meth:`DomainSpec.achievers`: an operator of equal or lower abstraction
+with a postcondition at that level that unifies with the precondition.
+Achievers are tried best EF first, then by name; each is planned by a greedy
+depth-first sub-search with no review, whose choose-one plots keep the first
+child that completes with the postconditions true. The first helper that
+leaves the precondition true is kept. Helpers nest at most ``HELPER_DEPTH``
+(3) deep, and a node's helper steps run before its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CompatibilityViolation, PlanFailure, UplanError
 from .model import (
@@ -42,11 +51,10 @@ from .model import (
     enforce_compatibility,
     holds,
     match,
-    patterns_unify,
 )
 
 DEFAULT_NODE_BUDGET = 100_000
-DEFAULT_HELPER_DEPTH = 3
+HELPER_DEPTH = 3  # how deep helpers may nest
 
 
 @dataclass(frozen=True)
@@ -355,15 +363,6 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
 
 # --- the search -------------------------------------------------------------
 
-@dataclass
-class PreconditionResult:
-    accepted: bool
-    bindings: dict = field(default_factory=dict)
-    state: PState | None = None
-    helpers: list = field(default_factory=list)
-    reason: str = ""
-
-
 class Search:
     """One planning run over a single P-state.
 
@@ -378,8 +377,7 @@ class Search:
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
                  budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
                  script: dict | None = None,
-                 halt_on_failure: bool = False,
-                 helper_depth: int = DEFAULT_HELPER_DEPTH):
+                 halt_on_failure: bool = False):
         self.initial = ps
         self.spec = spec
         self.policy = policy or spec.review
@@ -387,7 +385,6 @@ class Search:
         self.trace = trace
         self.script = script or {}
         self.halt_on_failure = halt_on_failure
-        self.helper_depth = helper_depth
         self.expansions = 0
         self.executed_steps = 0
         self._next_id = 0
@@ -436,8 +433,6 @@ class Search:
         """Leftmost incomplete node of the active subtree, finalizing on the way."""
         while True:
             node = self.root
-            if node.status == STATUS_FAILED:
-                raise PlanFailure(f"goal {node.name!r} cannot be reduced to a plan")
             while True:
                 if node.status == STATUS_NEW:
                     return node
@@ -446,11 +441,8 @@ class Search:
                 if node.status == STATUS_FAILED:
                     raise PlanFailure(f"goal {self.root.name!r} cannot be reduced to a plan")
                 if node.expansion == EXPANSION_AND:
-                    pending = next(
-                        (c for c in node.children
-                         if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)),
-                        None,
-                    )
+                    pending = next((c for c in node.children
+                                    if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)), None)
                     if pending is None:
                         self._finalize(node)
                         break
@@ -472,12 +464,16 @@ class Search:
 
     # -- expansion --
 
-    def _expand(self, node: PlanNode):
+    def _count_expansion(self):
+        """Charge one expansion, of the main tree or of a helper, to the budget."""
         self.expansions += 1
         if self.expansions > self.budget:
             raise BudgetExceededError(
                 f"node budget of {self.budget} exhausted after {self.expansions - 1} expansions"
             )
+
+    def _expand(self, node: PlanNode):
+        self._count_expansion()
         state = self._thread_state(node)
         node.pstate_before = state
 
@@ -491,19 +487,17 @@ class Search:
         if self.trace is not None:
             self.trace.record("expand", node, before=before, after=_triple(node))
 
-        result = self._check_and_satisfy(node, state)
-        if not result.accepted:
-            self._planfail(node, result.reason)
+        reason = self._preconditions(node, state, HELPER_DEPTH)
+        if reason is not None:
+            self._planfail(node, reason)
             return
-        node.bindings = result.bindings
-        node.helpers = result.helpers
-        state = result.state
-        node.pstate_after_helpers = state
+        state = node.pstate_after_helpers
 
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
             self._planfail(node, "choose-one plot is empty")
         elif node.operator.is_leaf:
-            self._apply_leaf(node, state)
+            if not self._apply_leaf(node, state):
+                self._planfail(node, "effects violate compatibility or postconditions")
         else:
             self._apply_reduction(node, state)
         if node.status == STATUS_FAILED:
@@ -533,138 +527,95 @@ class Search:
                 return parent.children[index - 1].pstate_after
         return parent.pstate_after_helpers or parent.pstate_before
 
-    def _check_and_satisfy(self, node: PlanNode, state: PState) -> PreconditionResult:
+    def _preconditions(self, node: PlanNode, state: PState, depth: int) -> str | None:
+        """Bind ``node``'s preconditions in ``state``, planning a helper for
+        each satisfiable one that does not hold.
+
+        On success sets the node's bindings, its helpers and the state they
+        leave (``pstate_after_helpers``) and returns None; otherwise returns
+        why the operator does not apply. Only the main tree, whose nodes get
+        the full ``depth``, records ``satisfy-precondition`` events.
+        """
         op = node.operator
         bindings = match_conjunction(state, op.necessary)
         if bindings is None:
-            return PreconditionResult(
-                False, reason="necessary preconditions do not hold"
-            )
+            return "necessary preconditions do not hold"
         helpers = []
         for pattern, level in op.satisfiable:
             extended = match_conjunction(state, [(pattern, level)], bindings)
-            if extended is not None:
-                bindings = extended
-                continue
-            achieved = self._satisfy(node, pattern, level, bindings, state,
-                                     self.helper_depth)
-            if achieved is None:
-                return PreconditionResult(
-                    False,
-                    reason=f"satisfiable precondition {pattern}@{level} unachievable",
-                )
-            helper_node, state = achieved
-            helpers.append(helper_node)
-            extended = match_conjunction(state, [(pattern, level)], bindings)
             if extended is None:
-                return PreconditionResult(
-                    False,
-                    reason=f"helper left {pattern}@{level} unsatisfied",
-                )
+                achieved = self._satisfy(node, pattern, level, bindings, state, depth)
+                if achieved is None:
+                    return f"satisfiable precondition {pattern}@{level} unachievable"
+                helper, state, extended = achieved
+                helpers.append(helper)
+                if self.trace is not None and depth == HELPER_DEPTH:
+                    self.trace.record("satisfy-precondition", node,
+                                      detail=f"{pattern}@{level} via {helper.name}")
             bindings = extended
-            if self.trace is not None:
-                self.trace.record("satisfy-precondition", node,
-                                  detail=f"{pattern}@{level} via {helper_node.name}")
-        return PreconditionResult(True, bindings, state, helpers)
+        node.bindings = bindings
+        node.helpers = helpers
+        node.pstate_after_helpers = state
+        return None
 
     def _satisfy(self, node: PlanNode, pattern: Proposition, level: int,
                  bindings: dict, state: PState, depth: int):
-        """Bounded sub-search for a helper achieving one satisfiable precondition."""
+        """A helper that makes one precondition true: (helper node, state
+        after it, bindings extended by the precondition), or None."""
         if depth <= 0:
             return None
         target = pattern.substitute(bindings)
-        candidates = []
-        for op in self.spec.operators:
-            if op.abstraction_level < node.operator.abstraction_level:
-                continue  # helpers come from equal or lower abstraction
-            if any(post_level == level and patterns_unify(post, target)
-                   for post, post_level in op.postconditions):
-                probability = operator_probability(op, state)
-                ef = expected_fulfilment(node.base.fulfilment, probability)
-                candidates.append((-ef, op.name, op))
-        candidates.sort()
-        for _, _, op in candidates:
-            helper = self._instantiate(op, node.base.fulfilment, state, None)
+        fulfilment = node.base.fulfilment
+        achievers = self.spec.achievers(target, level, node.operator.abstraction_level)
+        for op in sorted(achievers, key=lambda op: (
+                -expected_fulfilment(fulfilment, operator_probability(op, state)), op.name)):
+            helper = self._instantiate(op, fulfilment, state, None)
             outcome = self._expand_to_completion(helper, state, depth - 1)
-            if outcome is None:
-                continue
-            if match_conjunction(outcome, [(target, level)]) is not None:
-                return helper, outcome
+            if outcome is not None:
+                extended = match_conjunction(outcome, [(pattern, level)], bindings)
+                if extended is not None:
+                    return helper, outcome, extended
         return None
 
     def _expand_to_completion(self, helper: PlanNode, state: PState,
                               depth: int) -> PState | None:
-        """Greedy depth-first completion of a helper subplan, no review."""
-        self.expansions += 1
-        if self.expansions > self.budget:
-            raise BudgetExceededError(f"node budget of {self.budget} exhausted")
-        op = helper.operator
-        bindings = match_conjunction(state, op.necessary)
-        if bindings is None:
+        """Greedy depth-first completion of a helper subplan, with no review;
+        returns the state after it, or None when it cannot complete."""
+        self._count_expansion()
+        if self._preconditions(helper, state, depth) is not None:
             return None
-        for pattern, level in op.satisfiable:
-            extended = match_conjunction(state, [(pattern, level)], bindings)
-            if extended is not None:
-                bindings = extended
-                continue
-            achieved = self._satisfy(helper, pattern, level, bindings, state, depth)
-            if achieved is None:
-                return None
-            nested, state = achieved
-            helper.helpers.append(nested)
-            extended = match_conjunction(state, [(pattern, level)], bindings)
-            if extended is None:
-                return None
-            bindings = extended
-        helper.bindings = bindings
-        helper.pstate_before = state
+        state = helper.pstate_after_helpers
+        op = helper.operator
         if op.plot_mode == CHOOSE_ONE and not op.plot:
             return None
         if op.is_leaf:
-            after = self._leaf_effects(helper, state)
-            if after is None:
-                return None
-            helper.pstate_after = after
-            helper.expansion = EXPANSION_LEAF
-            helper.status = STATUS_COMPLETE
-            self.executed_steps += 1
-            return after
+            return helper.pstate_after if self._apply_leaf(helper, state) else None
         if depth <= 0:
             return None
         if op.plot_mode == CHOOSE_ONE:
-            for _, entry, child_op, probability, _ef in rank_candidates(helper, state, self.spec):
+            helper.expansion = EXPANSION_OR
+            helper.selected_index = 0
+            for _, entry, child_op, _, _ in rank_candidates(helper, state, self.spec):
                 child = self._instantiate(child_op, entry.fulfilment, state, helper)
                 helper.set_children([child])
-                helper.expansion = EXPANSION_OR
-                helper.selected_index = 0
                 outcome = self._expand_to_completion(child, state, depth - 1)
-                if outcome is None:
-                    continue
-                if match_conjunction(outcome, op.postconditions, helper.bindings) is None:
-                    continue
-                helper.status = STATUS_COMPLETE
-                helper.pstate_after = outcome
-                return outcome
+                if outcome is not None and self._complete(helper, outcome):
+                    return outcome
             return None
-        current = state
         helper.expansion = EXPANSION_AND
-        for entry in op.plot:
+        for entry in op.subgoal_entries():
             child = self._instantiate(self.spec.operator(entry.subgoal_name),
-                                      entry.fulfilment, current, helper)
+                                      entry.fulfilment, state, helper)
             child.plot_index = len(helper.children)
             helper.set_children([*helper.children, child])
-            outcome = self._expand_to_completion(child, current, depth - 1)
-            if outcome is None:
+            state = self._expand_to_completion(child, state, depth - 1)
+            if state is None:
                 return None
-            current = outcome
-        if match_conjunction(current, op.postconditions, helper.bindings) is None:
-            return None
-        helper.status = STATUS_COMPLETE
-        helper.pstate_after = current
-        return current
+        return state if self._complete(helper, state) else None
 
-    def _leaf_effects(self, node: PlanNode, state: PState) -> PState | None:
-        """Apply a leaf's edits, deduce side effects, re-enforce compatibility."""
+    def _apply_leaf(self, node: PlanNode, state: PState) -> bool:
+        """Apply a leaf's edits, deduce side effects and re-enforce
+        compatibility; the leaf completes if its postconditions then hold."""
         edits = []
         for entry in node.operator.plot:
             for op, prop, level in entry.edits:
@@ -679,40 +630,26 @@ class Search:
         try:
             after = enforce_compatibility(after, self.spec.compat)
         except CompatibilityViolation:
-            return None
-        if match_conjunction(after, node.operator.postconditions, node.bindings) is None:
-            return None
-        return after
-
-    def _apply_leaf(self, node: PlanNode, state: PState):
-        after = self._leaf_effects(node, state)
-        if after is None:
-            self._planfail(node, "effects violate compatibility or postconditions")
-            return
+            return False
+        if not self._complete(node, after):
+            return False
         node.expansion = EXPANSION_LEAF
-        node.pstate_after = after
-        node.status = STATUS_COMPLETE
         self.executed_steps += 1
+        return True
 
     def _apply_reduction(self, node: PlanNode, state: PState):
         op = node.operator
-        entries = op.subgoal_entries()
+        node.status = STATUS_EXPANDED
         if op.plot_mode == CHOOSE_ONE:
-            if not entries:
-                self._planfail(node, "choose-one plot is empty")
-                return
             ranked = rank_candidates(node, state, self.spec)
-            by_index = {}
-            for index, entry, child_op, probability, _ef in ranked:
-                child = self._instantiate(child_op, entry.fulfilment, state, node)
-                by_index[index] = child
+            # Instantiated best EF first, which fixes the node ids; kept in plot order.
+            by_index = {index: self._instantiate(child_op, entry.fulfilment, state, node)
+                        for index, entry, child_op, _, _ in ranked}
             node.set_children([by_index[i] for i in sorted(by_index)])
-            for child in node.children:
-                child.plot_index = node.children.index(child)
+            for index, child in enumerate(node.children):
+                child.plot_index = index
             node.expansion = EXPANSION_OR
-            node.status = STATUS_EXPANDED
-            path = self._path(node)
-            forced = self.script.get(path)
+            forced = self.script.get(self._path(node))
             if forced is not None and 0 <= forced < len(node.children):
                 node.selected_index = forced
                 node.current = node.children[forced].current.copy()
@@ -723,15 +660,12 @@ class Search:
                 self.trace.record("select", node, after=_triple(node),
                                   detail=node.selected_child.name)
         else:
-            children = []
-            for entry in entries:
-                child = self._instantiate(self.spec.operator(entry.subgoal_name),
-                                          entry.fulfilment, state, node)
-                child.plot_index = len(children)
-                children.append(child)
-            node.set_children(children)
+            node.set_children([self._instantiate(self.spec.operator(entry.subgoal_name),
+                                                 entry.fulfilment, state, node)
+                               for entry in op.subgoal_entries()])
+            for index, child in enumerate(node.children):
+                child.plot_index = index
             node.expansion = EXPANSION_AND
-            node.status = STATUS_EXPANDED
             before = _triple(node)
             update_and_node(node)
             if self.trace is not None:
@@ -739,16 +673,18 @@ class Search:
 
     # -- completion and failure --
 
-    def _finalize(self, node: PlanNode):
-        if node.expansion == EXPANSION_AND:
-            node.pstate_after = node.children[-1].pstate_after
-        else:
-            node.pstate_after = node.selected_child.pstate_after
-        if match_conjunction(node.pstate_after, node.operator.postconditions,
-                             node.bindings) is None:
-            self._planfail(node, "postconditions do not hold after reduction")
-            return
+    def _complete(self, node: PlanNode, state: PState) -> bool:
+        """Mark ``node`` complete, leaving ``state``, if its postconditions hold there."""
+        if match_conjunction(state, node.operator.postconditions, node.bindings) is None:
+            return False
+        node.pstate_after = state
         node.status = STATUS_COMPLETE
+        return True
+
+    def _finalize(self, node: PlanNode):
+        last = node.children[-1] if node.expansion == EXPANSION_AND else node.selected_child
+        if not self._complete(node, last.pstate_after):
+            self._planfail(node, "postconditions do not hold after reduction")
 
     def _reselect(self, or_node: PlanNode):
         applicable = or_node.applicable_children()
@@ -778,16 +714,13 @@ class Search:
         target = node
         if directive == PLANFAIL_REJECT_BRANCH:
             # Kill the whole alternative under the nearest OR ancestor.
-            target = node
             while (target.parent is not None
                    and target.parent.expansion != EXPANSION_OR):
                 target = target.parent
             target.status = STATUS_FAILED
         parent = target.parent
         if parent is None:
-            raise PlanFailure(
-                f"goal {self.root.name!r} cannot be reduced to a plan: {reason}"
-            )
+            raise PlanFailure(f"goal {self.root.name!r} cannot be reduced to a plan: {reason}")
         if parent.expansion == EXPANSION_OR:
             self._reselect(parent)
         else:

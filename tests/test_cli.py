@@ -146,6 +146,58 @@ def test_plan_budget_exhaustion_exits_three(fixture_paths):
     assert main(["plan", domain, evidence, "--budget", "1"]) == 3
 
 
+def test_validate_repeated_variable_rule_is_stratified(tmp_path):
+    domain = tmp_path / "d.domain"
+    domain.write_text("levels 1\ngoal G\nrule R when (q ?y ?y) then assert (q a b)@1\n"
+                      "operator G level 1 plot do-all assert (q c c)@1\n")
+    assert main(["validate", str(domain)]) == 0
+
+
+HELPER_DOMAIN = """
+levels 1
+goal Main 100.0
+operator Main
+  level 1
+  satisfiable (ready)@1
+  plot do-all
+    assert (done)@1
+  probability
+    default 1.0
+operator Helper
+  level 1
+  plot do-all
+    A 10.0
+    B 10.0
+  probability
+    default 1.0
+  postconditions (ready)@1
+operator A
+  level 1
+  plot do-all
+    assert (a)@1
+  probability
+    default 1.0
+operator B
+  level 1
+  plot do-all
+    assert (ready)@1
+  probability
+    default 1.0
+"""
+
+
+def test_plan_budget_exhausted_inside_helper_exits_three(tmp_path, capsys):
+    domain = tmp_path / "d.domain"
+    evidence = tmp_path / "e.evidence"
+    domain.write_text(HELPER_DOMAIN)
+    evidence.write_text("frame f {only}\nmass f {only}=1.0\n")
+    # Main, then Helper; A would be the third expansion.
+    assert main(["plan", str(domain), str(evidence), "--budget", "2"]) == 3
+    assert "node budget of 2 exhausted after 2 expansions" in capsys.readouterr().err
+    assert main(["plan", str(domain), str(evidence), "--budget", "4",
+                 "--out", str(tmp_path / "sp.json")]) == 0
+
+
 def test_plan_per_world_dumps(fixture_paths, tmp_path):
     domain, evidence = fixture_paths
     out = tmp_path / "sp.json"

@@ -168,6 +168,67 @@ operator A
     assert any(d.severity == "error" and "stratifiable" in d.message for d in diags)
 
 
+def test_lint_repeated_variable_trigger_is_stratified():
+    # (q a b) cannot trigger (q ?y ?y); (q a a) can.
+    text = """
+levels 1
+goal G
+rule R when (q ?y ?y) then assert (q a {})@1
+operator G level 1 plot do-all assert (q c c)@1
+"""
+    def stratified(effect):
+        diags = lint_domain(parse_domain(text.format(effect)))
+        return not any("stratifiable" in d.message for d in diags)
+
+    assert stratified("b")
+    assert not stratified("a")
+
+
+def test_achievers_and_helper_reachability():
+    text = """
+levels 2
+goal Goal 1.0
+operator Goal
+  level 1
+  plot do-all
+    Main 1.0
+  probability
+    default 1.0
+operator Main
+  level 2
+  satisfiable (at ?x)@2
+  probability
+    default 1.0
+operator Same
+  level 2
+  probability
+    default 1.0
+  postconditions (at a)@2
+operator Abstract
+  level 1
+  probability
+    default 1.0
+  postconditions (at a)@2
+operator OtherLevel
+  level 2
+  probability
+    default 1.0
+  postconditions (at a)@1
+operator Clash
+  level 2
+  probability
+    default 1.0
+  postconditions (on a)@2
+"""
+    spec = parse_domain(text)
+    target = spec.operator("Main").satisfiable[0][0]
+    assert [op.name for op in spec.achievers(target, 2, 2)] == ["Same"]
+    assert [op.name for op in spec.achievers(target, 2, 1)] == ["Same", "Abstract"]
+    unreachable = {d.message.split("'")[1] for d in lint_domain(spec)
+                   if "unreachable" in d.message}
+    assert unreachable == {"Abstract", "OtherLevel", "Clash"}
+
+
 def test_lint_unreachable_operator_warning():
     text = """
 levels 1

@@ -14,8 +14,10 @@ from uplan.model import (
     apply_edits,
     enforce_compatibility,
     holds,
+    is_variable,
     make_pstate,
     match,
+    patterns_unify,
 )
 from uplan.planner import match_conjunction
 
@@ -96,6 +98,51 @@ def test_match_binds_variables():
     assert match(pattern, prop("(type defender fighter)")) is None
     bound = match(pattern, fact, {"?t": "bomber"})
     assert bound is None
+
+
+def test_patterns_unify_respects_repeated_variables():
+    assert not patterns_unify(prop("(q ?y ?y)"), prop("(q a b)"))
+    assert patterns_unify(prop("(q ?y ?y)"), prop("(q a a)"))
+    assert patterns_unify(prop("(q ?y ?y)"), prop("(q ?x b)"))
+    assert not patterns_unify(prop("(q ?x ?x a)"), prop("(q ?y b ?y)"))
+    # Each side's variables are its own, even where the names agree.
+    assert patterns_unify(prop("(q ?x a)"), prop("(q b ?x)"))
+
+
+def reference_patterns_unify(a, b) -> bool:
+    """Brute force: do the two patterns share a ground instance? The
+    constants they name plus one fresh constant are enough to find one."""
+    alphabet = sorted({x for x in a.args + b.args if not is_variable(x)} | {"fresh"})
+
+    def instances(p):
+        names = sorted({x for x in p.args if is_variable(x)})
+        for values in itertools.product(alphabet, repeat=len(names)):
+            yield p.substitute(dict(zip(names, values)))
+
+    return not set(instances(a)).isdisjoint(instances(b))
+
+
+arg_st = st.sampled_from(["a", "b", "c", "?x", "?y", "?z"])
+
+
+@st.composite
+def pattern_pairs(draw):
+    """Mostly the same predicate, polarity and arity, so the arguments decide."""
+    n = draw(st.integers(0, 4))
+    args = st.lists(arg_st, min_size=n, max_size=n).map(tuple)
+    a = Proposition("q", draw(args))
+    b = Proposition(draw(st.sampled_from(["q", "q", "q", "r"])),
+                    draw(st.one_of(args, args, args, st.lists(arg_st, max_size=4).map(tuple))),
+                    draw(st.sampled_from([True, True, True, False])))
+    return a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(pattern_pairs())
+def test_patterns_unify_matches_brute_force(pair):
+    a, b = pair
+    assert patterns_unify(a, b) == reference_patterns_unify(a, b)
+    assert patterns_unify(b, a) == patterns_unify(a, b)
 
 
 def test_enforce_compatibility_no_relations():

@@ -369,6 +369,21 @@ def test_helper_depth_bound_rejects():
         plan_for_pstate(make_pstate("w", 1), spec)
 
 
+def test_achievers_sharing_a_name_rank_in_declaration_order():
+    # Built through the library, a domain may hold two operators of one name.
+    target = op("Main", level=1, satisfiable=[(prop("(ready)"), 1)],
+                plot=[state_edit(("assert", prop("(done)"), 1))])
+    plain = op("Helper", level=1, post=[(prop("(ready)"), 1)],
+               plot=[state_edit(("assert", prop("(ready)"), 1))])
+    marking = op("Helper", level=1, post=[(prop("(ready)"), 1)],
+                 plot=[state_edit(("assert", prop("(ready)"), 1), ("assert", prop("(mark)"), 1))])
+    for first, second in [(plain, marking), (marking, plain)]:
+        spec = spec_of("Main", [target, first, second], n_levels=1)
+        plan = plan_for_pstate(make_pstate("w", 1), spec)
+        assert plan.root.helpers[0].operator is first
+        assert [s.operator for s in plan.execution_sequence] == ["Helper", "Main"]
+
+
 def test_helpers_must_be_equal_or_lower_abstraction():
     target = op("Main", level=2, satisfiable=[(prop("(ready)"), 2)],
                 plot=[state_edit(("assert", prop("(done)"), 2))])
@@ -430,6 +445,22 @@ def test_budget_exhaustion():
     spec = spec_of("Solo", [only], n_levels=1)
     with pytest.raises(BudgetExceededError):
         plan_for_pstate(make_pstate("w", 1), spec, budget=0)
+
+
+def test_budget_exhaustion_inside_helper_reads_like_the_main_path():
+    main = op("Main", level=1, satisfiable=[(prop("(ready)"), 1)],
+              plot=[state_edit(("assert", prop("(done)"), 1))])
+    helper = op("Helper", level=1, plot=[subgoal("A", 10), subgoal("B", 10)],
+                post=[(prop("(ready)"), 1)])
+    a = op("A", level=1, plot=[state_edit(("assert", prop("(a)"), 1))])
+    b = op("B", level=1, plot=[state_edit(("assert", prop("(ready)"), 1))])
+    spec = spec_of("Main", [main, helper, a, b], n_levels=1)
+    # Main and Helper fit in the budget; Helper's first child does not.
+    with pytest.raises(BudgetExceededError,
+                       match=r"^node budget of 2 exhausted after 2 expansions$"):
+        plan_for_pstate(make_pstate("w", 1), spec, budget=2)
+    plan = plan_for_pstate(make_pstate("w", 1), spec, budget=4)
+    assert [s.operator for s in plan.execution_sequence] == ["A", "B", "Main"]
 
 
 def test_empty_choose_one_plot_is_planfail():
