@@ -66,17 +66,20 @@ def _plan_world(world, library, spec, policy, budget, trace):
         return None
     partials = [r for r in results if r.kind == "partial"]
     plan_trace = PlanTrace() if trace else None
-    if partials:
-        best = select_best_partial(partials)
-        plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
-                             policy=policy)
+    try:
+        if partials:
+            best = select_best_partial(partials)
+            plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
+                                 policy=policy)
+            if trace:
+                trace(f"; world {world.id}: resumed after a reusable prefix "
+                      f"of {best.prefix_length} step(s)")
+        else:
+            plan = plan_for_pstate(world, spec, policy=policy, budget=budget,
+                                   trace=plan_trace)
+    finally:
+        # Also on failure, so a world that fails shows how far its search got.
         if trace:
-            trace(f"; world {world.id}: resumed after a reusable prefix "
-                  f"of {best.prefix_length} step(s)")
-    else:
-        plan = plan_for_pstate(world, spec, policy=policy, budget=budget,
-                               trace=plan_trace)
-    if trace:
-        for line in plan_trace.to_lines():
-            trace(f"; {world.id} {line}")
+            for line in plan_trace.to_lines():
+                trace(f"; {world.id} {line}")
     return plan

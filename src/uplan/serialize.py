@@ -1,13 +1,19 @@
 """JSON serialization for plans and super-plans.
 
 Super-plan files round-trip: reading one back reconstructs an equal
-:class:`SuperPlan`. Output is deterministic (sorted keys, fixed layout) so
-golden files diff cleanly. ``docs/superplan-schema.md`` documents the schema.
+:class:`SuperPlan`. Output is deterministic so golden files diff cleanly. Its
+layout is exactly ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``:
+two-space indent, sorted keys, ``": "`` and ``","`` separators, ``{}`` and
+``[]`` when empty, ASCII escapes and a final newline. ``_dumps`` writes it
+itself because, with ``indent`` set, ``json`` drops to a pure-Python encoder
+whose per-container generators make deeply nested documents slow.
+``docs/superplan-schema.md`` documents the schema.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from .model import (
     EvidentialInterval,
@@ -118,8 +124,40 @@ def superplan_from_dict(d: dict) -> SuperPlan:
     return SuperPlan(root=_node_from_dict(d["root"]), worlds=worlds)
 
 
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, built in one list."""
+    out: list = []
+    _write(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list) -> None:
+    # ``pad``: the newline and indent before ``value``'s closing bracket.
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif isinstance(value, dict) and value:
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _escape(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:  # every other scalar, and {} and []
+        out.append(json.dumps(value))
+
+
 def dumps_superplan(sp: SuperPlan) -> str:
-    return json.dumps(superplan_to_dict(sp), indent=2, sort_keys=True) + "\n"
+    return _dumps(superplan_to_dict(sp))
 
 
 def loads_superplan(text: str) -> SuperPlan:
@@ -142,4 +180,4 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def dumps_plan(plan: Plan) -> str:
-    return json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
+    return _dumps(plan_to_dict(plan))

@@ -198,6 +198,19 @@ def test_plan_budget_exhausted_inside_helper_exits_three(tmp_path, capsys):
                  "--out", str(tmp_path / "sp.json")]) == 0
 
 
+def test_plan_trace_shows_the_search_of_a_failing_world(tmp_path, capsys):
+    domain = tmp_path / "d.domain"
+    evidence = tmp_path / "e.evidence"
+    domain.write_text(HELPER_DOMAIN)
+    evidence.write_text("frame f {only}\nmass f {only}=1.0\n")
+    assert main(["plan", str(domain), str(evidence), "--budget", "2", "--trace"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "; only 00000 expand node=0 op=Main level=1 "
+        "before=100.0/1.0/100.0 after=100.0/1.0/100.0",
+        "error: world only: node budget of 2 exhausted after 2 expansions",
+    ]
+
+
 def test_plan_per_world_dumps(fixture_paths, tmp_path):
     domain, evidence = fixture_paths
     out = tmp_path / "sp.json"
@@ -208,6 +221,17 @@ def test_plan_per_world_dumps(fixture_paths, tmp_path):
         ["Activate_Radar", "Set_Bearing", "Radar_Lock", "Launch_Missile"]
     assert [s["action"] for s in bomber["execution_sequence"]] == \
         ["Activate_Radar", "Bank_Turn"]
+
+
+def test_plan_per_world_matches_golden(fixture_paths, tmp_path):
+    domain, evidence = fixture_paths
+    out = tmp_path / "sp.json"
+    assert main(["plan", domain, evidence, "--out", str(out), "--per-world"]) == 0
+    golden = sorted((GOLDEN / "air_combat.per-world").iterdir())
+    assert sorted(p.name for p in tmp_path.glob("sp-*.json")) == \
+        [f"sp-{g.name}" for g in golden]
+    for g in golden:
+        assert (tmp_path / f"sp-{g.name}").read_bytes() == g.read_bytes()
 
 
 def test_plan_trace_flag_emits_lines(fixture_paths, tmp_path, capsys):

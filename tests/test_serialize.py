@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uplan.model import (
     EvidentialInterval,
@@ -11,11 +13,13 @@ from uplan.model import (
     SuperPlanNode,
 )
 from uplan.serialize import (
+    _dumps,
     dumps_plan,
     dumps_superplan,
     loads_superplan,
     step_from_dict,
     step_to_dict,
+    superplan_to_dict,
 )
 
 from conftest import prop
@@ -79,3 +83,39 @@ def test_plan_dump_shape(air_combat_spec, air_combat_worlds):
     assert payload["worlds"] == ["fighter+radar_contact"]
     assert payload["root_values"]["ef"] == pytest.approx(757.35)
     assert [s["action"] for s in payload["execution_sequence"]][:1] == ["Activate_Radar"]
+
+
+def reference_dumps(value) -> str:
+    """The layout uplan's writer reproduces, from the standard library."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+_json_text = st.text(max_size=8) | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f", "\x7f", "\n\t", "é", "\u2028", "\U0001f600"])
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10 ** 40), 10 ** 40)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324])
+    | _json_text
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_json_text, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_json_values)
+def test_writer_matches_json_dumps(value):
+    assert _dumps(value) == reference_dumps(value)
+
+
+def test_writer_matches_json_dumps_on_a_900_step_chain():
+    node = None
+    for i in reversed(range(900)):
+        bindings = (("?x", f"v{i}"),) if i % 2 else ()
+        node = SuperPlanNode(step=GroundStep(f"s{i}", bindings), next=node)
+    sp = SuperPlan(root=node, worlds=(("w", EvidentialInterval(1.0, 1.0)),))
+    assert dumps_superplan(sp) == reference_dumps(superplan_to_dict(sp))
