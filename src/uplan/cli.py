@@ -82,6 +82,9 @@ def cmd_plan(args) -> int:
     except ValueError:
         print(f"error: bad --rho {args.rho!r}", file=sys.stderr)
         return 2
+    if args.budget < 1:
+        print(f"error: bad --budget {args.budget!r}", file=sys.stderr)
+        return 2
     domain_text = _read(args.domain)
     evidence_text = _read(args.evidence)
     if domain_text is None or evidence_text is None:
@@ -118,10 +121,10 @@ def cmd_plan(args) -> int:
         base = args.out or "superplan.json"
         stem = base[:-5] if base.endswith(".json") else base
         for plan in library:
+            text = dumps_plan(plan)
             for world_id in sorted(plan.worlds):
-                path = f"{stem}-{world_id}.json"
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write(dumps_plan(plan))
+                with open(f"{stem}-{world_id}.json", "w", encoding="utf-8") as handle:
+                    handle.write(text)
     return 0
 
 

@@ -84,12 +84,29 @@ class DomainSpec:
     review: ReviewPolicy = field(default_factory=ReviewPolicy)
     coverage_threshold: tuple = (0.0, 0.0)
     _by_name: dict = field(init=False, compare=False, repr=False)
+    # The sorted predicates that some pattern of the domain names: the only
+    # ones a search reads or writes. Kept per predicate, not per (level,
+    # predicate), since a causal rule's level-less condition is read at
+    # whatever level the change happened.
+    relevant_predicates: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         by_name = {}
         for op in self.operators:
             by_name.setdefault(op.name, op)  # on duplicate names the first wins
         object.__setattr__(self, "_by_name", by_name)
+        patterns = []
+        for op in self.operators:
+            patterns += [p for p, _ in op.necessary + op.satisfiable + op.postconditions]
+            patterns += [p for entry in op.plot for _, p, _ in entry.edits]
+            patterns += [p for rule in op.probability_rules for p, _ in rule.conditions]
+        for rule in self.causal_rules:
+            patterns += [rule.trigger, *(p for p, _ in rule.conditions),
+                         *(p for _, p, _ in rule.effects)]
+        for rel in self.compat:
+            patterns += [rel.if_pattern, rel.then_pattern]
+        object.__setattr__(self, "relevant_predicates",
+                           tuple(sorted({p.predicate for p in patterns})))
 
     def operator(self, name: str) -> ReductionOperator:
         return self._by_name[name]

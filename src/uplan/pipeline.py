@@ -6,6 +6,17 @@ is reused in full where its replay succeeds, resumed from the longest
 reusable prefix where the replay fails part-way, and a fresh search runs
 otherwise. The plans then merge into one super-plan whose branch points get
 knowledge-acquisition operators or evidence weights.
+
+Each library plan is replayed once per relevance class, not once per world.
+Two worlds are in one class when, at every level, their facts agree on every
+predicate the domain names (:attr:`DomainSpec.relevant_predicates`). This is
+exact: a search reads and writes its world only through lookups of one
+predicate at one level, and every predicate it can look up is named by some
+operator slot, plot edit, probability rule, causal rule or compatibility
+relation. The world's id reaches only the rebuilt plan's ``worlds``, which a
+replay's outcome leaves out, and its interval is never read. So a replay
+gives the same outcome for every world of a class, and an error it raises
+is raised at the first world of the class, as a replay per world would.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from .errors import BudgetExceededError, PlanFailure
 from .evidence import generate_pstates, rank_pstates
 from .planner import DEFAULT_NODE_BUDGET, PlanTrace, plan_for_pstate
 from .reapply import (
+    ReapplyResult,
     continue_from,
     merge_plans,
     reapply_plan,
@@ -39,13 +51,18 @@ def plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
     threshold = threshold or spec.coverage_threshold
     worlds = rank_pstates(generate_pstates(evidence, spec.compat, spec.n_levels))
     library: list = []
+    replays: dict = {}  # relevance class -> one replay outcome per library plan
     for world in worlds:
         if not world.interval.meets(threshold):
             if trace:
                 trace(f"; world {world.id}: below the coverage threshold, not planned")
             continue
+        # The levels' own tuples, shared with the world: nothing is copied.
+        key = tuple(tuple(level.facts_for(p) for p in spec.relevant_predicates)
+                    for level in world.levels)
         try:
-            plan = _plan_world(world, library, spec, policy, budget, trace)
+            plan = _plan_world(world, replays.setdefault(key, []), library, spec,
+                               policy, budget, trace)
         except (PlanFailure, BudgetExceededError) as exc:
             exc.world_id = world.id
             raise
@@ -54,17 +71,27 @@ def plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
     return merge_plans([(p, p.worlds) for p in library], worlds, threshold), library
 
 
-def _plan_world(world, library, spec, policy, budget, trace):
-    """Plan one world against the library; None when a donor is reused in full."""
-    results = [reapply_plan(plan, world, spec, order=i, budget=budget, policy=policy)
-               for i, plan in enumerate(library)]
-    fulls = [r for r in results if r.kind == "full"]
+def _plan_world(world, replays, library, spec, policy, budget, trace):
+    """Plan one world against the library; None when a donor is reused in full.
+
+    ``replays`` holds the outcomes of replaying the library's plans against
+    the world's relevance class, in library order; the plans added since the
+    class last ran are replayed here, since the library only grows.
+    """
+    for order in range(len(replays), len(library)):
+        result = reapply_plan(library[order], world, spec, order=order, budget=budget,
+                              policy=policy)
+        # Only what the choice below reads: the rebuilt plan and the resume
+        # point would keep a whole replay tree alive for each class.
+        replays.append(ReapplyResult(result.kind, result.donor,
+                                     prefix_length=result.prefix_length, order=order))
+    fulls = [r for r in replays if r.kind == "full"]
     if fulls:
         select_best_partial(fulls).donor.worlds.add(world.id)
         if trace:
             trace(f"; world {world.id}: reusing existing plan in full")
         return None
-    partials = [r for r in results if r.kind == "partial"]
+    partials = [r for r in replays if r.kind == "partial"]
     plan_trace = PlanTrace() if trace else None
     try:
         if partials:

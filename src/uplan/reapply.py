@@ -27,7 +27,6 @@ from .model import (
     SuperPlan,
     SuperPlanAlternative,
     SuperPlanNode,
-    holds,
 )
 from .planner import DEFAULT_NODE_BUDGET, ReplayHalt, ReviewPolicy, Search
 
@@ -191,9 +190,16 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
     # One (world, alternative) entry each: a world listed under two
     # alternatives stays confused with itself, and gets no KA operator.
     entries = [(wid, index) for index, ws in enumerate(world_sets) for wid in ws]
-    candidates = sorted({(level, prop) for wid, _ in entries
-                         for level in range(1, by_id[wid].n_levels + 1)
-                         for prop in by_id[wid].facts(level)})
+    # Each world's facts as a bitset over the distinct (level, fact) pairs,
+    # so that a test is a shift, not a bisection of the level's facts.
+    bits, present = {}, {}
+    for wid, _ in entries:
+        mask = 0
+        for level in range(1, by_id[wid].n_levels + 1):
+            for prop in by_id[wid].facts(level):
+                mask |= 1 << bits.setdefault((level, prop), len(bits))
+        present[wid] = mask
+    candidates = sorted(bits)
 
     def confused(block):
         """Pairs of ``block``'s entries from different alternatives."""
@@ -201,11 +207,14 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
         return (len(block) ** 2 - sum(n * n for n in counts.values())) // 2
 
     def refine(blocks, level, prop):
-        """Split every block by the truth of ``prop`` at ``level``."""
+        """Split every block by the truth of ``prop`` at ``level``: closed-world,
+        as :func:`uplan.model.holds` reads it."""
+        bit = bits.get((level, prop.positive()))  # None: no world has it
         refined = {}
         for outcome, block in blocks.items():
             for entry in block:
-                truth = "T" if holds(by_id[entry[0]], level, prop) else "F"
+                held = bit is not None and present[entry[0]] >> bit & 1
+                truth = "T" if held == prop.polarity else "F"
                 refined.setdefault(outcome + truth, []).append(entry)
         return refined
 

@@ -269,6 +269,13 @@ def test_plan_bad_rho_exits_two(fixture_paths, capsys, rho):
     assert "error: bad --rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_plan_bad_budget_exits_two(fixture_paths, capsys, budget):
+    domain, evidence = fixture_paths
+    assert main(["plan", domain, evidence, "--budget", budget]) == 2
+    assert f"error: bad --budget {int(budget)!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threshold", ["2,2", "nan,0", "0,-0.5", "0.5"])
 def test_plan_bad_threshold_exits_two(fixture_paths, capsys, threshold):
     domain, evidence = fixture_paths

@@ -1,12 +1,25 @@
-import pytest
+import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import fields, is_dataclass, replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import uplan.pipeline
 from uplan import plan_superplan
 from uplan.cli import main
 from uplan.dsl import parse_domain, parse_evidence
-from uplan.errors import BudgetExceededError, PlanFailure
+from uplan.errors import BudgetExceededError, PlanFailure, UplanError
+from uplan.evidence import EvidenceSet, Frame, generate_pstates, mass_function, rank_pstates
+from uplan.model import CausalRule, CompatibilityRelation, Proposition
+from uplan.planner import DEFAULT_NODE_BUDGET, PlanTrace, plan_for_pstate
+from uplan.reapply import continue_from, merge_plans, reapply_plan, select_best_partial
 from uplan.serialize import dumps_superplan
 
 from conftest import fixture_text
+from test_helper_corpus import FACTS as HELPER_FACTS, LEVELS, PATTERNS, random_domain
 
 
 def test_pipeline_matches_cli_bytes(air_combat_spec, air_combat_evidence, tmp_path):
@@ -87,3 +100,316 @@ def test_pipeline_full_reuse_keeps_helper_steps(air_combat_spec):
             ops = _world_path(superplan, world_id)
             assert "Activate_Radar" in ops
             assert "Radar_Lock" not in ops[:ops.index("Activate_Radar")]
+
+
+# --- one replay per relevance class -------------------------------------------
+
+def reference_plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
+                             threshold=None, trace=None) -> tuple:
+    """The pipeline that replays every library plan against every world, kept
+    as the oracle for replaying once per relevance class."""
+    threshold = threshold or spec.coverage_threshold
+    worlds = rank_pstates(generate_pstates(evidence, spec.compat, spec.n_levels))
+    library: list = []
+    for world in worlds:
+        if not world.interval.meets(threshold):
+            if trace:
+                trace(f"; world {world.id}: below the coverage threshold, not planned")
+            continue
+        try:
+            plan = _reference_plan_world(world, library, spec, policy, budget, trace)
+        except (PlanFailure, BudgetExceededError) as exc:
+            exc.world_id = world.id
+            raise
+        if plan is not None:
+            library.append(plan)
+    return merge_plans([(p, p.worlds) for p in library], worlds, threshold), library
+
+
+def _reference_plan_world(world, library, spec, policy, budget, trace):
+    """Plan one world against the library; None when a donor is reused in full."""
+    results = [reapply_plan(plan, world, spec, order=i, budget=budget, policy=policy)
+               for i, plan in enumerate(library)]
+    fulls = [r for r in results if r.kind == "full"]
+    if fulls:
+        select_best_partial(fulls).donor.worlds.add(world.id)
+        if trace:
+            trace(f"; world {world.id}: reusing existing plan in full")
+        return None
+    partials = [r for r in results if r.kind == "partial"]
+    plan_trace = PlanTrace() if trace else None
+    try:
+        if partials:
+            best = select_best_partial(partials)
+            plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
+                                 policy=policy)
+            if trace:
+                trace(f"; world {world.id}: resumed after a reusable prefix "
+                      f"of {best.prefix_length} step(s)")
+        else:
+            plan = plan_for_pstate(world, spec, policy=policy, budget=budget,
+                                   trace=plan_trace)
+    finally:
+        # Also on failure, so a world that fails shows how far its search got.
+        if trace:
+            for line in plan_trace.to_lines():
+                trace(f"; {world.id} {line}")
+    return plan
+
+
+def reference_relevant_predicates(spec) -> tuple:
+    """Every predicate that a proposition anywhere in the operators, causal
+    rules or compatibility relations names, found by walking the values."""
+    found, stack = set(), [spec.operators, spec.causal_rules, spec.compat]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, Proposition):
+            found.add(value.predicate)
+        elif isinstance(value, tuple):
+            stack.extend(value)
+        elif is_dataclass(value):
+            stack.extend(getattr(value, f.name) for f in fields(value))
+    return tuple(sorted(found))
+
+
+def relevance_class(world, predicates) -> tuple:
+    return tuple(tuple(p for p in world.facts(level) if p.predicate in predicates)
+                 for level in range(1, world.n_levels + 1))
+
+
+@contextmanager
+def recorded_replays(module, calls):
+    """Append (world, library position) to ``calls`` for every replay that
+    ``module`` starts."""
+    original = module.reapply_plan
+
+    def recorder(plan, world, spec, order=0, **kwargs):
+        calls.append((world, order))
+        return original(plan, world, spec, order=order, **kwargs)
+
+    module.reapply_plan = recorder
+    try:
+        yield
+    finally:
+        module.reapply_plan = original
+
+
+def _run(pipeline, module, spec, evidence, budget, threshold):
+    """(super-plan bytes and library worlds, or the error), trace lines, replays."""
+    lines, calls = [], []
+    with recorded_replays(module, calls):
+        try:
+            superplan, library = pipeline(spec, evidence, budget=budget,
+                                          threshold=threshold, trace=lines.append)
+            outcome = ("plan", dumps_superplan(superplan),
+                       [sorted(p.worlds) for p in library])
+        except UplanError as exc:
+            outcome = ("error", type(exc).__name__, str(exc),
+                       getattr(exc, "world_id", None))
+    return outcome, lines, calls
+
+
+def compare_with_reference(spec, evidence, budget=DEFAULT_NODE_BUDGET, threshold=None):
+    """Check the pipeline against the reference on one input; returns the
+    reference's outcome and the worlds of each relevance class it replayed."""
+    predicates = reference_relevant_predicates(spec)
+    assert spec.relevant_predicates == predicates
+    got, got_lines, got_calls = _run(plan_superplan, uplan.pipeline,
+                                     spec, evidence, budget, threshold)
+    want, want_lines, want_calls = _run(reference_plan_superplan, sys.modules[__name__],
+                                        spec, evidence, budget, threshold)
+    assert got == want
+    assert got_lines == want_lines
+    # One replay per (class, plan) pair that the reference replays at all.
+    pairs = [(relevance_class(w, predicates), order) for w, order in got_calls]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {(relevance_class(w, predicates), order)
+                          for w, order in want_calls}
+    classes = {}
+    for world, _ in want_calls:
+        classes.setdefault(relevance_class(world, predicates), set()).add(world.id)
+    return want, list(classes.values())
+
+
+# Predicates that no operator, rule or relation names.
+_NOISE = [Proposition("noise"), Proposition("tag", ("a",)), Proposition("tag", ("b",))]
+
+
+@st.composite
+def multi_world_cases(draw):
+    """A helper-rich random domain, with a compatibility relation and a causal
+    rule with a level-less condition added at random, and 2 or 3 evidence
+    frames of 2 or 3 elements. Some frames give facts the domain reads, the
+    others only facts it never names, so worlds often share a class."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = random_domain(rng)
+    compat = tuple(CompatibilityRelation(rng.choice(LEVELS), rng.choice(HELPER_FACTS),
+                                         rng.choice(LEVELS), rng.choice(HELPER_FACTS))
+                   for _ in range(rng.random() < 0.5))
+    rules = spec.causal_rules + tuple(
+        CausalRule(rng.choice(HELPER_FACTS), ((rng.choice(PATTERNS), None),),
+                   (("assert", rng.choice(HELPER_FACTS), rng.choice(LEVELS)),))
+        for _ in range(rng.random() < 0.5))
+    spec = replace(spec, compat=compat, causal_rules=rules)
+    frames, masses = [], []
+    for i in range(draw(st.integers(2, 3))):
+        pool = _NOISE if draw(st.booleans()) else HELPER_FACTS
+        elements = tuple(f"f{i}e{k}" for k in range(draw(st.integers(2, 3))))
+        frame = Frame(f"f{i}", elements, tuple(
+            (element, tuple((draw(st.sampled_from(pool)), draw(st.sampled_from(LEVELS)))
+                            for _ in range(draw(st.integers(0, 2)))))
+            for element in elements))
+        weights = [draw(st.integers(1, 9)) for _ in elements]
+        frames.append(frame)
+        masses.append(mass_function(frame, {(element,): w / sum(weights)
+                                            for element, w in zip(elements, weights)}))
+    budget = draw(st.sampled_from([4, 8, 15, 30, 1000]))
+    threshold = draw(st.sampled_from([None, (0.2, 0.0)]))
+    return spec, EvidenceSet(tuple(frames), tuple(masses)), budget, threshold
+
+
+def test_one_replay_per_relevance_class_matches_a_replay_per_world():
+    stats = Counter()
+
+    @settings(max_examples=600, deadline=None)
+    @given(multi_world_cases())
+    def check(case):
+        want, classes = compare_with_reference(*case)
+        stats["cases"] += 1
+        stats["shared a class"] += any(len(ids) >= 2 for ids in classes)
+        stats[want[0]] += 1
+
+    check()
+    # The random inputs must share classes often, and both plan and fail.
+    assert stats["shared a class"] >= 40, stats
+    assert stats["error"] >= 10 and stats["plan"] >= 10, stats
+
+
+# Each domain names one predicate, ``x``, in a single place: a compatibility
+# relation, a causal rule's level-less condition, or a probability rule. The
+# worlds, in rank order, are ``plain``, which gets a fresh plan, ``noisy``,
+# which differs from it only in a predicate nothing names, and ``marked``,
+# which differs from ``noisy`` only in ``x``: the plan replays in full for
+# ``noisy`` but fails for ``marked``.
+_WAIT = """
+operator Wait
+  level {level}
+  plot do-all
+    assert (waited)@{level}
+  postconditions (waited)@{level}
+"""
+_ONLY_X_DIFFERS = {
+    "compat": """
+levels 1
+goal Act 100.0
+compat (x)@1 => (y)@1
+operator Act
+  level 1
+  plot choose-one
+    Clear 100.0
+    Wait 10.0
+operator Clear
+  level 1
+  plot do-all
+    retract (y)@1
+  postconditions (not (y))@1
+""" + _WAIT.format(level=1),
+    "level-less rule condition": """
+levels 2
+goal Act 100.0
+rule alarm when (fired) if (x) then assert (broken)@2
+operator Act
+  level 1
+  plot choose-one
+    Fire 100.0
+    Wait 10.0
+operator Fire
+  level 2
+  plot do-all
+    assert (fired)@2
+  postconditions (fired)@2 (not (broken))@2
+""" + _WAIT.format(level=2),
+    "probability rule": """
+levels 1
+goal Act 100.0
+operator Act
+  level 1
+  plot choose-one
+    Main 100.0
+    Wait 10.0
+operator Main
+  level 1
+  satisfiable (ready)@1
+  plot do-all
+    assert (done)@1
+  postconditions (done)@1 (not (spoiled))@1
+operator Careful
+  level 1
+  plot do-all
+    assert (ready)@1
+  probability
+    default 0.5
+  postconditions (ready)@1
+operator Quick
+  level 1
+  plot do-all
+    assert (ready)@1
+    assert (spoiled)@1
+  probability
+    when (x)@1 => 0.9
+    default 0.1
+  postconditions (ready)@1
+""" + _WAIT.format(level=1),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_ONLY_X_DIFFERS))
+def test_a_predicate_named_in_one_place_splits_classes(where):
+    spec = parse_domain(_ONLY_X_DIFFERS[where])
+    level = spec.n_levels
+    evidence = parse_evidence(f"""
+frame f {{plain noisy marked}}
+  plain -> (y)@{level}
+  noisy -> (y)@{level} (noise)@{level}
+  marked -> (y)@{level} (noise)@{level} (x)@{level}
+mass f {{plain}}=0.5 {{noisy}}=0.3 {{marked}}=0.2
+""")
+    want, classes = compare_with_reference(spec, evidence)
+    assert want[0] == "plan" and want[2] == [["noisy", "plain"], ["marked"]]
+    assert classes == [{"noisy"}, {"marked"}]
+
+
+def test_a_budget_error_inside_a_replay_names_the_first_world_of_its_class():
+    # Only ``bare`` and ``noisy`` lack (p0); replaying the plan of ``ready``
+    # there needs a chain of helpers longer than the budget.
+    spec = parse_domain("""
+levels 1
+goal Main 100.0
+operator Main
+  level 1
+  satisfiable (p0)@1
+  plot do-all
+    assert (done)@1
+  postconditions (done)@1
+operator H0
+  level 1
+  satisfiable (p1)@1
+  plot do-all
+    assert (p0)@1
+  postconditions (p0)@1
+operator H1
+  level 1
+  plot do-all
+    assert (p1)@1
+  postconditions (p1)@1
+""")
+    evidence = parse_evidence("""
+frame f {ready bare noisy}
+  ready -> (p0)@1
+  noisy -> (noise)@1
+mass f {ready}=0.5 {bare}=0.3 {noisy}=0.2
+""")
+    want, classes = compare_with_reference(spec, evidence, budget=2)
+    assert want == ("error", "BudgetExceededError",
+                    "node budget of 2 exhausted after 2 expansions", "bare")
+    assert classes == [{"bare"}]
