@@ -1,14 +1,15 @@
 """Command-line entry point: validate domains, plan to a super-plan, emit
 sensitivity data.
 
-Exit codes: 0 success, 1 domain/planning errors, 2 unreadable input or bad
-usage, 3 search budget exhausted. Identical inputs produce byte-identical
-outputs.
+Exit codes: 0 success, 1 domain/planning errors, 2 unreadable input,
+unwritable output or bad usage, 3 search budget exhausted. Identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .dsl import lint_domain, parse_domain, parse_evidence
@@ -39,6 +40,25 @@ def _read(path: str) -> str | None:
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=sys.stderr)
         return None
+
+
+def _write(path: str, text: str) -> bool:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _file_name_part(world_id: str) -> str:
+    """``world_id`` with every character outside ``[A-Za-z0-9_.+-]``
+    percent-encoded as UTF-8, so that it names one file in the output's
+    directory."""
+    return re.sub(r"[^A-Za-z0-9_.+-]",
+                  lambda m: "".join(f"%{b:02X}" for b in m.group().encode("utf-8")),
+                  world_id)
 
 
 def _lint_fails(spec, domain_path: str) -> bool:
@@ -113,8 +133,8 @@ def cmd_plan(args) -> int:
 
     payload = dumps_superplan(superplan)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        if not _write(args.out, payload):
+            return 2
     else:
         sys.stdout.write(payload)
     if args.per_world:
@@ -123,8 +143,8 @@ def cmd_plan(args) -> int:
         for plan in library:
             text = dumps_plan(plan)
             for world_id in sorted(plan.worlds):
-                with open(f"{stem}-{world_id}.json", "w", encoding="utf-8") as handle:
-                    handle.write(text)
+                if not _write(f"{stem}-{_file_name_part(world_id)}.json", text):
+                    return 2
     return 0
 
 
@@ -152,10 +172,9 @@ def cmd_sensitivity(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(args.grid_out, "w", encoding="utf-8") as handle:
-        handle.write(grid_csv(grid))
-    with open(args.contour_out, "w", encoding="utf-8") as handle:
-        handle.write(contour_csv(contours))
+    if not (_write(args.grid_out, grid_csv(grid))
+            and _write(args.contour_out, contour_csv(contours))):
+        return 2
     print(f"wrote {len(grid)} grid rows to {args.grid_out} and "
           f"{len(contours)} contour rows to {args.contour_out}")
     return 0

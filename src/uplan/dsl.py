@@ -168,9 +168,7 @@ def _tokenize(text: str, filename: str, errors: list) -> list:
                                          "unexpected characters", word[0]))
         else:
             tokens.append(_Token(kind, word, None, pos))
-    # A comment on the last line, with no newline after it, puts the end at its ';'.
-    end = text.find(";", text.rfind("\n") + 1)
-    tokens.append(_Token("eof", "", None, len(text) if end < 0 else end))
+    tokens.append(_Token("eof", "", None, len(text)))
     return tokens
 
 

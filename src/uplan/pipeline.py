@@ -17,6 +17,13 @@ relation. The world's id reaches only the rebuilt plan's ``worlds``, which a
 replay's outcome leaves out, and its interval is never read. So a replay
 gives the same outcome for every world of a class, and an error it raises
 is raised at the first world of the class, as a replay per world would.
+
+A world resumed from a partial replay made while planning it goes on from
+that replay's halted search, so its prefix is not searched twice
+(:func:`continue_from`); a replay stored from an earlier world of the class
+keeps no search, and is run again for the world first. The plan, trace
+lines and errors are those of a search that replays the donor and never
+halts.
 """
 
 from __future__ import annotations
@@ -78,11 +85,14 @@ def _plan_world(world, replays, library, spec, policy, budget, trace):
     the world's relevance class, in library order; the plans added since the
     class last ran are replayed here, since the library only grows.
     """
+    halted = {}  # library position -> this world's partial replay, search kept
     for order in range(len(replays), len(library)):
         result = reapply_plan(library[order], world, spec, order=order, budget=budget,
-                              policy=policy)
-        # Only what the choice below reads: the rebuilt plan and the resume
-        # point would keep a whole replay tree alive for each class.
+                              policy=policy, trace=PlanTrace() if trace else None)
+        if result.kind == "partial":
+            halted[order] = result
+        # Only what the choice below reads: the rebuilt plan, the resume point
+        # and the halted search would keep a whole replay tree alive per class.
         replays.append(ReapplyResult(result.kind, result.donor,
                                      prefix_length=result.prefix_length, order=order))
     fulls = [r for r in replays if r.kind == "full"]
@@ -92,10 +102,17 @@ def _plan_world(world, replays, library, spec, policy, budget, trace):
             trace(f"; world {world.id}: reusing existing plan in full")
         return None
     partials = [r for r in replays if r.kind == "partial"]
-    plan_trace = PlanTrace() if trace else None
+    best = None
+    if partials:
+        best = select_best_partial(partials)
+        best = halted.get(best.order, best)
+    halted = result = None  # the other replays' searches are not resumed
+    if best is not None and best.search is not None:
+        plan_trace = best.search.trace  # a resumed search records on into it
+    else:
+        plan_trace = PlanTrace() if trace else None
     try:
-        if partials:
-            best = select_best_partial(partials)
+        if best is not None:
             plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
                                  policy=policy)
             if trace:

@@ -371,7 +371,9 @@ class Search:
     how plan reapplication replays a donor plan: scripted ORs are pinned
     against review until their choice fails. With ``halt_on_failure`` the
     search raises :class:`ReplayHalt` at the first planfail inside the
-    scripted region instead of recovering.
+    scripted region instead of recovering; it records the planfail event
+    first, and :meth:`resume` then goes on from there exactly as a search
+    without ``halt_on_failure`` would have.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -390,6 +392,8 @@ class Search:
         self._next_id = 0
         self._pinned: set = set()
         self.root: PlanNode | None = None
+        self._halt = None        # (node, reason) of the planfail the search halted at
+        self._unfinished = None  # the node whose expansion that halt interrupted
 
     # -- node bookkeeping --
 
@@ -421,6 +425,28 @@ class Search:
         self.root = self._instantiate(
             goal_op, self.spec.goal_fulfilment, self.initial, None
         )
+        return self._search()
+
+    def resume(self) -> Plan:
+        """Go on from the planfail this search halted at, and no longer halt.
+
+        The halted planfail's directive applies, the expansion it interrupted
+        is finished, and the search continues: the same steps a search
+        without ``halt_on_failure`` takes from that planfail on, since that
+        search took the same steps up to it. The tree, node ids, expansion
+        count, pinned choices and trace all carry over.
+        """
+        if self._halt is None:
+            raise UplanError("only a halted search can be resumed")
+        (node, reason), self._halt = self._halt, None
+        unfinished, self._unfinished = self._unfinished, None
+        self.halt_on_failure = False
+        self._apply_planfail(node, reason)
+        if unfinished is not None:
+            self._finish_expansion(unfinished)
+        return self._search()
+
+    def _search(self) -> Plan:
         while True:
             node = self._next_point()
             if node is None:
@@ -494,12 +520,26 @@ class Search:
         state = node.pstate_after_helpers
 
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
-            self._planfail(node, "choose-one plot is empty")
+            self._fail_expansion(node, "choose-one plot is empty")
         elif node.operator.is_leaf:
             if not self._apply_leaf(node, state):
-                self._planfail(node, "effects violate compatibility or postconditions")
+                self._fail_expansion(node, "effects violate compatibility or postconditions")
         else:
             self._apply_reduction(node, state)
+        self._finish_expansion(node)
+
+    def _fail_expansion(self, node: PlanNode, reason: str):
+        """Planfail ``node`` mid-expansion; a halt here leaves the expansion
+        for :meth:`resume` to finish."""
+        try:
+            self._planfail(node, reason)
+        except ReplayHalt:
+            self._unfinished = node
+            raise
+
+    def _finish_expansion(self, node: PlanNode):
+        """Propagate and review after expanding ``node``, unless it failed:
+        a node its planfail recovered is reviewed too."""
         if node.status == STATUS_FAILED:
             return
         propagate_updates(node, self.trace)
@@ -700,10 +740,18 @@ class Search:
         propagate_updates(or_node, self.trace)
 
     def _planfail(self, node: PlanNode, reason: str):
+        """Record a planfail, then halt there if the search replays a script
+        and the node is scripted, or else apply the node's directive."""
         if self.trace is not None:
             self.trace.record("planfail", node, before=_triple(node), detail=reason)
         if self.halt_on_failure and self._in_script(node):
+            self._halt = (node, reason)
             raise ReplayHalt(node, reason)
+        self._apply_planfail(node, reason)
+
+    def _apply_planfail(self, node: PlanNode, reason: str):
+        """Carry out ``node``'s planfail directive: recover it once, or fail
+        it and backtrack to its OR ancestor or reject that whole branch."""
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
             if not node.recovery_attempted:

@@ -3,17 +3,21 @@
 Reapplication replays a donor plan's operator choices against a new initial
 world: every choice is scripted and pinned, so the replay succeeds exactly
 when each non-redundant operator's preconditions hold and the postconditions
-still come out. A failed replay reports the longest executed prefix; planning
-can then continue from the failure point with the donor's surviving choices
-kept. Once every world has a plan, the execution sequences are merged into a
-trie that branches where the plans differ, and each branch point gets either
-a knowledge-acquisition operator or evidence weights.
+still come out. A failed replay reports the longest executed prefix and keeps
+its halted search; planning then continues from the failure point with the
+donor's surviving choices kept, by resuming that search rather than replaying
+the prefix again. This is exact: a replay and a search that does not halt
+differ only in ``halt_on_failure``, so they take the same steps up to the
+replay's first planfail of a scripted node, which the replay records before
+it halts. Once every world has a plan, the execution sequences are merged
+into a trie that branches where the plans differ, and each branch point gets
+either a knowledge-acquisition operator or evidence weights.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CoverageError, PlanFailure
 from .model import (
@@ -28,7 +32,7 @@ from .model import (
     SuperPlanAlternative,
     SuperPlanNode,
 )
-from .planner import DEFAULT_NODE_BUDGET, ReplayHalt, ReviewPolicy, Search
+from .planner import DEFAULT_NODE_BUDGET, PlanTrace, ReplayHalt, ReviewPolicy, Search
 
 
 @dataclass
@@ -41,6 +45,8 @@ class ReapplyResult:
     prefix_length: int = 0       # executed steps before the failure
     resume: PlanNode | None = None
     order: int = 0               # donor's position in the plan library
+    # The replay's search, halted at its failure, until continue_from resumes it.
+    search: Search | None = field(default=None, repr=False)
 
 
 def donor_script(plan: Plan) -> dict:
@@ -64,34 +70,56 @@ def donor_script(plan: Plan) -> dict:
 
 def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
                  budget: int = DEFAULT_NODE_BUDGET,
-                 policy: ReviewPolicy | None = None) -> ReapplyResult:
-    """Assess whether a donor plan works, wholly or in part, for a new world."""
-    search = Search(ps, spec, policy=policy, script=donor_script(plan),
-                    halt_on_failure=True, budget=budget)
+                 policy: ReviewPolicy | None = None,
+                 trace: PlanTrace | None = None) -> ReapplyResult:
+    """Assess whether a donor plan works, wholly or in part, for a new world.
+
+    ``trace`` records the replay's events up to and including the failure,
+    so that :func:`continue_from` can go on recording into it.
+    """
+    search = _replay(plan, ps, spec, budget, policy, trace)
     try:
         rebuilt = search.run()
     except ReplayHalt as halt:
         if halt.node is search.root:
-            return ReapplyResult("none", plan, order=order)
+            return ReapplyResult("none", plan, order=order, search=search)
         return ReapplyResult("partial", plan, prefix_length=search.executed_steps,
-                             resume=halt.node, order=order)
+                             resume=halt.node, order=order, search=search)
     except PlanFailure:
         return ReapplyResult("none", plan, order=order)
     return ReapplyResult("full", plan, plan=rebuilt,
                          prefix_length=len(rebuilt.execution_sequence), order=order)
 
 
+def _replay(plan: Plan, ps: PState, spec, budget, policy, trace) -> Search:
+    """A search that replays ``plan``'s choices and halts at their first failure."""
+    return Search(ps, spec, policy=policy, script=donor_script(plan),
+                  halt_on_failure=True, budget=budget, trace=trace)
+
+
 def continue_from(result: ReapplyResult, ps: PState, spec,
-                  budget: int = DEFAULT_NODE_BUDGET, trace=None,
+                  budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
                   policy: ReviewPolicy | None = None) -> Plan:
     """Resume planning for a world whose donor replay failed part-way.
 
     The donor's choices stay scripted; when one fails, its planfail directive
-    applies and the search continues freely from there.
+    applies and the search continues freely from there. The result's halted
+    search is resumed, at most once, when the arguments are those its replay
+    ran with; otherwise, as for a result stored without its search, the
+    donor is replayed here first. Either way the plan, the trace events and
+    any error are those of one search that never halts.
     """
-    search = Search(ps, spec, policy=policy, script=donor_script(result.donor),
-                    halt_on_failure=False, budget=budget, trace=trace)
-    return search.run()
+    search, result.search = result.search, None  # a result is resumed at most once
+    resumable = search is not None and (
+        (search.initial, search.spec, search.budget, search.policy, search.trace)
+        == (ps, spec, budget, policy or spec.review, trace))
+    if not resumable:
+        search = _replay(result.donor, ps, spec, budget, policy, trace)
+        try:
+            return search.run()
+        except ReplayHalt:
+            pass
+    return search.resume()
 
 
 def select_best_partial(candidates) -> ReapplyResult:

@@ -346,3 +346,41 @@ def test_sensitivity_bad_range_exits_two(tmp_path):
 
 def test_usage_error_exits_two():
     assert main(["no-such-command"]) == 2
+
+
+def test_plan_unwritable_out_exits_two(fixture_paths, tmp_path, capsys):
+    domain, evidence = fixture_paths
+    out = tmp_path / "missing" / "sp.json"
+    assert main(["plan", domain, evidence, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--grid-out", "--contour-out"])
+def test_sensitivity_unwritable_output_exits_two(tmp_path, capsys, flag):
+    paths = {"--grid-out": str(tmp_path / "g.csv"),
+             "--contour-out": str(tmp_path / "c.csv")}
+    paths[flag] = str(tmp_path / "missing" / "out.csv")
+    args = [part for pair in paths.items() for part in pair]
+    assert main(["sensitivity", "--step", "0.5", *args]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {paths[flag]}: No such file or directory\n"
+
+
+def test_plan_per_world_encodes_world_ids_in_file_names(tmp_path):
+    # Frame elements may hold "/" and "."; each world's dump stays one file
+    # in the super-plan's directory.
+    domain = tmp_path / "d.domain"
+    evidence = tmp_path / "e.evidence"
+    domain.write_text("levels 1\ngoal Do 100.0\noperator Do\n  level 1\n"
+                      "  plot do-all\n    assert (done)@1\n")
+    evidence.write_text("frame f {a/b ../esc}\nmass f {a/b}=0.6 {../esc}=0.4\n")
+    out = tmp_path / "out" / "sp.json"
+    out.parent.mkdir()
+    assert main(["plan", str(domain), str(evidence), "--out", str(out),
+                 "--per-world"]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == \
+        ["sp-..%2Fesc.json", "sp-a%2Fb.json", "sp.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.domain", "e.evidence", "out"]
+    dump = json.loads((out.parent / "sp-a%2Fb.json").read_text())
+    assert sorted(dump["worlds"]) == ["../esc", "a/b"]

@@ -45,6 +45,16 @@ def test_empty_file_missing_goal():
     assert any("missing levels declaration" in m for m in messages)
 
 
+def test_errors_at_the_end_follow_a_trailing_comment():
+    # With or without a newline after the last line's comment, the end of
+    # the text is where the missing goal is reported.
+    for text, where in (("levels 1 ; trailing note", (1, 25)),
+                        ("levels 1 ; trailing note\n", (2, 1))):
+        [error] = errors_of(text)
+        assert ((error.line, error.column), error.message) == \
+            (where, "missing goal declaration")
+
+
 def test_unresolved_subgoal_named_with_location():
     text = """
 levels 1
@@ -487,7 +497,9 @@ def reference_tokenize(text: str, filename: str, errors: list) -> list:
         i += 1
         col += 1
     flush_bad(line, col)
-    tokens.append(_Token("eof", "", None, line, col))
+    # The end of the text, even after a comment with no newline after it.
+    tokens.append(_Token("eof", "", None, text.count("\n") + 1,
+                         len(text) - text.rfind("\n")))
     return tokens
 
 

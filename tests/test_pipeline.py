@@ -13,9 +13,31 @@ from uplan.cli import main
 from uplan.dsl import parse_domain, parse_evidence
 from uplan.errors import BudgetExceededError, PlanFailure, UplanError
 from uplan.evidence import EvidenceSet, Frame, generate_pstates, mass_function, rank_pstates
-from uplan.model import CausalRule, CompatibilityRelation, Proposition
-from uplan.planner import DEFAULT_NODE_BUDGET, PlanTrace, plan_for_pstate
-from uplan.reapply import continue_from, merge_plans, reapply_plan, select_best_partial
+from uplan.model import (
+    PLANFAIL_BACKTRACK,
+    PLANFAIL_REJECT_BRANCH,
+    CausalRule,
+    CompatibilityRelation,
+    Plan,
+    Proposition,
+    PState,
+    make_pstate,
+)
+from uplan.planner import (
+    DEFAULT_NODE_BUDGET,
+    PlanTrace,
+    ReviewPolicy,
+    Search,
+    plan_for_pstate,
+)
+from uplan.reapply import (
+    ReapplyResult,
+    continue_from,
+    donor_script,
+    merge_plans,
+    reapply_plan,
+    select_best_partial,
+)
 from uplan.serialize import dumps_superplan
 
 from conftest import fixture_text
@@ -141,8 +163,8 @@ def _reference_plan_world(world, library, spec, policy, budget, trace):
     try:
         if partials:
             best = select_best_partial(partials)
-            plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
-                                 policy=policy)
+            plan = reference_continue_from(best, world, spec, budget=budget,
+                                           trace=plan_trace, policy=policy)
             if trace:
                 trace(f"; world {world.id}: resumed after a reusable prefix "
                       f"of {best.prefix_length} step(s)")
@@ -155,6 +177,22 @@ def _reference_plan_world(world, library, spec, policy, budget, trace):
             for line in plan_trace.to_lines():
                 trace(f"; {world.id} {line}")
     return plan
+
+
+def reference_continue_from(result: ReapplyResult, ps: PState, spec,
+                            budget: int = DEFAULT_NODE_BUDGET, trace=None,
+                            policy: ReviewPolicy | None = None) -> Plan:
+    """Resume planning for a world whose donor replay failed part-way.
+
+    The donor's choices stay scripted; when one fails, its planfail directive
+    applies and the search continues freely from there.
+
+    The oracle for resuming a halted replay: one search that replays the
+    donor from the start and never halts.
+    """
+    search = Search(ps, spec, policy=policy, script=donor_script(result.donor),
+                    halt_on_failure=False, budget=budget, trace=trace)
+    return search.run()
 
 
 def reference_relevant_predicates(spec) -> tuple:
@@ -413,3 +451,219 @@ mass f {ready}=0.5 {bare}=0.3 {noisy}=0.2
     assert want == ("error", "BudgetExceededError",
                     "node budget of 2 exhausted after 2 expansions", "bare")
     assert classes == [{"bare"}]
+
+
+# --- resuming a halted replay -------------------------------------------------
+
+@contextmanager
+def counted_expansions():
+    """Count the search expansions made inside the block, helpers included:
+    yields a one-item list holding the count."""
+    count = [0]
+    original = Search._count_expansion
+
+    def counting(self):
+        count[0] += 1
+        original(self)
+
+    Search._count_expansion = counting
+    try:
+        yield count
+    finally:
+        Search._count_expansion = original
+
+
+def _outcome(call):
+    """A search's steps and worlds, or its error."""
+    try:
+        plan = call()
+    except UplanError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("plan", plan.execution_sequence, sorted(plan.worlds))
+
+
+def _lines(trace):
+    return None if trace is None else trace.to_lines()
+
+
+@st.composite
+def resume_cases(draw):
+    """A helper-rich random domain in which some operators recover through
+    another, a donor plan made for one world, a second world that differs
+    in some facts, a budget and whether to trace."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    spec = random_domain(rng)
+    names = [op.name for op in spec.operators]
+    spec = replace(spec, operators=tuple(
+        replace(op, planfail=rng.choice(names)) if rng.random() < 0.2 else op
+        for op in spec.operators))
+    donor = None
+    for _ in range(5):
+        facts = {level: set(rng.sample(HELPER_FACTS, rng.randint(0, 5)))
+                 for level in LEVELS}
+        try:
+            donor = plan_for_pstate(make_pstate("donor", 2, contents=facts), spec,
+                                    budget=200)
+            break
+        except UplanError:
+            pass
+    world = make_pstate("world", 2, contents={
+        level: facts[level] ^ {f for f in HELPER_FACTS if rng.random() < 0.25}
+        for level in LEVELS})
+    budget = draw(st.sampled_from([4, 8, 15, 30, 100, 1000]))
+    return spec, donor, world, budget, draw(st.booleans())
+
+
+def test_resumed_replay_matches_one_search_that_never_halts():
+    stats = Counter()
+
+    @settings(max_examples=500, deadline=None)
+    @given(resume_cases())
+    def check(case):
+        spec, donor, world, budget, traced = case
+        if donor is None:
+            return
+        want_trace, trace = (PlanTrace(), PlanTrace()) if traced else (None, None)
+        with counted_expansions() as want_count:
+            want = _outcome(lambda: reference_continue_from(
+                ReapplyResult("partial", donor), world, spec, budget=budget,
+                trace=want_trace))
+        with counted_expansions() as replay_count:
+            try:
+                result = reapply_plan(donor, world, spec, budget=budget, trace=trace)
+            except UplanError as exc:
+                result = ("error", type(exc).__name__, str(exc))
+        if isinstance(result, tuple) or result.kind == "full":
+            # The replay raised or replayed in full: it was the whole search.
+            assert (result if isinstance(result, tuple)
+                    else _outcome(lambda: result.plan)) == want
+            assert _lines(trace) == _lines(want_trace)
+            assert replay_count == want_count
+            stats["not halted"] += 1
+            return
+        resumes = result.search is not None
+        if resumes:
+            halted_at = result.resume if result.resume is not None else result.search.root
+            stats["halted"] += 1
+            stats["recovered"] += (not halted_at.recovery_attempted and
+                                   halted_at.operator.planfail not in (
+                                       PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH))
+        else:
+            # A failure outside the script ended the replay: continue_from
+            # replays the donor itself, into a trace of its own.
+            assert want[:2] == ("error", "PlanFailure")
+            trace = PlanTrace() if traced else None
+        with counted_expansions() as after:
+            got = _outcome(lambda: continue_from(result, world, spec, budget=budget,
+                                                 trace=trace))
+        assert got == want
+        assert _lines(trace) == _lines(want_trace)
+        # A resumed search skips exactly the expansions its replay made.
+        assert after[0] == want_count[0] - (replay_count[0] if resumes else 0)
+        stats[got[0]] += 1
+
+    check()
+    assert stats["halted"] >= 20 and stats["recovered"] >= 5, stats
+    assert stats["plan"] >= 3 and stats["error"] >= 3, stats
+
+
+def test_continue_from_a_result_without_its_search(air_combat_spec, air_combat_worlds):
+    fighter, bomber = air_combat_worlds
+    donor = plan_for_pstate(fighter, air_combat_spec)
+    want_trace = PlanTrace()
+    with counted_expansions() as want_count:
+        want = reference_continue_from(ReapplyResult("partial", donor), bomber,
+                                       air_combat_spec, trace=want_trace)
+    result = reapply_plan(donor, bomber, air_combat_spec)
+    assert result.kind == "partial"
+    # ``stripped`` is kept as the per-class outcome lists keep a replay, and
+    # ``result`` ran without the trace given below: either way continue_from
+    # replays the donor first.
+    stripped = ReapplyResult(result.kind, donor, prefix_length=result.prefix_length)
+    for candidate in (stripped, result):
+        trace = PlanTrace()
+        with counted_expansions() as count:
+            plan = continue_from(candidate, bomber, air_combat_spec, trace=trace)
+        assert plan.execution_sequence == want.execution_sequence
+        assert plan.worlds == want.worlds
+        assert trace.to_lines() == want_trace.to_lines()
+        assert count == want_count
+
+
+def test_continue_from_resumes_a_result_once(air_combat_spec, air_combat_worlds):
+    fighter, bomber = air_combat_worlds
+    donor = plan_for_pstate(fighter, air_combat_spec)
+    want_trace = PlanTrace()
+    want = reference_continue_from(ReapplyResult("partial", donor), bomber,
+                                   air_combat_spec, trace=want_trace)
+    trace = PlanTrace()
+    result = reapply_plan(donor, bomber, air_combat_spec, trace=trace)
+    search = result.search
+    first = continue_from(result, bomber, air_combat_spec, trace=trace)
+    assert result.search is None
+    with pytest.raises(UplanError, match="only a halted search"):
+        search.resume()
+    again = PlanTrace()
+    second = continue_from(result, bomber, air_combat_spec, trace=again)
+    for plan, lines in ((first, trace.to_lines()), (second, again.to_lines())):
+        assert plan.execution_sequence == want.execution_sequence
+        assert lines == want_trace.to_lines()
+
+
+def test_resume_finishes_the_expansion_its_halt_interrupted():
+    # The donor world lacks (open), so the donor recovers Pick through the
+    # do-all Both, and a replay's choose-one Pick is left unpinned. In the
+    # new world the scripted Fast fails its postconditions, a weak Crawl
+    # recovers it, and the review that ends Fast's expansion switches Pick
+    # to Slow before Crawl is expanded.
+    spec = parse_domain("""
+levels 1
+goal Root 100.0
+operator Root
+  level 1
+  plot do-all
+    Pick 100.0
+operator Pick
+  level 1
+  necessary (open)@1
+  plot choose-one
+    Fast 100.0
+    Slow 50.0
+  planfail recover Both
+operator Both
+  level 1
+  plot do-all
+    Fast 100.0
+    Slow 50.0
+operator Fast
+  level 1
+  plot do-all
+    assert (fast)@1
+  postconditions (fast)@1 (not (jam))@1
+  planfail recover Crawl
+operator Crawl
+  level 1
+  plot do-all
+    assert (fast)@1
+  probability
+    default 0.1
+  postconditions (fast)@1
+operator Slow
+  level 1
+  plot do-all
+    assert (slow)@1
+  postconditions (slow)@1
+""")
+    donor = plan_for_pstate(make_pstate("donor", 1), spec)
+    world = make_pstate("world", 1, contents={1: [Proposition("open"), Proposition("jam")]})
+    trace, want_trace = PlanTrace(), PlanTrace()
+    result = reapply_plan(donor, world, spec, trace=trace)
+    assert result.kind == "partial" and result.resume.operator.name == "Fast"
+    plan = continue_from(result, world, spec, trace=trace)
+    want = reference_continue_from(result, world, spec, trace=want_trace)
+    assert [s.operator for s in plan.execution_sequence] == ["Slow"]
+    assert plan.execution_sequence == want.execution_sequence
+    assert trace.to_lines() == want_trace.to_lines()
+    kinds = [(event.kind, event.operator) for event in trace]
+    assert kinds[5:8] == [("planfail", "Fast"), ("select", "Crawl"),
+                          ("review-switch", "Pick")]

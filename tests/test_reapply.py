@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uplan.errors import CoverageError
+from uplan.errors import CoverageError, PlanFailure
 from uplan.model import (
     EvidentialInterval,
     GroundStep,
@@ -123,7 +123,7 @@ def test_continue_from_failure_point():
     # In the new world L4's necessary proposition is absent and L4 has no
     # alternative, so continuation must fail the same way fresh planning does.
     result = reapply_plan(donor, full_state(missing=4), spec)
-    with pytest.raises(Exception):
+    with pytest.raises(PlanFailure):
         continue_from(result, full_state(missing=4), spec)
 
 
