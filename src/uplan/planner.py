@@ -783,6 +783,7 @@ class Search:
         replacement.recovery_attempted = True
         replacement.plot_index = node.plot_index
         parent = node.parent
+        start = replacement
         if parent is None:
             self.root = replacement
         else:
@@ -791,12 +792,14 @@ class Search:
             children[index] = replacement
             parent.set_children(children)
             if parent.expansion == EXPANSION_OR and parent.selected_index == index:
+                # The OR took its values over already: go on from it.
                 parent.current = replacement.current.copy()
+                start = parent
         if self.trace is not None:
             self.trace.record("select", replacement, after=_triple(replacement),
                               detail=f"recovery for {node.name}")
         if parent is not None:
-            propagate_updates(replacement, self.trace)
+            propagate_updates(start, self.trace)
 
     def _in_script(self, node: PlanNode) -> bool:
         return bool(self.script) and self._path(node) in self.script

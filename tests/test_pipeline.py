@@ -665,5 +665,5 @@ operator Slow
     assert plan.execution_sequence == want.execution_sequence
     assert trace.to_lines() == want_trace.to_lines()
     kinds = [(event.kind, event.operator) for event in trace]
-    assert kinds[5:8] == [("planfail", "Fast"), ("select", "Crawl"),
-                          ("review-switch", "Pick")]
+    assert kinds[5:9] == [("planfail", "Fast"), ("select", "Crawl"),
+                          ("update", "Root"), ("review-switch", "Pick")]

@@ -3,12 +3,16 @@ preconditions, helpers, recovery operators and review churn must always end
 in a plan, a clean failure, or budget exhaustion, deterministically."""
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 
-from uplan.dsl import DomainSpec
-from uplan.errors import BudgetExceededError, PlanFailure
+from uplan.dsl import DomainSpec, parse_domain
+from uplan.errors import BudgetExceededError, PlanFailure, UplanError
 from uplan.model import (
     CHOOSE_ONE,
     DO_ALL,
+    EXPANSION_OR,
+    PlanNode,
     ProbabilityRule,
     Proposition,
     ReductionOperator,
@@ -16,7 +20,9 @@ from uplan.model import (
     state_edit,
     subgoal,
 )
-from uplan.planner import PlanTrace, ReviewPolicy, Search, plan_for_pstate
+from uplan.planner import PlanTrace, ReviewPolicy, Search, plan_for_pstate, recompute_values
+
+import test_helper_corpus
 
 PROPS = [Proposition(f"p{i}") for i in range(6)]
 
@@ -153,3 +159,119 @@ def test_stored_deepest_level_matches_subtree_walk():
     # The corpus must grow trees that span levels and swap in recoveries.
     assert checked > 10_000
     assert recoveries > 5
+
+
+# --- stored values equal a full recomputation ----------------------------------
+
+def value_copy(root: PlanNode) -> PlanNode:
+    """A copy of ``root``'s tree with only what the update rules read."""
+    copies = {}
+    for node in reversed(list(root.walk())):
+        copies[id(node)] = PlanNode(
+            operator=node.operator, current=node.current.copy(),
+            children=[copies[id(child)] for child in node.children],
+            expansion=node.expansion, status=node.status,
+            selected_index=node.selected_index)
+    return copies[id(root)]
+
+
+def tree_values(root: PlanNode) -> list:
+    return [(n.name, n.current.fulfilment, n.current.probability) for n in root.walk()]
+
+
+@contextmanager
+def values_checked():
+    """Inside the block, every search checks after each expansion (its
+    review included), recovery, reselection and resumed expansion that its
+    stored values equal :func:`recompute_values` on a copy of its tree.
+    Yields a counter of the checks and of the recoveries made under an OR
+    that selects the failed node."""
+    stats = Counter()
+    originals = {name: getattr(Search, name)
+                 for name in ("_expand", "_recover", "_reselect", "_finish_expansion")}
+
+    def check(search, where):
+        want = value_copy(search.root)
+        recompute_values(want)
+        assert tree_values(search.root) == tree_values(want), where
+        stats["checks"] += 1
+
+    def checked(name):
+        def method(self, node, *args):
+            if name == "_recover":
+                parent = node.parent
+                stats["recoveries under a selecting OR"] += (
+                    parent is not None and parent.expansion == EXPANSION_OR
+                    and parent.selected_child is node)
+            originals[name](self, node, *args)
+            check(self, f"after {name} of {node.name}")
+        return method
+
+    for name in originals:
+        setattr(Search, name, checked(name))
+    try:
+        yield stats
+    finally:
+        for name, method in originals.items():
+            setattr(Search, name, method)
+
+
+def recovery_under_a_selecting_or():
+    """Root do-all {Pick choose-one {Fast 100, Slow 5}}: against (jam) the
+    selected Fast fails its postconditions and recovers through Crawl
+    (probability 0.1), which Pick then selects."""
+    spec = parse_domain("""
+levels 1
+goal Root 100.0
+operator Root
+  level 1
+  plot do-all
+    Pick 100.0
+operator Pick
+  level 1
+  plot choose-one
+    Fast 100.0
+    Slow 5.0
+operator Fast
+  level 1
+  plot do-all
+    assert (fast)@1
+  postconditions (fast)@1 (not (jam))@1
+  planfail recover Crawl
+operator Crawl
+  level 1
+  plot do-all
+    assert (fast)@1
+  probability
+    default 0.1
+  postconditions (fast)@1
+operator Slow
+  level 1
+  plot do-all
+    assert (slow)@1
+  postconditions (slow)@1
+""")
+    return spec, make_pstate("w", 1, contents={1: [Proposition("jam")]})
+
+
+def test_a_recovery_under_a_selecting_or_updates_every_ancestor():
+    spec, ps = recovery_under_a_selecting_or()
+    with values_checked() as stats:
+        plan = plan_for_pstate(ps, spec)
+    assert [s.operator for s in plan.execution_sequence] == ["Crawl"]
+    assert stats["recoveries under a selecting OR"] == 1
+    assert plan.root_ef == 10.0
+    assert tree_values(plan.root) == tree_values(recompute_values(value_copy(plan.root)))
+
+
+def test_stored_values_equal_recompute_after_every_tree_change():
+    cases = [(spec, ps, 300) for spec, ps in corpus()]
+    cases += list(test_helper_corpus.corpus())
+    with values_checked() as stats:
+        for spec, ps, budget in cases:
+            try:
+                Search(ps, spec, budget=budget).run()
+            except UplanError:
+                pass
+    assert stats["checks"] > 2_000, stats
+    assert stats["recoveries under a selecting OR"] >= 2, stats
