@@ -2,6 +2,7 @@
 preconditions, helpers, recovery operators and review churn must always end
 in a plan, a clean failure, or budget exhaustion, deterministically."""
 
+import itertools
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -21,8 +22,10 @@ from uplan.model import (
     subgoal,
 )
 from uplan.planner import PlanTrace, ReviewPolicy, Search, plan_for_pstate, recompute_values
+from uplan.reapply import continue_from, reapply_plan
 
 import test_helper_corpus
+import test_replay_corpus
 
 PROPS = [Proposition(f"p{i}") for i in range(6)]
 
@@ -267,11 +270,23 @@ def test_a_recovery_under_a_selecting_or_updates_every_ancestor():
 def test_stored_values_equal_recompute_after_every_tree_change():
     cases = [(spec, ps, 300) for spec, ps in corpus()]
     cases += list(test_helper_corpus.corpus())
+    # Replays, and searches resumed from a halted replay, as well.
+    replays = [case for case in itertools.islice(test_replay_corpus.cases(), 1000)
+               if case[1] is not None]
     with values_checked() as stats:
         for spec, ps, budget in cases:
             try:
                 Search(ps, spec, budget=budget).run()
             except UplanError:
                 pass
-    assert stats["checks"] > 2_000, stats
-    assert stats["recoveries under a selecting OR"] >= 2, stats
+        for spec, donor, world, budget in replays:
+            try:
+                result = reapply_plan(donor, world, spec, budget=budget)
+                if result.kind == "partial":
+                    stats["resumed"] += 1
+                    continue_from(result, world, spec, budget=budget)
+            except UplanError:
+                pass
+    assert stats["checks"] > 3_000, stats
+    assert stats["resumed"] >= 10, stats
+    assert stats["recoveries under a selecting OR"] >= 3, stats
