@@ -518,7 +518,8 @@ class PlanNode:
     ``deepest_level`` is the deepest operator abstraction level in the
     subtree (helpers excluded). It stays current only while ``children`` is
     changed through :meth:`set_children`; changing the list in place leaves
-    it stale.
+    it stale. ``donor`` is the node of a donor plan that this node replays,
+    or None outside a replay's scripted region.
     """
 
     operator: ReductionOperator
@@ -537,6 +538,7 @@ class PlanNode:
     node_id: int = -1
     plot_index: int = 0
     recovery_attempted: bool = False
+    donor: "PlanNode | None" = field(default=None, repr=False)
     deepest_level: int = field(init=False)
 
     def __post_init__(self):

@@ -265,19 +265,21 @@ def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> 
 
 
 def review_decisions(node: PlanNode, policy: ReviewPolicy,
-                     trace: PlanTrace | None = None,
-                     pinned=frozenset()) -> list:
+                     trace: PlanTrace | None = None) -> list:
     """Review the OR ancestors of a freshly expanded node.
 
     At each OR ancestor the non-selected siblings are compared against the
     selected branch's updated EF plus the offset; the best sibling clearing it
-    becomes the active branch and the old one is suspended in place.
+    becomes the active branch and the old one is suspended in place. An OR
+    of a replay that still holds its donor's choice is pinned: not reviewed.
     Returns the OR nodes whose selection switched.
     """
     switched = []
     current = node if node.expansion == EXPANSION_OR else node.parent
     while current is not None:
-        if current.expansion == EXPANSION_OR and id(current) not in pinned:
+        if current.expansion == EXPANSION_OR and not (
+                current.donor is not None
+                and current.selected_index == current.donor.selected_index):
             selected = current.selected_child
             if selected is not None and selected.status != STATUS_FAILED:
                 best, best_ef = None, selected.ef
@@ -366,31 +368,34 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
 class Search:
     """One planning run over a single P-state.
 
-    ``script`` maps the tree paths (tuples of child indices from the root)
-    of a donor plan to its OR choices, None at AND nodes and leaves, which is
-    how plan reapplication replays a donor plan: scripted ORs are pinned
-    against review until their choice fails. With ``halt_on_failure`` the
-    search raises :class:`ReplayHalt` at the first planfail inside the
-    scripted region instead of recovering; it records the planfail event
-    first, and :meth:`resume` then goes on from there exactly as a search
-    without ``halt_on_failure`` would have.
+    With a ``donor`` plan the search replays it, following the donor's tree
+    node by node: the root holds the donor's root in ``PlanNode.donor``, a
+    reduced node's child ``i`` the donor AND's child ``i``, or the donor
+    OR's selected child when ``i`` is its index, and a recovery replacement
+    what the node it replaces held; every other node holds None. A node
+    that holds one is scripted: it is skipped when its postconditions
+    already hold, and a scripted OR selects its donor's choice and is pinned
+    against review while it holds it. With ``halt_on_failure`` the search
+    raises :class:`ReplayHalt` at the first planfail of a scripted node
+    instead of recovering; it records the planfail event first, and
+    :meth:`resume` then goes on from there exactly as a search without
+    ``halt_on_failure`` would have.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
                  budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
-                 script: dict | None = None,
+                 donor: Plan | None = None,
                  halt_on_failure: bool = False):
         self.initial = ps
         self.spec = spec
         self.policy = policy or spec.review
         self.budget = budget
         self.trace = trace
-        self.script = script or {}
+        self.donor = donor
         self.halt_on_failure = halt_on_failure
         self.expansions = 0
         self.executed_steps = 0
         self._next_id = 0
-        self._pinned: set = set()
         self.root: PlanNode | None = None
         self._halt = None        # (node, reason) of the planfail the search halted at
         self._unfinished = None  # the node whose expansion that halt interrupted
@@ -411,13 +416,6 @@ class Search:
         self._next_id += 1
         return node
 
-    def _path(self, node: PlanNode) -> tuple:
-        out = []
-        while node.parent is not None:
-            out.append(node.plot_index)
-            node = node.parent
-        return tuple(reversed(out))
-
     # -- driver --
 
     def run(self) -> Plan:
@@ -425,6 +423,8 @@ class Search:
         self.root = self._instantiate(
             goal_op, self.spec.goal_fulfilment, self.initial, None
         )
+        if self.donor is not None:
+            self.root.donor = self.donor.root
         return self._search()
 
     def resume(self) -> Plan:
@@ -434,7 +434,7 @@ class Search:
         is finished, and the search continues: the same steps a search
         without ``halt_on_failure`` takes from that planfail on, since that
         search took the same steps up to it. The tree, node ids, expansion
-        count, pinned choices and trace all carry over.
+        count and trace all carry over.
         """
         if self._halt is None:
             raise UplanError("only a halted search can be resumed")
@@ -503,7 +503,7 @@ class Search:
         state = self._thread_state(node)
         node.pstate_before = state
 
-        if self._in_script(node) and self._redundant(node, state):
+        if node.donor is not None and self._redundant(node, state):
             return
 
         before = _triple(node)
@@ -543,7 +543,7 @@ class Search:
         if node.status == STATUS_FAILED:
             return
         propagate_updates(node, self.trace)
-        review_decisions(node, self.policy, self.trace, pinned=self._pinned)
+        review_decisions(node, self.policy, self.trace)
 
     def _redundant(self, node: PlanNode, state: PState) -> bool:
         """During replay, an operator whose postconditions already hold is skipped."""
@@ -680,31 +680,39 @@ class Search:
     def _apply_reduction(self, node: PlanNode, state: PState):
         op = node.operator
         node.status = STATUS_EXPANDED
-        if op.plot_mode == CHOOSE_ONE:
-            ranked = rank_candidates(node, state, self.spec)
+        choose_one = op.plot_mode == CHOOSE_ONE
+        if choose_one:
             # Instantiated best EF first, which fixes the node ids; kept in plot order.
             by_index = {index: self._instantiate(child_op, entry.fulfilment, state, node)
-                        for index, entry, child_op, _, _ in ranked}
-            node.set_children([by_index[i] for i in sorted(by_index)])
-            for index, child in enumerate(node.children):
-                child.plot_index = index
+                        for index, entry, child_op, _, _
+                        in rank_candidates(node, state, self.spec)}
+            children = [by_index[i] for i in sorted(by_index)]
+        else:
+            children = [self._instantiate(self.spec.operator(entry.subgoal_name),
+                                          entry.fulfilment, state, node)
+                        for entry in op.subgoal_entries()]
+        donor = node.donor
+        for index, child in enumerate(children):
+            child.plot_index = index
+            if donor is None:
+                continue
+            if donor.expansion == EXPANSION_AND and index < len(donor.children):
+                child.donor = donor.children[index]
+            elif donor.expansion == EXPANSION_OR and index == donor.selected_index:
+                child.donor = donor.selected_child
+        node.set_children(children)
+        if choose_one:
             node.expansion = EXPANSION_OR
-            forced = self.script.get(self._path(node))
-            if forced is not None and 0 <= forced < len(node.children):
+            forced = None if donor is None else donor.selected_index
+            if forced is not None and 0 <= forced < len(children):
                 node.selected_index = forced
-                node.current = node.children[forced].current.copy()
-                self._pinned.add(id(node))
+                node.current = children[forced].current.copy()
             else:
                 update_or_node(node)
             if self.trace is not None:
                 self.trace.record("select", node, after=_triple(node),
                                   detail=node.selected_child.name)
         else:
-            node.set_children([self._instantiate(self.spec.operator(entry.subgoal_name),
-                                                 entry.fulfilment, state, node)
-                               for entry in op.subgoal_entries()])
-            for index, child in enumerate(node.children):
-                child.plot_index = index
             node.expansion = EXPANSION_AND
             before = _triple(node)
             update_and_node(node)
@@ -733,18 +741,18 @@ class Search:
             return
         before = _triple(or_node)
         update_or_node(or_node)
-        self._pinned.discard(id(or_node))
         if self.trace is not None:
             self.trace.record("select", or_node, before=before, after=_triple(or_node),
                               detail=or_node.selected_child.name)
         propagate_updates(or_node, self.trace)
 
     def _planfail(self, node: PlanNode, reason: str):
-        """Record a planfail, then halt there if the search replays a script
-        and the node is scripted, or else apply the node's directive."""
+        """Record a planfail, then halt there if the search halts on the
+        failure of a scripted node and this one is, or else apply the node's
+        directive."""
         if self.trace is not None:
             self.trace.record("planfail", node, before=_triple(node), detail=reason)
-        if self.halt_on_failure and self._in_script(node):
+        if self.halt_on_failure and node.donor is not None:
             self._halt = (node, reason)
             raise ReplayHalt(node, reason)
         self._apply_planfail(node, reason)
@@ -782,6 +790,7 @@ class Search:
                                         state, node.parent)
         replacement.recovery_attempted = True
         replacement.plot_index = node.plot_index
+        replacement.donor = node.donor
         parent = node.parent
         start = replacement
         if parent is None:
@@ -800,9 +809,6 @@ class Search:
                               detail=f"recovery for {node.name}")
         if parent is not None:
             propagate_updates(start, self.trace)
-
-    def _in_script(self, node: PlanNode) -> bool:
-        return bool(self.script) and self._path(node) in self.script
 
     # -- plan extraction --
 

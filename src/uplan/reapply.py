@@ -1,7 +1,8 @@
 """Plan reuse across possible worlds and merging into a single super-plan.
 
 Reapplication replays a donor plan's operator choices against a new initial
-world: every choice is scripted and pinned, so the replay succeeds exactly
+world: the search follows the donor's plan tree node by node, and every
+choice it meets there is forced and pinned, so the replay succeeds exactly
 when each non-redundant operator's preconditions hold and the postconditions
 still come out. A failed replay reports the longest executed prefix and keeps
 its halted search; planning then continues from the failure point with the
@@ -21,8 +22,6 @@ from dataclasses import dataclass, field
 
 from .errors import CoverageError, PlanFailure
 from .model import (
-    EXPANSION_AND,
-    EXPANSION_OR,
     EvidentialInterval,
     KnowledgeAcquisitionOperator,
     Plan,
@@ -49,25 +48,6 @@ class ReapplyResult:
     search: Search | None = field(default=None, repr=False)
 
 
-def donor_script(plan: Plan) -> dict:
-    """Map every node path of a donor plan to its OR choice, or to None at
-    AND nodes and leaves: the script a replay of the plan follows."""
-    script = {}
-
-    def walk(node: PlanNode, path: tuple):
-        script[path] = None
-        if node.expansion == EXPANSION_OR:
-            selected = node.selected_child
-            script[path] = node.selected_index
-            walk(selected, path + (selected.plot_index,))
-        elif node.expansion == EXPANSION_AND:
-            for child in node.children:
-                walk(child, path + (child.plot_index,))
-
-    walk(plan.root, ())
-    return script
-
-
 def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
                  budget: int = DEFAULT_NODE_BUDGET,
                  policy: ReviewPolicy | None = None,
@@ -77,7 +57,8 @@ def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
     ``trace`` records the replay's events up to and including the failure,
     so that :func:`continue_from` can go on recording into it.
     """
-    search = _replay(plan, ps, spec, budget, policy, trace)
+    search = Search(ps, spec, policy=policy, budget=budget, trace=trace, donor=plan,
+                    halt_on_failure=True)
     try:
         rebuilt = search.run()
     except ReplayHalt as halt:
@@ -91,12 +72,6 @@ def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
                          prefix_length=len(rebuilt.execution_sequence), order=order)
 
 
-def _replay(plan: Plan, ps: PState, spec, budget, policy, trace) -> Search:
-    """A search that replays ``plan``'s choices and halts at their first failure."""
-    return Search(ps, spec, policy=policy, script=donor_script(plan),
-                  halt_on_failure=True, budget=budget, trace=trace)
-
-
 def continue_from(result: ReapplyResult, ps: PState, spec,
                   budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
                   policy: ReviewPolicy | None = None) -> Plan:
@@ -105,21 +80,17 @@ def continue_from(result: ReapplyResult, ps: PState, spec,
     The donor's choices stay scripted; when one fails, its planfail directive
     applies and the search continues freely from there. The result's halted
     search is resumed, at most once, when the arguments are those its replay
-    ran with; otherwise, as for a result stored without its search, the
-    donor is replayed here first. Either way the plan, the trace events and
-    any error are those of one search that never halts.
+    ran with; otherwise, as for a result stored without its search, one
+    replay of the donor that never halts runs here. Either way the plan, the
+    trace events and any error are those of that replay.
     """
     search, result.search = result.search, None  # a result is resumed at most once
-    resumable = search is not None and (
-        (search.initial, search.spec, search.budget, search.policy, search.trace)
-        == (ps, spec, budget, policy or spec.review, trace))
-    if not resumable:
-        search = _replay(result.donor, ps, spec, budget, policy, trace)
-        try:
-            return search.run()
-        except ReplayHalt:
-            pass
-    return search.resume()
+    if search is not None and (
+            (search.initial, search.spec, search.budget, search.policy, search.trace)
+            == (ps, spec, budget, policy or spec.review, trace)):
+        return search.resume()
+    return Search(ps, spec, policy=policy, budget=budget, trace=trace,
+                  donor=result.donor).run()
 
 
 def select_best_partial(candidates) -> ReapplyResult:

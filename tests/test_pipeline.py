@@ -14,11 +14,14 @@ from uplan.dsl import parse_domain, parse_evidence
 from uplan.errors import BudgetExceededError, PlanFailure, UplanError
 from uplan.evidence import EvidenceSet, Frame, generate_pstates, mass_function, rank_pstates
 from uplan.model import (
+    EXPANSION_AND,
+    EXPANSION_OR,
     PLANFAIL_BACKTRACK,
     PLANFAIL_REJECT_BRANCH,
     CausalRule,
     CompatibilityRelation,
     Plan,
+    PlanNode,
     Proposition,
     PState,
     make_pstate,
@@ -33,7 +36,6 @@ from uplan.planner import (
 from uplan.reapply import (
     ReapplyResult,
     continue_from,
-    donor_script,
     merge_plans,
     reapply_plan,
     select_best_partial,
@@ -190,9 +192,47 @@ def reference_continue_from(result: ReapplyResult, ps: PState, spec,
     The oracle for resuming a halted replay: one search that replays the
     donor from the start and never halts.
     """
-    search = Search(ps, spec, policy=policy, script=donor_script(result.donor),
+    search = Search(ps, spec, policy=policy, donor=result.donor,
                     halt_on_failure=False, budget=budget, trace=trace)
     return search.run()
+
+
+def reference_donor_script(plan: Plan) -> dict:
+    """Map every node path (the child indices from the root) of a donor
+    plan to its OR choice, or to None at AND nodes and leaves: the script
+    that replays once looked nodes up in, kept as the oracle for
+    ``PlanNode.donor``."""
+    script = {}
+
+    def walk(node: PlanNode, path: tuple):
+        script[path] = None
+        if node.expansion == EXPANSION_OR:
+            selected = node.selected_child
+            script[path] = node.selected_index
+            walk(selected, path + (selected.plot_index,))
+        elif node.expansion == EXPANSION_AND:
+            for child in node.children:
+                walk(child, path + (child.plot_index,))
+
+    walk(plan.root, ())
+    return script
+
+
+def check_donor_nodes(root: PlanNode, script: dict) -> int:
+    """Check that each node of ``root``'s tree holds a donor node exactly
+    when ``script`` has its path, and that the donor's choice is the
+    script's entry there; returns how many nodes hold one."""
+    scripted = 0
+    stack = [(root, ())]
+    while stack:
+        node, path = stack.pop()
+        assert (node.donor is not None) == (path in script), path
+        if node.donor is not None:
+            # None at AND nodes and leaves, on both sides.
+            assert node.donor.selected_index == script[path], path
+            scripted += 1
+        stack.extend((child, path + (child.plot_index,)) for child in node.children)
+    return scripted
 
 
 def reference_relevant_predicates(spec) -> tuple:
@@ -533,6 +573,11 @@ def test_resumed_replay_matches_one_search_that_never_halts():
                 result = reapply_plan(donor, world, spec, budget=budget, trace=trace)
             except UplanError as exc:
                 result = ("error", type(exc).__name__, str(exc))
+        script = reference_donor_script(donor)
+        # The rebuilt tree of a full replay, or the halted tree of a partial one.
+        tree = None if isinstance(result, tuple) else result.plan or result.search
+        if tree is not None:
+            stats["scripted nodes"] += check_donor_nodes(tree.root, script)
         if isinstance(result, tuple) or result.kind == "full":
             # The replay raised or replayed in full: it was the whole search.
             assert (result if isinstance(result, tuple)
@@ -541,7 +586,8 @@ def test_resumed_replay_matches_one_search_that_never_halts():
             assert replay_count == want_count
             stats["not halted"] += 1
             return
-        resumes = result.search is not None
+        search = result.search
+        resumes = search is not None
         if resumes:
             halted_at = result.resume if result.resume is not None else result.search.root
             stats["halted"] += 1
@@ -558,12 +604,15 @@ def test_resumed_replay_matches_one_search_that_never_halts():
                                                  trace=trace))
         assert got == want
         assert _lines(trace) == _lines(want_trace)
+        if resumes:
+            stats["scripted nodes"] += check_donor_nodes(search.root, script)
         # A resumed search skips exactly the expansions its replay made.
         assert after[0] == want_count[0] - (replay_count[0] if resumes else 0)
         stats[got[0]] += 1
 
     check()
     assert stats["halted"] >= 20 and stats["recovered"] >= 5, stats
+    assert stats["scripted nodes"] >= 500, stats
     assert stats["plan"] >= 3 and stats["error"] >= 3, stats
 
 
@@ -578,7 +627,7 @@ def test_continue_from_a_result_without_its_search(air_combat_spec, air_combat_w
     assert result.kind == "partial"
     # ``stripped`` is kept as the per-class outcome lists keep a replay, and
     # ``result`` ran without the trace given below: either way continue_from
-    # replays the donor first.
+    # runs one replay of the donor that never halts.
     stripped = ReapplyResult(result.kind, donor, prefix_length=result.prefix_length)
     for candidate in (stripped, result):
         trace = PlanTrace()
