@@ -21,9 +21,9 @@ is raised at the first world of the class, as a replay per world would.
 A world resumed from a partial replay made while planning it goes on from
 that replay's halted search, so its prefix is not searched twice
 (:func:`continue_from`); a replay stored from an earlier world of the class
-keeps no search, and is run again for the world first. The plan, trace
-lines and errors are those of a search that replays the donor and never
-halts.
+keeps no search, so such a world runs one replay of the donor that never
+halts. Either way the plan, trace lines and errors are those of that
+replay.
 """
 
 from __future__ import annotations
