@@ -156,10 +156,14 @@ def _parse_range(raw: str) -> tuple:
 def cmd_sensitivity(args) -> int:
     if args.check is not None:
         values = args.check
-        a = ErrorBoundedEF(probability=values[0], fulfilment=values[1],
-                           probability_error=values[2], fulfilment_error=values[3])
-        b = ErrorBoundedEF(probability=values[4], fulfilment=values[5],
-                           probability_error=values[6], fulfilment_error=values[7])
+        try:
+            a = ErrorBoundedEF(probability=values[0], fulfilment=values[1],
+                               probability_error=values[2], fulfilment_error=values[3])
+            b = ErrorBoundedEF(probability=values[4], fulfilment=values[5],
+                               probability_error=values[6], fulfilment_error=values[7])
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         verdict, margin = distinguishable(a, b)
         word = "distinguishable" if verdict else "indistinguishable"
         print(f"{word}, margin {margin:g}")

@@ -3,7 +3,9 @@
 World states (:class:`PState`) are immutable; editing returns a new value so
 plan nodes can keep snapshots of the state they were planned against. Plan
 trees (:class:`PlanNode`) are the one mutable structure here: a tree is owned
-by a single search and never shared between concurrent searches.
+by a single search and never shared between concurrent searches. A tree links
+parent to child only, and the search holds the root-to-node path it needs, so
+a tree holds no reference cycle and is freed as soon as it is dropped.
 
 Each level of a P-state (:class:`AbstractionLevel`) is indexed by predicate:
 a dict maps every predicate to a sorted tuple of that predicate's facts, both
@@ -515,11 +517,13 @@ class PlanNode:
     update rules as the subtree grows. ``ef`` always equals
     current.fulfilment * current.probability after an update pass.
     Nodes compare by identity: a tree belongs to exactly one search.
+    A node owns its ``children`` and holds no link to its parent; a child's
+    ``plot_index`` is its position in its parent's ``children``.
     ``deepest_level`` is the deepest operator abstraction level in the
-    subtree (helpers excluded). It stays current only while ``children`` is
-    changed through :meth:`set_children`; changing the list in place leaves
-    it stale. ``donor`` is the node of a donor plan that this node replays,
-    or None outside a replay's scripted region.
+    subtree (helpers excluded), computed from the children given at
+    construction, then refreshed with the values on the search's main tree.
+    ``donor`` is the node of a donor plan that this node replays, or None
+    outside a replay's scripted region.
     """
 
     operator: ReductionOperator
@@ -532,7 +536,6 @@ class PlanNode:
     pstate_after: PState | None = None
     pstate_after_helpers: PState | None = None
     helpers: list = field(default_factory=list)
-    parent: "PlanNode | None" = None
     status: str = STATUS_NEW
     selected_index: int | None = None
     node_id: int = -1
@@ -542,23 +545,8 @@ class PlanNode:
     deepest_level: int = field(init=False)
 
     def __post_init__(self):
-        deepest = self.operator.abstraction_level
-        for child in self.children:
-            deepest = max(deepest, child.deepest_level)
-        self.deepest_level = deepest
-
-    def set_children(self, children: list):
-        """Replace the children and recompute ``deepest_level`` rootward,
-        stopping at the first ancestor whose value stays the same."""
-        self.children = children
-        node = self
-        while node is not None:
-            deepest = max([node.operator.abstraction_level]
-                          + [child.deepest_level for child in node.children])
-            if deepest == node.deepest_level:
-                return
-            node.deepest_level = deepest
-            node = node.parent
+        self.deepest_level = max([self.operator.abstraction_level]
+                                 + [child.deepest_level for child in self.children])
 
     @property
     def ef(self) -> float:

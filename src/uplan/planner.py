@@ -222,8 +222,15 @@ def update_and_node(parent: PlanNode) -> PlanNode:
     return parent
 
 
-def _refresh_node(node: PlanNode):
-    """Recompute one node from its children, honouring the standing OR selection."""
+def _refresh_node(node: PlanNode, changed: PlanNode | None = None):
+    """Recompute one node's deepest level and values from its children,
+    honouring the standing OR selection. ``changed``, the only child changed
+    since the last refresh, spares the scan when it reaches the deepest level."""
+    if changed is not None and changed.deepest_level >= node.deepest_level:
+        node.deepest_level = changed.deepest_level
+    else:
+        node.deepest_level = max([node.operator.abstraction_level]
+                                 + [child.deepest_level for child in node.children])
     if node.expansion == EXPANSION_AND:
         update_and_node(node)
     elif node.expansion == EXPANSION_OR:
@@ -232,20 +239,23 @@ def _refresh_node(node: PlanNode):
             node.current = selected.current.copy()
 
 
-def propagate_updates(node: PlanNode, trace: PlanTrace | None = None) -> list:
-    """Recompute ancestors bottom-up until the root or an unchanged one."""
+def propagate_updates(path: list, trace: PlanTrace | None = None) -> list:
+    """Recompute the ancestors of ``path[-1]`` along its root-to-node
+    ``path``, bottom-up until the root or one whose values and deepest level
+    both stay the same; returns those whose values changed."""
     touched = []
-    current = node.parent
-    while current is not None:
-        before = _triple(current)
-        _refresh_node(current)
+    for i in range(len(path) - 2, -1, -1):
+        current = path[i]
+        before, deepest = _triple(current), current.deepest_level
+        _refresh_node(current, path[i + 1])
         after = _triple(current)
         if before == after:
-            break
+            if deepest == current.deepest_level:
+                break
+            continue
         if trace is not None:
             trace.record("update", current, before=before, after=after)
         touched.append(current)
-        current = current.parent
     return touched
 
 
@@ -264,9 +274,10 @@ def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> 
     return policy.offset_fraction * max(1, level_gap) * candidate_ef
 
 
-def review_decisions(node: PlanNode, policy: ReviewPolicy,
+def review_decisions(path: list, policy: ReviewPolicy,
                      trace: PlanTrace | None = None) -> list:
-    """Review the OR ancestors of a freshly expanded node.
+    """Review the OR ancestors of a freshly expanded node, along its
+    root-to-node ``path``.
 
     At each OR ancestor the non-selected siblings are compared against the
     selected branch's updated EF plus the offset; the best sibling clearing it
@@ -275,8 +286,9 @@ def review_decisions(node: PlanNode, policy: ReviewPolicy,
     Returns the OR nodes whose selection switched.
     """
     switched = []
-    current = node if node.expansion == EXPANSION_OR else node.parent
-    while current is not None:
+    start = len(path) - 1 if path[-1].expansion == EXPANSION_OR else len(path) - 2
+    for i in range(start, -1, -1):
+        current = path[i]
         if current.expansion == EXPANSION_OR and not (
                 current.donor is not None
                 and current.selected_index == current.donor.selected_index):
@@ -300,9 +312,8 @@ def review_decisions(node: PlanNode, policy: ReviewPolicy,
                             after=_triple(current),
                             detail=f"{selected.name}->{best.name}",
                         )
-                    propagate_updates(current, trace)
+                    propagate_updates(path[:i + 1], trace)
                     switched.append(current)
-        current = current.parent
     return switched
 
 
@@ -380,6 +391,9 @@ class Search:
     instead of recovering; it records the planfail event first, and
     :meth:`resume` then goes on from there exactly as a search without
     ``halt_on_failure`` would have.
+
+    Plan trees link parent to child only: each step that needs a node's
+    ancestors takes the root-to-node ``path`` the search descended along.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -397,20 +411,19 @@ class Search:
         self.executed_steps = 0
         self._next_id = 0
         self.root: PlanNode | None = None
-        self._halt = None        # (node, reason) of the planfail the search halted at
-        self._unfinished = None  # the node whose expansion that halt interrupted
+        self._halt = None        # (path, reason) of the planfail the search halted at
+        self._unfinished = None  # the path to the node whose expansion that halt interrupted
 
     # -- node bookkeeping --
 
     def _instantiate(self, op: ReductionOperator, fulfilment: float,
-                     state: PState, parent: PlanNode | None) -> PlanNode:
+                     state: PState) -> PlanNode:
         probability = operator_probability(op, state)
         node = PlanNode(
             operator=op,
             base=Values(fulfilment, probability),
             current=Values(fulfilment, probability),
             pstate_before=state,
-            parent=parent,
             node_id=self._next_id,
         )
         self._next_id += 1
@@ -421,7 +434,7 @@ class Search:
     def run(self) -> Plan:
         goal_op = self.spec.operator(self.spec.goal)
         self.root = self._instantiate(
-            goal_op, self.spec.goal_fulfilment, self.initial, None
+            goal_op, self.spec.goal_fulfilment, self.initial
         )
         if self.donor is not None:
             self.root.donor = self.donor.root
@@ -438,30 +451,32 @@ class Search:
         """
         if self._halt is None:
             raise UplanError("only a halted search can be resumed")
-        (node, reason), self._halt = self._halt, None
+        (path, reason), self._halt = self._halt, None
         unfinished, self._unfinished = self._unfinished, None
         self.halt_on_failure = False
-        self._apply_planfail(node, reason)
+        self._apply_planfail(path, reason)
         if unfinished is not None:
             self._finish_expansion(unfinished)
         return self._search()
 
     def _search(self) -> Plan:
         while True:
-            node = self._next_point()
-            if node is None:
+            path = self._next_point()
+            if path is None:
                 break
-            self._expand(node)
+            self._expand(path[-1], path)
         steps = tuple(self._collect_steps(self.root))
         return Plan(root=self.root, worlds={self.initial.id}, execution_sequence=steps)
 
-    def _next_point(self) -> PlanNode | None:
-        """Leftmost incomplete node of the active subtree, finalizing on the way."""
+    def _next_point(self) -> list | None:
+        """Root-to-node path to the leftmost incomplete node of the active
+        subtree, finalizing on the way."""
         while True:
-            node = self.root
+            node, path = self.root, []
             while True:
+                path.append(node)
                 if node.status == STATUS_NEW:
-                    return node
+                    return path
                 if node.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
                     return None  # only reachable for the root
                 if node.status == STATUS_FAILED:
@@ -470,10 +485,10 @@ class Search:
                     pending = next((c for c in node.children
                                     if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)), None)
                     if pending is None:
-                        self._finalize(node)
+                        self._finalize(path)
                         break
                     if pending.status == STATUS_FAILED:
-                        self._planfail(node, f"child {pending.name} failed")
+                        self._planfail(path, f"child {pending.name} failed")
                         break
                     node = pending
                     continue
@@ -481,10 +496,10 @@ class Search:
                 if selected is None:
                     raise UplanError(f"OR node {node.name} has no selection")
                 if selected.status == STATUS_FAILED:
-                    self._reselect(node)
+                    self._reselect(path)
                     break
                 if selected.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
-                    self._finalize(node)
+                    self._finalize(path)
                     break
                 node = selected
 
@@ -498,9 +513,9 @@ class Search:
                 f"node budget of {self.budget} exhausted after {self.expansions - 1} expansions"
             )
 
-    def _expand(self, node: PlanNode):
+    def _expand(self, node: PlanNode, path: list):
         self._count_expansion()
-        state = self._thread_state(node)
+        state = self._thread_state(path)
         node.pstate_before = state
 
         if node.donor is not None and self._redundant(node, state):
@@ -515,35 +530,35 @@ class Search:
 
         reason = self._preconditions(node, state, HELPER_DEPTH)
         if reason is not None:
-            self._planfail(node, reason)
+            self._planfail(path, reason)
             return
         state = node.pstate_after_helpers
 
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
-            self._fail_expansion(node, "choose-one plot is empty")
+            self._fail_expansion(path, "choose-one plot is empty")
         elif node.operator.is_leaf:
             if not self._apply_leaf(node, state):
-                self._fail_expansion(node, "effects violate compatibility or postconditions")
+                self._fail_expansion(path, "effects violate compatibility or postconditions")
         else:
             self._apply_reduction(node, state)
-        self._finish_expansion(node)
+        self._finish_expansion(path)
 
-    def _fail_expansion(self, node: PlanNode, reason: str):
-        """Planfail ``node`` mid-expansion; a halt here leaves the expansion
-        for :meth:`resume` to finish."""
+    def _fail_expansion(self, path: list, reason: str):
+        """Planfail ``path[-1]`` mid-expansion; a halt here leaves the
+        expansion for :meth:`resume` to finish."""
         try:
-            self._planfail(node, reason)
+            self._planfail(path, reason)
         except ReplayHalt:
-            self._unfinished = node
+            self._unfinished = path
             raise
 
-    def _finish_expansion(self, node: PlanNode):
-        """Propagate and review after expanding ``node``, unless it failed:
-        a node its planfail recovered is reviewed too."""
-        if node.status == STATUS_FAILED:
+    def _finish_expansion(self, path: list):
+        """Propagate and review after expanding ``path[-1]``, unless it
+        failed: a node its planfail recovered is reviewed too."""
+        if path[-1].status == STATUS_FAILED:
             return
-        propagate_updates(node, self.trace)
-        review_decisions(node, self.policy, self.trace)
+        propagate_updates(path, self.trace)
+        review_decisions(path, self.policy, self.trace)
 
     def _redundant(self, node: PlanNode, state: PState) -> bool:
         """During replay, an operator whose postconditions already hold is skipped."""
@@ -557,14 +572,12 @@ class Search:
                               after=_triple(node), detail="redundant")
         return True
 
-    def _thread_state(self, node: PlanNode) -> PState:
-        parent = node.parent
-        if parent is None:
+    def _thread_state(self, path: list) -> PState:
+        if len(path) == 1:
             return self.initial
-        if parent.expansion == EXPANSION_AND:
-            index = parent.children.index(node)
-            if index > 0:
-                return parent.children[index - 1].pstate_after
+        parent, index = path[-2], path[-1].plot_index
+        if parent.expansion == EXPANSION_AND and index > 0:
+            return parent.children[index - 1].pstate_after
         return parent.pstate_after_helpers or parent.pstate_before
 
     def _preconditions(self, node: PlanNode, state: PState, depth: int) -> str | None:
@@ -609,7 +622,7 @@ class Search:
         achievers = self.spec.achievers(target, level, node.operator.abstraction_level)
         for op in sorted(achievers, key=lambda op: (
                 -expected_fulfilment(fulfilment, operator_probability(op, state)), op.name)):
-            helper = self._instantiate(op, fulfilment, state, None)
+            helper = self._instantiate(op, fulfilment, state)
             outcome = self._expand_to_completion(helper, state, depth - 1)
             if outcome is not None:
                 extended = match_conjunction(outcome, [(pattern, level)], bindings)
@@ -636,8 +649,8 @@ class Search:
             helper.expansion = EXPANSION_OR
             helper.selected_index = 0
             for _, entry, child_op, _, _ in rank_candidates(helper, state, self.spec):
-                child = self._instantiate(child_op, entry.fulfilment, state, helper)
-                helper.set_children([child])
+                child = self._instantiate(child_op, entry.fulfilment, state)
+                helper.children = [child]
                 outcome = self._expand_to_completion(child, state, depth - 1)
                 if outcome is not None and self._complete(helper, outcome):
                     return outcome
@@ -645,9 +658,9 @@ class Search:
         helper.expansion = EXPANSION_AND
         for entry in op.subgoal_entries():
             child = self._instantiate(self.spec.operator(entry.subgoal_name),
-                                      entry.fulfilment, state, helper)
+                                      entry.fulfilment, state)
             child.plot_index = len(helper.children)
-            helper.set_children([*helper.children, child])
+            helper.children.append(child)
             state = self._expand_to_completion(child, state, depth - 1)
             if state is None:
                 return None
@@ -683,13 +696,13 @@ class Search:
         choose_one = op.plot_mode == CHOOSE_ONE
         if choose_one:
             # Instantiated best EF first, which fixes the node ids; kept in plot order.
-            by_index = {index: self._instantiate(child_op, entry.fulfilment, state, node)
+            by_index = {index: self._instantiate(child_op, entry.fulfilment, state)
                         for index, entry, child_op, _, _
                         in rank_candidates(node, state, self.spec)}
             children = [by_index[i] for i in sorted(by_index)]
         else:
             children = [self._instantiate(self.spec.operator(entry.subgoal_name),
-                                          entry.fulfilment, state, node)
+                                          entry.fulfilment, state)
                         for entry in op.subgoal_entries()]
         donor = node.donor
         for index, child in enumerate(children):
@@ -700,23 +713,21 @@ class Search:
                 child.donor = donor.children[index]
             elif donor.expansion == EXPANSION_OR and index == donor.selected_index:
                 child.donor = donor.selected_child
-        node.set_children(children)
+        node.children = children
+        node.expansion = EXPANSION_OR if choose_one else EXPANSION_AND
+        before = _triple(node)
         if choose_one:
-            node.expansion = EXPANSION_OR
             forced = None if donor is None else donor.selected_index
             if forced is not None and 0 <= forced < len(children):
                 node.selected_index = forced
-                node.current = children[forced].current.copy()
             else:
                 update_or_node(node)
-            if self.trace is not None:
+        _refresh_node(node)
+        if self.trace is not None:
+            if choose_one:
                 self.trace.record("select", node, after=_triple(node),
                                   detail=node.selected_child.name)
-        else:
-            node.expansion = EXPANSION_AND
-            before = _triple(node)
-            update_and_node(node)
-            if self.trace is not None:
+            else:
                 self.trace.record("update", node, before=before, after=_triple(node))
 
     # -- completion and failure --
@@ -729,86 +740,85 @@ class Search:
         node.status = STATUS_COMPLETE
         return True
 
-    def _finalize(self, node: PlanNode):
+    def _finalize(self, path: list):
+        node = path[-1]
         last = node.children[-1] if node.expansion == EXPANSION_AND else node.selected_child
         if not self._complete(node, last.pstate_after):
-            self._planfail(node, "postconditions do not hold after reduction")
+            self._planfail(path, "postconditions do not hold after reduction")
 
-    def _reselect(self, or_node: PlanNode):
+    def _reselect(self, path: list):
+        or_node = path[-1]
         applicable = or_node.applicable_children()
         if not applicable:
-            self._planfail(or_node, "all children inapplicable")
+            self._planfail(path, "all children inapplicable")
             return
         before = _triple(or_node)
         update_or_node(or_node)
         if self.trace is not None:
             self.trace.record("select", or_node, before=before, after=_triple(or_node),
                               detail=or_node.selected_child.name)
-        propagate_updates(or_node, self.trace)
+        propagate_updates(path, self.trace)
 
-    def _planfail(self, node: PlanNode, reason: str):
-        """Record a planfail, then halt there if the search halts on the
-        failure of a scripted node and this one is, or else apply the node's
-        directive."""
+    def _planfail(self, path: list, reason: str):
+        """Record a planfail of ``path[-1]``, then halt there if the search
+        halts on the failure of a scripted node and this one is, or else
+        apply the node's directive."""
+        node = path[-1]
         if self.trace is not None:
             self.trace.record("planfail", node, before=_triple(node), detail=reason)
         if self.halt_on_failure and node.donor is not None:
-            self._halt = (node, reason)
+            self._halt = (path, reason)
             raise ReplayHalt(node, reason)
-        self._apply_planfail(node, reason)
+        self._apply_planfail(path, reason)
 
-    def _apply_planfail(self, node: PlanNode, reason: str):
-        """Carry out ``node``'s planfail directive: recover it once, or fail
-        it and backtrack to its OR ancestor or reject that whole branch."""
+    def _apply_planfail(self, path: list, reason: str):
+        """Carry out ``path[-1]``'s planfail directive: recover it once, or
+        fail it and backtrack to its OR ancestor or reject that whole branch."""
+        node = path[-1]
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
             if not node.recovery_attempted:
-                self._recover(node, directive)
+                self._recover(path, directive)
                 return
             directive = PLANFAIL_BACKTRACK
         node.status = STATUS_FAILED
-        target = node
+        target = len(path) - 1
         if directive == PLANFAIL_REJECT_BRANCH:
             # Kill the whole alternative under the nearest OR ancestor.
-            while (target.parent is not None
-                   and target.parent.expansion != EXPANSION_OR):
-                target = target.parent
-            target.status = STATUS_FAILED
-        parent = target.parent
-        if parent is None:
+            while target > 0 and path[target - 1].expansion != EXPANSION_OR:
+                target -= 1
+            path[target].status = STATUS_FAILED
+        if target == 0:
             raise PlanFailure(f"goal {self.root.name!r} cannot be reduced to a plan: {reason}")
-        if parent.expansion == EXPANSION_OR:
-            self._reselect(parent)
+        if path[target - 1].expansion == EXPANSION_OR:
+            self._reselect(path[:target])
         else:
-            self._planfail(parent, f"child {target.name} failed")
+            self._planfail(path[:target], f"child {path[target].name} failed")
 
-    def _recover(self, node: PlanNode, recovery_name: str):
-        """Swap the failed node for its named recovery operator, tried once."""
+    def _recover(self, path: list, recovery_name: str):
+        """Swap the failed ``path[-1]`` for its named recovery operator, tried once."""
+        node = path[-1]
         recovery_op = self.spec.operator(recovery_name)
         state = node.pstate_before or self.initial
-        replacement = self._instantiate(recovery_op, node.base.fulfilment,
-                                        state, node.parent)
+        replacement = self._instantiate(recovery_op, node.base.fulfilment, state)
         replacement.recovery_attempted = True
         replacement.plot_index = node.plot_index
         replacement.donor = node.donor
-        parent = node.parent
-        start = replacement
-        if parent is None:
+        if len(path) == 1:
             self.root = replacement
         else:
-            index = parent.children.index(node)
-            children = list(parent.children)
-            children[index] = replacement
-            parent.set_children(children)
-            if parent.expansion == EXPANSION_OR and parent.selected_index == index:
-                # The OR took its values over already: go on from it.
-                parent.current = replacement.current.copy()
-                start = parent
+            parent = path[-2]
+            parent.children[node.plot_index] = replacement
+            if parent.expansion == EXPANSION_OR and parent.selected_index == node.plot_index:
+                # The OR takes its values over with no update event: go on from it.
+                _refresh_node(parent)
+                path = path[:-1]
+            else:
+                path = [*path[:-1], replacement]
         if self.trace is not None:
             self.trace.record("select", replacement, after=_triple(replacement),
                               detail=f"recovery for {node.name}")
-        if parent is not None:
-            propagate_updates(start, self.trace)
+        propagate_updates(path, self.trace)
 
     # -- plan extraction --
 

@@ -26,8 +26,8 @@ class ErrorBoundedEF:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if self.fulfilment < 0.0:
-            raise ValueError("fulfilment must be >= 0")
+        if not math.isfinite(self.fulfilment) or self.fulfilment < 0.0:
+            raise ValueError("fulfilment must be finite and >= 0")
         for err in (self.probability_error, self.fulfilment_error):
             if not math.isfinite(err) or err < 0.0:
                 raise ValueError("relative errors must be finite and >= 0")

@@ -294,10 +294,17 @@ def _initialize(n):
 def test_criterion_4d_propagation_equals_recompute(tree, pick, new_values):
     root = _materialize(tree)
     _initialize(root)
-    leaves = [n for n in root.walk() if not n.children]
-    target = leaves[pick % len(leaves)]
-    target.current = Values(*new_values)
-    propagate_updates(target)
+    # Root-to-leaf paths, in the pre-order of root.walk().
+    leaf_paths, stack = [], [[root]]
+    while stack:
+        path = stack.pop()
+        if path[-1].children:
+            stack.extend([*path, child] for child in reversed(path[-1].children))
+        else:
+            leaf_paths.append(path)
+    path = leaf_paths[pick % len(leaf_paths)]
+    path[-1].current = Values(*new_values)
+    propagate_updates(path)
     snapshot = [(n.current.fulfilment, n.current.probability) for n in root.walk()]
     recompute_values(root)
     assert snapshot == [(n.current.fulfilment, n.current.probability)

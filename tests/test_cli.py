@@ -325,6 +325,20 @@ def test_sensitivity_check_verdict(capsys):
     assert "distinguishable, margin 150" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("values, message", [
+    (["2", "1000", "0", "0", "0.5", "1000", "0", "0"], "probability 2.0 outside [0, 1]"),
+    (["0.5", "1000", "-0.1", "0", "0.5", "1000", "0", "0"],
+     "relative errors must be finite and >= 0"),
+    (["0.5", "nan", "0", "0", "0.5", "1000", "0", "0"], "fulfilment must be finite and >= 0"),
+    (["0.5", "1000", "0", "0", "0.5", "inf", "0", "0"], "fulfilment must be finite and >= 0"),
+])
+def test_sensitivity_check_bad_value_exits_two(values, message, capsys):
+    assert main(["sensitivity", "--check", *values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sensitivity_grid_files(tmp_path, capsys):
     grid = tmp_path / "g.csv"
     contour = tmp_path / "c.csv"

@@ -63,13 +63,12 @@ DUMMY = op("dummy")
 
 
 def node(f, p, expansion="unexpanded", children=(), status="new"):
-    n = PlanNode(operator=DUMMY, base=Values(f, p), current=Values(f, p))
+    for index, child in enumerate(children):
+        child.plot_index = index
+    n = PlanNode(operator=DUMMY, base=Values(f, p), current=Values(f, p),
+                 children=list(children))
     n.expansion = expansion
     n.status = status
-    for index, child in enumerate(children):
-        child.parent = n
-        child.plot_index = index
-    n.set_children(list(children))
     return n
 
 
@@ -213,14 +212,14 @@ def tree_fig():
 
 def test_propagate_stops_when_unchanged():
     or_root, and_parent, leafs = tree_fig()
-    touched = propagate_updates(leafs[0])
+    touched = propagate_updates([or_root, and_parent, leafs[0]])
     assert touched == []
 
 
 def test_propagate_reaches_root():
     or_root, and_parent, leafs = tree_fig()
     leafs[1].current = Values(600, 1.0)
-    touched = propagate_updates(leafs[1])
+    touched = propagate_updates([or_root, and_parent, leafs[1]])
     assert and_parent in touched and or_root in touched
     assert and_parent.current.fulfilment == 600
     assert or_root.current.fulfilment == 600
@@ -229,7 +228,7 @@ def test_propagate_reaches_root():
 def test_propagate_matches_full_recompute():
     or_root, and_parent, leafs = tree_fig()
     leafs[2].current = Values(1000, 0.5)
-    propagate_updates(leafs[2])
+    propagate_updates([or_root, and_parent, leafs[2]])
     snapshot = [(n.current.fulfilment, n.current.probability)
                 for n in or_root.walk()]
     recompute_values(or_root)
@@ -243,27 +242,27 @@ def test_review_switches_when_sibling_clears_offset():
     or_root, and_parent, leafs = tree_fig()
     # Selected branch dropped to 810 with the sibling at 820.
     assert or_root.selected_child is and_parent
-    switched = review_decisions(leafs[0], ReviewPolicy(0.0))
+    switched = review_decisions([or_root, and_parent, leafs[0]], ReviewPolicy(0.0))
     assert switched == [or_root]
     assert or_root.selected_child.current.fulfilment == 820
 
 
 def test_review_large_offset_suppresses_switch():
     or_root, and_parent, leafs = tree_fig()
-    assert review_decisions(leafs[0], ReviewPolicy(10.0)) == []
+    assert review_decisions([or_root, and_parent, leafs[0]], ReviewPolicy(10.0)) == []
     assert or_root.selected_child is and_parent
 
 
 def test_review_infinite_offset_never_switches():
     or_root, and_parent, leafs = tree_fig()
-    assert review_decisions(leafs[0], ReviewPolicy(math.inf)) == []
+    assert review_decisions([or_root, and_parent, leafs[0]], ReviewPolicy(math.inf)) == []
 
 
 def test_review_no_siblings_is_noop():
     only = node(100, 1.0)
     parent = node(0, 1, expansion="OR", children=[only])
     update_or_node(parent)
-    assert review_decisions(only, ReviewPolicy(0.0)) == []
+    assert review_decisions([parent, only], ReviewPolicy(0.0)) == []
 
 
 # --- deduction --------------------------------------------------------------------

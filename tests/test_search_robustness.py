@@ -2,12 +2,14 @@
 preconditions, helpers, recovery operators and review churn must always end
 in a plan, a clean failure, or budget exhaustion, deterministically."""
 
+import gc
 import itertools
 import random
 from collections import Counter
 from contextlib import contextmanager
 
-from uplan.dsl import DomainSpec, parse_domain
+from uplan import plan_superplan
+from uplan.dsl import DomainSpec, parse_domain, parse_evidence
 from uplan.errors import BudgetExceededError, PlanFailure, UplanError
 from uplan.model import (
     CHOOSE_ONE,
@@ -119,15 +121,21 @@ def reference_deepest_level(node):
 
 
 class CheckedSearch(Search):
-    """A search that compares every node's stored deepest level with the
-    walk after each expansion."""
+    """A search that checks that each path it expands along is the tree
+    path from the root to the node, and compares every node's stored
+    deepest level with the walk after each expansion."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.checked = 0
 
-    def _expand(self, node):
-        super()._expand(node)
+    def _expand(self, node, path):
+        # Checked before the expansion: a recovery during it swaps a node
+        # of the path out of the tree.
+        assert path[0] is self.root and path[-1] is node
+        for parent, child in zip(path, path[1:]):
+            assert parent.children[child.plot_index] is child, child.name
+        super()._expand(node, path)
         for n in self.root.walk():
             assert n.deepest_level == reference_deepest_level(n), n.name
             self.checked += 1
@@ -200,14 +208,16 @@ def values_checked():
         stats["checks"] += 1
 
     def checked(name):
-        def method(self, node, *args):
-            if name == "_recover":
-                parent = node.parent
+        # _expand takes (node, path), the others the root-to-node path.
+        def method(self, first, *args):
+            path = args[0] if name == "_expand" else first
+            if name == "_recover" and len(path) > 1:
+                parent = path[-2]
                 stats["recoveries under a selecting OR"] += (
-                    parent is not None and parent.expansion == EXPANSION_OR
-                    and parent.selected_child is node)
-            originals[name](self, node, *args)
-            check(self, f"after {name} of {node.name}")
+                    parent.expansion == EXPANSION_OR
+                    and parent.selected_child is path[-1])
+            originals[name](self, first, *args)
+            check(self, f"after {name} of {path[-1].name}")
         return method
 
     for name in originals:
@@ -290,3 +300,27 @@ def test_stored_values_equal_recompute_after_every_tree_change():
     assert stats["checks"] > 3_000, stats
     assert stats["resumed"] >= 10, stats
     assert stats["recoveries under a selecting OR"] >= 3, stats
+
+
+# --- plan trees hold no reference cycle ----------------------------------------
+
+def live_plan_nodes() -> int:
+    return sum(isinstance(o, PlanNode) for o in gc.get_objects())
+
+
+def test_dropped_plan_trees_are_freed_without_the_cyclic_collector(
+        air_combat_spec, air_combat_evidence):
+    spec, _ = recovery_under_a_selecting_or()
+    jam = parse_evidence("frame road {jam}\n  jam -> (jam)@1\nmass road {jam}=1.0\n")
+    gc.disable()
+    try:
+        before = live_plan_nodes()
+        superplan, library = plan_superplan(air_combat_spec, air_combat_evidence)
+        assert len(library) > 1
+        del superplan, library
+        superplan, library = plan_superplan(spec, jam)
+        assert [s.operator for s in library[0].execution_sequence] == ["Crawl"]
+        del superplan, library
+        assert live_plan_nodes() == before
+    finally:
+        gc.enable()
