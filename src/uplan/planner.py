@@ -464,7 +464,7 @@ class Search:
             path = self._next_point()
             if path is None:
                 break
-            self._expand(path[-1], path)
+            self._expand(path)
         steps = tuple(self._collect_steps(self.root))
         return Plan(root=self.root, worlds={self.initial.id}, execution_sequence=steps)
 
@@ -513,7 +513,8 @@ class Search:
                 f"node budget of {self.budget} exhausted after {self.expansions - 1} expansions"
             )
 
-    def _expand(self, node: PlanNode, path: list):
+    def _expand(self, path: list):
+        node = path[-1]
         self._count_expansion()
         state = self._thread_state(path)
         node.pstate_before = state
@@ -554,7 +555,7 @@ class Search:
 
     def _finish_expansion(self, path: list):
         """Propagate and review after expanding ``path[-1]``, unless it
-        failed: a node its planfail recovered is reviewed too."""
+        failed; after a recovery, ``path[-1]`` is the replacement."""
         if path[-1].status == STATUS_FAILED:
             return
         propagate_updates(path, self.trace)
@@ -796,7 +797,8 @@ class Search:
             self._planfail(path[:target], f"child {path[target].name} failed")
 
     def _recover(self, path: list, recovery_name: str):
-        """Swap the failed ``path[-1]`` for its named recovery operator, tried once."""
+        """Swap the failed ``path[-1]`` for its named recovery operator, tried
+        once, in the tree and in ``path``, which stays the tree path."""
         node = path[-1]
         recovery_op = self.spec.operator(recovery_name)
         state = node.pstate_before or self.initial
@@ -804,6 +806,7 @@ class Search:
         replacement.recovery_attempted = True
         replacement.plot_index = node.plot_index
         replacement.donor = node.donor
+        path[-1] = replacement
         if len(path) == 1:
             self.root = replacement
         else:
@@ -813,8 +816,6 @@ class Search:
                 # The OR takes its values over with no update event: go on from it.
                 _refresh_node(parent)
                 path = path[:-1]
-            else:
-                path = [*path[:-1], replacement]
         if self.trace is not None:
             self.trace.record("select", replacement, after=_triple(replacement),
                               detail=f"recovery for {node.name}")

@@ -15,6 +15,7 @@ from uplan.model import (
     CHOOSE_ONE,
     DO_ALL,
     EXPANSION_OR,
+    STATUS_FAILED,
     PlanNode,
     ProbabilityRule,
     Proposition,
@@ -122,20 +123,26 @@ def reference_deepest_level(node):
 
 class CheckedSearch(Search):
     """A search that checks that each path it expands along is the tree
-    path from the root to the node, and compares every node's stored
-    deepest level with the walk after each expansion."""
+    path from the root to the node, before the expansion and, unless the
+    node failed, after it, and compares every node's stored deepest level
+    with the walk after each expansion."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.checked = 0
 
-    def _expand(self, node, path):
-        # Checked before the expansion: a recovery during it swaps a node
-        # of the path out of the tree.
-        assert path[0] is self.root and path[-1] is node
+    def assert_tree_path(self, path):
+        assert path[0] is self.root
         for parent, child in zip(path, path[1:]):
             assert parent.children[child.plot_index] is child, child.name
-        super()._expand(node, path)
+
+    def _expand(self, path):
+        self.assert_tree_path(path)
+        super()._expand(path)
+        # A failure walks up along slices of the path, so a recovery above
+        # the failed node may swap out a node that ``path`` still holds.
+        if path[-1].status != STATUS_FAILED:
+            self.assert_tree_path(path)
         for n in self.root.walk():
             assert n.deepest_level == reference_deepest_level(n), n.name
             self.checked += 1
@@ -157,9 +164,36 @@ def recovery_drops_deepest_subtree():
     return spec, make_pstate("w", 3)
 
 
+def deepest_leaf_recovers_to_a_lower_level():
+    """Root@1 do-all {Deep@2}: Deep's effects miss its postconditions, and
+    its recovery Shallow@1, swapped in during Deep's expansion, leaves Root
+    with no level-2 node."""
+    spec = parse_domain("""
+levels 2
+goal Root 100.0
+operator Root
+  level 1
+  plot do-all
+    Deep 100.0
+operator Deep
+  level 2
+  plot do-all
+    assert (deep)@2
+  postconditions (done)@2
+  planfail recover Shallow
+operator Shallow
+  level 1
+  plot do-all
+    assert (done)@1
+  postconditions (done)@1
+""")
+    return spec, make_pstate("w", 2)
+
+
 def test_stored_deepest_level_matches_subtree_walk():
     checked = recoveries = 0
-    for spec, ps in [*corpus(), recovery_drops_deepest_subtree()]:
+    for spec, ps in [*corpus(), recovery_drops_deepest_subtree(),
+                     deepest_leaf_recovers_to_a_lower_level()]:
         search = CheckedSearch(ps, spec, budget=300)
         try:
             search.run()
@@ -208,15 +242,13 @@ def values_checked():
         stats["checks"] += 1
 
     def checked(name):
-        # _expand takes (node, path), the others the root-to-node path.
-        def method(self, first, *args):
-            path = args[0] if name == "_expand" else first
+        def method(self, path, *args):
             if name == "_recover" and len(path) > 1:
                 parent = path[-2]
                 stats["recoveries under a selecting OR"] += (
                     parent.expansion == EXPANSION_OR
                     and parent.selected_child is path[-1])
-            originals[name](self, first, *args)
+            originals[name](self, path, *args)
             check(self, f"after {name} of {path[-1].name}")
         return method
 
