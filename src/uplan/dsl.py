@@ -3,7 +3,11 @@
 Both formats are keyword-block UTF-8 text with s-expression proposition
 literals and ``;`` comments. One regular expression splits the text into
 tokens: a word is a run of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that
-``->`` ends, and a number if ``float()`` accepts it. Tokens keep their offset;
+``->`` ends, and a number if ``float()`` accepts it. ``float()`` is tried only
+on a word that starts with ``+``, ``-``, ``.`` or a decimal digit (any
+``str.isdecimal`` character), or that is ``inf``, ``nan`` or ``infinity`` in
+any case: every spelling ``float()`` accepts is one of these, so other words
+are identifiers without a raised ``ValueError``. Tokens keep their offset;
 line and column are worked out only for errors. The parser recovers from
 errors and reports everything it finds; it must survive arbitrary byte soup,
 so every failure path records a diagnostic instead of raising.
@@ -128,14 +132,19 @@ class DomainSpec:
 # ``bad`` is a run of characters that start no token; ``\Z`` stops a trailing
 # comment from being backtracked into.
 _TOKEN_RE = re.compile(r"""
-    (?: \s | ;[^\n]* )*
+    (?: \s+ | ;[^\n]* )*
     (?: (?P<darrow> => ) | (?P<arrow> -> )
       | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<lbrace> \{ ) | (?P<rbrace> \} )
       | (?P<at> @ ) | (?P<equals> = )
-      | (?P<word> (?: [\w?.+/'*<!&%$#~^|\\] | -(?!>) )+ )
+      | (?P<word> (?: [\w?.+/'*<!&%$#~^|\\]+ | -(?!>) )+ )
       | (?P<bad> [^\s;(){}@=\w?.+/'*<!&%$#~^|\\-]+ )
       | \Z )
     """, re.VERBOSE)
+
+
+# The letters-only words ``float()`` accepts, lowercased; every other word it
+# accepts starts with a sign, a point or a decimal digit.
+_FLOAT_NAMES = frozenset({"inf", "infinity", "nan"})
 
 
 class _Token(NamedTuple):
@@ -158,10 +167,15 @@ def _tokenize(text: str, filename: str, errors: list) -> list:
             break
         word, pos = m.group(kind), m.start(kind)
         if kind == "word":
-            try:
-                tokens.append(_Token("number", word, float(word), pos))
-            except ValueError:
-                tokens.append(_Token("ident", word, None, pos))
+            value = None
+            if (word[0] in "+-." or word[0].isdecimal()
+                    or word.lower() in _FLOAT_NAMES):
+                try:
+                    value = float(word)
+                except ValueError:
+                    pass
+            tokens.append(_Token("ident" if value is None else "number",
+                                 word, value, pos))
         elif kind == "bad":
             if len(errors) < MAX_ERRORS:
                 errors.append(ParseError(filename, *_where(text, pos),
@@ -180,15 +194,18 @@ class _Parser:
         self.filename = filename
         self.errors: list = []
         self.tokens = _tokenize(text, filename, self.errors)
+        # A second eof, so that ``peek(1)`` at the end needs no bounds check.
+        self.tokens.append(self.tokens[-1])
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        """The token ``ahead`` (0 or 1) places on; eof past the end."""
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
+        """Consume and return the next token; at eof, stay there."""
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if tok.kind != "eof":
             self.pos += 1
         return tok
 

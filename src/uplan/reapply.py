@@ -136,35 +136,37 @@ def merge_plans(plans, worlds, threshold=(0.0, 0.0)) -> SuperPlan:
         grouped.setdefault(tuple(plan.execution_sequence), set()).update(world_ids)
     by_id = {w.id: w for w in worlds}
 
-    def build(entries, depth):
-        """The super-plan from ``depth`` on for (sequence, worlds) entries
-        that agree before it: a loop over the shared steps, one call per
-        alternative of the branch point that ends them."""
-        steps = []
-        while True:
-            # One bucket per distinct head, in first-seen order.
-            buckets: dict = {}
-            for seq, ids in entries:
-                buckets.setdefault(seq[depth] if depth < len(seq) else _END,
-                                   []).append((seq, ids))
-            if len(buckets) != 1 or _END in buckets:
-                break
-            steps.append(next(iter(buckets)))
-            depth += 1
-        node = None
-        if len(buckets) > 1:
-            node = insert_ka_operators(
-                [(build(group, depth), frozenset().union(*(ids for _, ids in group)))
-                 for group in buckets.values()],
-                by_id,
-            )
-        for step in reversed(steps):
-            node = SuperPlanNode(step=step, next=node)
-        return node
-
     world_index = tuple(sorted(((w.id, w.interval) for w in worlds),
                                key=lambda pair: pair[0]))
-    return SuperPlan(root=build(list(grouped.items()), 0), worlds=world_index)
+    return SuperPlan(root=_build(list(grouped.items()), 0, by_id), worlds=world_index)
+
+
+def _build(entries, depth, by_id):
+    """The super-plan from ``depth`` on for (sequence, worlds) entries
+    that agree before it: a loop over the shared steps, one call per
+    alternative of the branch point that ends them. ``by_id`` maps world ids
+    to the P-states, for :func:`insert_ka_operators`."""
+    steps = []
+    while True:
+        # One bucket per distinct head, in first-seen order.
+        buckets: dict = {}
+        for seq, ids in entries:
+            buckets.setdefault(seq[depth] if depth < len(seq) else _END,
+                               []).append((seq, ids))
+        if len(buckets) != 1 or _END in buckets:
+            break
+        steps.append(next(iter(buckets)))
+        depth += 1
+    node = None
+    if len(buckets) > 1:
+        node = insert_ka_operators(
+            [(_build(group, depth, by_id), frozenset().union(*(ids for _, ids in group)))
+             for group in buckets.values()],
+            by_id,
+        )
+    for step in reversed(steps):
+        node = SuperPlanNode(step=step, next=node)
+    return node
 
 
 def _combined_interval(world_ids, by_id) -> EvidentialInterval:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from uplan.dsl import (
     MAX_ERRORS,
     ParseError,
+    _Parser,
     _tokenize,
     _where,
     format_domain,
@@ -509,6 +510,10 @@ _LEX_PIECES = [
     " ", "\n", "\t", "\r", "\x0b", "\x1c", "\x85",
     "é", "²", "٣", "[", '"', "\x00",
     "1e3", "inf", "nan", "1_000", ".5", "-2", "?x", "a", "Z_9", "'", "\\",
+    # Every way a word can reach float(): other cases of inf and nan, signs,
+    # exponents and non-ASCII decimal digits; and words that come close.
+    "Infinity", "INF", "NaN", "+inf", "-nan", "1E5", "١٢", "१",
+    "e5", "0x1", "_1", "n1",
 ]
 
 
@@ -535,6 +540,33 @@ def test_tokenizer_error_cap_matches_reference():
     _tokenize(text, "f", errors)
     reference_tokenize(text, "f", ref_errors)
     assert len(errors) == MAX_ERRORS and errors == ref_errors
+
+
+@pytest.mark.parametrize("kind, parser", [("domain", parse_domain),
+                                          ("evidence", parse_evidence)])
+def test_truncated_fixtures_parse_or_fail_cleanly(request, kind, parser):
+    # Cut at every token boundary, so that the text can end anywhere a
+    # look-ahead or a consumed token is expected.
+    text = request.getfixturevalue(f"air_combat_{kind}_text")
+    cuts = set()
+    for tok in _tokenize(text, "f", []):
+        cuts |= {tok.pos, tok.pos + len(tok.text)}
+    for cut in sorted(cuts):
+        try:
+            parser(text[:cut])
+        except ParseFailure:
+            pass
+
+
+def test_cursor_stays_at_eof():
+    # No parse path is known to reach these today; the cursor's contract
+    # keeps a new one from raising IndexError.
+    for text in ("", "frame f", "levels 1 ; note"):
+        p = _Parser(text, "f")
+        for _ in range(len(p.tokens) + 2):
+            p.advance()
+        assert p.peek().kind == p.peek(1).kind == "eof"
+        assert p.peek().pos == len(text)
 
 
 def test_regex_classes_match_str_predicates():

@@ -18,6 +18,7 @@ from uplan.model import (
     STATUS_FAILED,
     PlanNode,
     ProbabilityRule,
+    PState,
     Proposition,
     ReductionOperator,
     make_pstate,
@@ -334,10 +335,10 @@ def test_stored_values_equal_recompute_after_every_tree_change():
     assert stats["recoveries under a selecting OR"] >= 3, stats
 
 
-# --- plan trees hold no reference cycle ----------------------------------------
+# --- plan trees and worlds hold no reference cycle -----------------------------
 
-def live_plan_nodes() -> int:
-    return sum(isinstance(o, PlanNode) for o in gc.get_objects())
+def live(cls) -> int:
+    return sum(isinstance(o, cls) for o in gc.get_objects())
 
 
 def test_dropped_plan_trees_are_freed_without_the_cyclic_collector(
@@ -346,13 +347,13 @@ def test_dropped_plan_trees_are_freed_without_the_cyclic_collector(
     jam = parse_evidence("frame road {jam}\n  jam -> (jam)@1\nmass road {jam}=1.0\n")
     gc.disable()
     try:
-        before = live_plan_nodes()
+        before = live(PlanNode), live(PState)
         superplan, library = plan_superplan(air_combat_spec, air_combat_evidence)
         assert len(library) > 1
         del superplan, library
         superplan, library = plan_superplan(spec, jam)
         assert [s.operator for s in library[0].execution_sequence] == ["Crawl"]
         del superplan, library
-        assert live_plan_nodes() == before
+        assert (live(PlanNode), live(PState)) == before
     finally:
         gc.enable()
