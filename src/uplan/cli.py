@@ -15,7 +15,9 @@ import sys
 from .dsl import lint_domain, parse_domain, parse_evidence
 from .errors import (
     BudgetExceededError,
+    CombinationError,
     CoverageError,
+    LevelRangeError,
     NoPossibleWorldError,
     ParseFailure,
     PlanFailure,
@@ -124,7 +126,7 @@ def cmd_plan(args) -> int:
         superplan, library = plan_superplan(spec, evidence, policy=policy,
                                             budget=args.budget, threshold=threshold,
                                             trace=trace)
-    except (NoPossibleWorldError, CoverageError) as exc:
+    except (NoPossibleWorldError, CombinationError, LevelRangeError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PlanFailure, BudgetExceededError) as exc:

@@ -404,15 +404,28 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
             if goal_op.abstraction_level != 1:
                 p.error(f"goal operator {goal[0]!r} must be at abstraction level 1",
                         goal[1])
+
+    def check_levels(owner: str, levels):
+        for level in levels:
+            if level is not None and not 1 <= level <= n_levels:
+                p.error(f"{owner} uses level {level}, outside 1..{n_levels}")
+
+    for rel in compat:
+        check_levels(f"compat relation {rel}", (rel.if_at_level, rel.then_at_level))
+    for i, rule in enumerate(rules):
+        # A condition without a level is read at the level of the change.
+        check_levels(f"rule {rule.name or f'#{i + 1}'}",
+                     [level for _, level in rule.conditions]
+                     + [level for _, _, level in rule.effects])
     for op in operators:
         if not 1 <= op.abstraction_level <= n_levels:
             p.error(f"operator {op.name!r} is at level {op.abstraction_level}, "
                     f"outside 1..{n_levels}")
-        for pattern_set in (op.necessary, op.satisfiable, op.postconditions):
-            for _, level in pattern_set:
-                if not 1 <= level <= n_levels:
-                    p.error(f"operator {op.name!r} uses level {level}, "
-                            f"outside 1..{n_levels}")
+        check_levels(f"operator {op.name!r}", [
+            level for pairs in (op.necessary, op.satisfiable, op.postconditions,
+                                *(rule.conditions for rule in op.probability_rules))
+            for _, level in pairs
+        ] + [level for entry in op.plot for _, _, level in entry.edits])
 
     if p.errors:
         raise ParseFailure(p.errors)
@@ -779,29 +792,40 @@ def lint_domain(spec: DomainSpec) -> list:
 
     # Causal rules must be stratified or deduction may never terminate.
     rules = spec.causal_rules
+    # Only a trigger of the change's predicate and polarity can unify with it.
+    by_trigger = {}
+    for j, rule in enumerate(rules):
+        by_trigger.setdefault((rule.trigger.predicate, rule.trigger.polarity), []).append(j)
     edges = {i: set() for i in range(len(rules))}
     for i, ri in enumerate(rules):
         for op, prop, _level in ri.effects:
             change = _effect_change(op, prop)
-            for j, rj in enumerate(rules):
-                if patterns_unify(change, rj.trigger):
+            for j in by_trigger.get((change.predicate, change.polarity), ()):
+                if patterns_unify(change, rules[j].trigger):
                     edges[i].add(j)
     state = {}  # 0 visiting, 1 done
 
-    def has_cycle(i, stack):
-        state[i] = 0
-        stack.append(i)
-        for j in edges[i]:
-            if state.get(j) == 0:
-                return True
-            if j not in state and has_cycle(j, stack):
-                return True
-        stack.pop()
-        state[i] = 1
+    def has_cycle(start):
+        """Depth-first from ``start``, with an explicit stack so that a
+        long trigger chain cannot reach the recursion limit."""
+        state[start] = 0
+        stack = [(start, iter(edges[start]))]
+        while stack:
+            i, successors = stack[-1]
+            for j in successors:
+                if state.get(j) == 0:
+                    return True
+                if j not in state:
+                    state[j] = 0
+                    stack.append((j, iter(edges[j])))
+                    break
+            else:
+                stack.pop()
+                state[i] = 1
         return False
 
     for i in range(len(rules)):
-        if i not in state and has_cycle(i, []):
+        if i not in state and has_cycle(i):
             label = rules[i].name or f"rule #{i + 1}"
             out.append(Diagnostic(
                 "error",

@@ -6,6 +6,14 @@ probability assignments over its subsets. Worlds are the compatibility-
 filtered Cartesian product of frame elements; each world's evidential
 interval comes from the Dempster-combined per-frame masses, multiplied across
 frames under an independence assumption.
+
+The product is generated factored, frame by frame rather than world by
+world (Shenoy & Shafer, "Axioms for probability and belief-function
+propagation", UAI 1988): each element's belief, plausibility and facts are
+worked out once, and each level is built once per distinct combination of
+the elements that feed it. Levels are immutable values, so worlds with the
+same combination share one level object; the worlds, their order, their
+intervals and their levels are those of a world-by-world loop.
 """
 
 from __future__ import annotations
@@ -13,8 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CombinationError, CompatibilityViolation, NoPossibleWorldError
-from .model import EvidentialInterval, enforce_compatibility, make_pstate
+from .errors import (
+    CombinationError,
+    CompatibilityViolation,
+    LevelRangeError,
+    NoPossibleWorldError,
+)
+from .model import AbstractionLevel, EvidentialInterval, PState, enforce_compatibility
 
 MASS_SUM_TOLERANCE = 1e-9
 
@@ -153,41 +166,189 @@ class EvidenceSet:
         return out
 
 
+class _Element:
+    """One frame element, tabulated once: its belief and plausibility, and
+    its facts per level as predicate buckets, sorted and without repeats.
+    ``compat_facts`` keeps only the buckets of compat-named predicates, and
+    ``nonground`` the first non-ground fact at each level that has one."""
+
+    __slots__ = ("support", "plausibility", "facts", "compat_facts", "nonground")
+
+    def __init__(self, frame: Frame, element: str, m: MassFunction, n_levels: int,
+                 compat_predicates):
+        self.support = belief(m, {element})
+        self.plausibility = plausibility(m, {element})
+        self.nonground = {}
+        grouped: dict = {}
+        for prop, level in frame.propositions_for(element):
+            if not (isinstance(level, int) and 1 <= level <= n_levels):
+                raise LevelRangeError(
+                    f"frame {frame.name!r} maps element {element!r} to level {level}, "
+                    f"outside 1..{n_levels}")
+            facts = grouped.setdefault(level, {})
+            if prop.is_ground:
+                facts.setdefault(prop.predicate, set()).add(prop)
+            else:
+                self.nonground.setdefault(level, prop)
+        self.facts = {level: {pred: tuple(sorted(facts)) for pred, facts in buckets.items()}
+                      for level, buckets in grouped.items()}
+        self.compat_facts = {
+            level: {pred: facts for pred, facts in buckets.items() if pred in compat_predicates}
+            for level, buckets in self.facts.items()}
+
+
+def _union(buckets: dict, fragment: dict) -> dict:
+    """Predicate buckets holding the facts of both; a shared fact is kept once."""
+    out = {**buckets, **fragment}
+    for pred in buckets.keys() & fragment.keys():
+        out[pred] = tuple(sorted(set(buckets[pred]).union(fragment[pred])))
+    return out
+
+
+def _projections(tables: list, frames: list, start, add) -> list:
+    """``add`` folded from ``start`` over the picks of each projection of
+    the product onto ``frames``, in lexicographic order: the order in which
+    the projections first appear in the product."""
+    values = [start]
+    for k in frames:
+        values = [add(value, element) for value in values for element in tables[k]]
+    return values
+
+
+def _ranks(tables: list, frames: list) -> list:
+    """Each world's projection onto ``frames``, as its position in
+    :func:`_projections`' list; worlds in product order."""
+    ranks = [0]
+    for k, table in enumerate(tables):
+        n = len(table)
+        ranks = ([rank * n + j for rank in ranks for j in range(n)] if k in frames
+                 else [rank for rank in ranks for _ in range(n)])
+    return ranks
+
+
 def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
     """Construct every possible initial world from the declared evidence.
 
-    One candidate per element of the Cartesian product of frame elements;
-    candidates that violate a compatibility relation are dropped. A world's
-    support is the product of per-frame beliefs in its chosen elements and its
-    plausibility the product of per-frame plausibilities (frames are treated
-    as independent).
+    One candidate per element of the Cartesian product of frame elements, in
+    product order; candidates that violate a compatibility relation are
+    dropped. A world's support is the product of per-frame beliefs in its
+    chosen elements and its plausibility the product of per-frame
+    plausibilities (frames are treated as independent), each multiplied from
+    1.0 in frame order.
+
+    The product is factored. Each element's belief, plausibility and facts
+    are worked out once. A level depends only on the picks of the frames
+    that map facts to it, so it is built once per projection onto those
+    frames and shared by every world with that projection. Enforcement reads
+    and writes only predicates that compat relations name, so it runs once
+    per projection onto the frames that map such facts, and what it asserts
+    holds for every world of that projection; a level it edits is built once
+    per pair of projections. Errors are those of the first world that a
+    world-by-world loop would fail at.
+
+    Raises :class:`LevelRangeError` for a fact mapped to a level outside
+    1..``n_levels``, and :class:`NoPossibleWorldError` when no world
+    survives.
     """
     if not ev.frames:
         raise NoPossibleWorldError("no frames declared; nothing to build worlds from")
-    combined = {f.name: ev.combined_for(f) for f in ev.frames}
-    worlds = []
-    for picks in itertools.product(*(f.elements for f in ev.frames)):
-        support = 1.0
-        plaus = 1.0
-        contents: dict = {}
-        for frame, element in zip(ev.frames, picks):
-            m = combined[frame.name]
-            support *= belief(m, {element})
-            plaus *= plausibility(m, {element})
-            for prop, level in frame.propositions_for(element):
-                contents.setdefault(level, []).append(prop)
-        ps = make_pstate(
-            "+".join(picks), n_levels,
-            EvidentialInterval(support, plaus), contents,
-        )
-        try:
-            ps = enforce_compatibility(ps, compat)
-        except CompatibilityViolation:
-            continue  # incompatible combination: not a possible world
-        worlds.append(ps)
+    combined = [ev.combined_for(f) for f in ev.frames]
+    compat_predicates = frozenset(p.predicate for rel in compat
+                                  for p in (rel.if_pattern, rel.then_pattern))
+    tables = [[_Element(frame, element, m, n_levels, compat_predicates)
+               for element in frame.elements]
+              for frame, m in zip(ev.frames, combined)]
+
+    # Each world's support and plausibility in product order, folded left
+    # from 1.0 frame by frame, as a world-by-world loop multiplies them.
+    supports, plausibilities = [1.0], [1.0]
+    for table in tables:
+        supports = [s * e.support for s in supports for e in table]
+        plausibilities = [p * e.plausibility for p in plausibilities for e in table]
+
+    # A world-by-world loop builds a world's levels in order, then enforces
+    # compatibility, and raises at its first failure. ``failures`` holds
+    # the first failure of each level and of enforcement as (world position,
+    # step, error); the least is what that loop raises.
+    failures = []
+    projections, ranks = [], []  # per level: buckets per projection, each world's rank
+    for index in range(1, n_levels + 1):
+        frames = [k for k, table in enumerate(tables) if any(index in e.facts for e in table)]
+        ranks.append(_ranks(tables, frames))
+        projections.append(_projections(tables, frames, {}, lambda acc, e, i=index:
+                                        _union(acc, e.facts.get(i, {}))))
+        if any(index in e.nonground for table in tables for e in table):
+            firsts = _projections(tables, frames, None, lambda acc, e, i=index:
+                                  acc or e.nonground.get(i))
+            rank = next(rank for rank, fact in enumerate(firsts) if fact)
+            failures.append((ranks[-1].index(rank), index, ValueError(
+                f"non-ground proposition {firsts[rank]} in abstraction level")))
+    outcomes = []  # per compat projection: None on a violation, else what changes
+    if compat:
+        frames = [k for k, table in enumerate(tables)
+                  if any(facts for e in table for facts in e.compat_facts.values())]
+        compat_ranks = _ranks(tables, frames)
+        reduced = zip(*(_projections(tables, frames, {}, lambda acc, e, i=index:
+                                     _union(acc, e.compat_facts.get(i, {})))
+                        for index in range(1, n_levels + 1)))
+        for rank, buckets in enumerate(reduced):
+            try:
+                outcomes.append(_enforced(buckets, compat, compat_predicates))
+            except ValueError as exc:
+                failures.append((compat_ranks.index(rank), n_levels + 1, exc))
+                break
+    if failures:
+        raise min(failures, key=lambda failure: failure[:2])[2]
+
+    columns = []  # per level: each world's level
+    for index, buckets, level_ranks in zip(range(1, n_levels + 1), projections, ranks):
+        built = [AbstractionLevel._of(index, b) for b in buckets]
+        if not any(outcome and index in outcome for outcome in outcomes):
+            columns.append(list(map(built.__getitem__, level_ranks)))
+            continue
+        pairs = list(zip(level_ranks, compat_ranks))
+        edited = {}
+        for rank, compat_rank in dict.fromkeys(pairs):
+            changed = (outcomes[compat_rank] or {}).get(index)
+            edited[rank, compat_rank] = (built[rank] if changed is None else
+                                         AbstractionLevel._of(index, _replaced(buckets[rank],
+                                                                               changed)))
+        columns.append(list(map(edited.__getitem__, pairs)))
+    survives = ([outcomes[rank] is not None for rank in compat_ranks] if compat
+                else itertools.repeat(True))
+    ids = map("+".join, itertools.product(*(f.elements for f in ev.frames)))
+    worlds = [PState(wid, world_levels, EvidentialInterval(support, plaus))
+              for wid, support, plaus, world_levels, keep
+              in zip(ids, supports, plausibilities, zip(*columns), survives) if keep]
     if not worlds:
         raise NoPossibleWorldError("no possible world survives the compatibility relations")
     return worlds
+
+
+def _enforced(buckets, compat, compat_predicates):
+    """What compatibility enforcement does to a world whose compat-named
+    facts are ``buckets``, one dict per level: None when it finds a
+    violation, otherwise {level index: {predicate: its new facts}} for each
+    predicate it changes. Enforcement reads and writes only those
+    predicates, so it does the same to every world with these facts."""
+    levels = tuple(AbstractionLevel._of(i, b) for i, b in enumerate(buckets, start=1))
+    try:
+        enforced = enforce_compatibility(PState("", levels), compat).levels
+    except CompatibilityViolation:
+        return None
+    return {level.index: {pred: after.facts_for(pred) for pred in compat_predicates
+                          if after.facts_for(pred) != level.facts_for(pred)}
+            for level, after in zip(levels, enforced) if after is not level}
+
+
+def _replaced(buckets: dict, changed: dict) -> dict:
+    """``buckets`` with the ``changed`` predicates' facts in place; a
+    predicate left with none is dropped."""
+    out = {**buckets, **changed}
+    for pred, facts in changed.items():
+        if not facts:
+            del out[pred]
+    return out
 
 
 def rank_pstates(pss) -> list:

@@ -198,9 +198,14 @@ class AbstractionLevel:
             buckets[p.predicate] = new
         else:
             del buckets[p.predicate]
+        return AbstractionLevel._of(self.index, buckets)
+
+    @staticmethod
+    def _of(index: int, buckets: dict) -> "AbstractionLevel":
+        """A level over ``buckets``, taken as built: each a non-empty sorted
+        tuple of one predicate's ground facts, without repeats."""
         level = AbstractionLevel.__new__(AbstractionLevel)
-        object.__setattr__(level, "index", self.index)
-        # Already sorted, ground and non-empty.
+        object.__setattr__(level, "index", index)
         object.__setattr__(level, "_buckets", buckets)
         return level
 

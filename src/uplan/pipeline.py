@@ -59,14 +59,25 @@ def plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
     worlds = rank_pstates(generate_pstates(evidence, spec.compat, spec.n_levels))
     library: list = []
     replays: dict = {}  # relevance class -> one replay outcome per library plan
+    # Worlds share level objects, so each distinct level's relevant facts are
+    # read once, and each distinct tuple of them gets a number: a world's key
+    # is one number per level. The worlds keep their levels alive, so no id
+    # is reused during the loop.
+    classes: dict = {}
+    numbers: dict = {}
     for world in worlds:
         if not world.interval.meets(threshold):
             if trace:
                 trace(f"; world {world.id}: below the coverage threshold, not planned")
             continue
-        # The levels' own tuples, shared with the world: nothing is copied.
-        key = tuple(tuple(level.facts_for(p) for p in spec.relevant_predicates)
-                    for level in world.levels)
+        key = []
+        for level in world.levels:
+            number = numbers.get(id(level))
+            if number is None:
+                facts = tuple(level.facts_for(p) for p in spec.relevant_predicates)
+                number = numbers[id(level)] = classes.setdefault(facts, len(classes))
+            key.append(number)
+        key = tuple(key)
         try:
             plan = _plan_world(world, replays.setdefault(key, []), library, spec,
                                policy, budget, trace)

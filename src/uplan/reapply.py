@@ -192,13 +192,20 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
     # alternatives stays confused with itself, and gets no KA operator.
     entries = [(wid, index) for index, ws in enumerate(world_sets) for wid in ws]
     # Each world's facts as a bitset over the distinct (level, fact) pairs,
-    # so that a test is a shift, not a bisection of the level's facts.
-    bits, present = {}, {}
+    # so that a test is a shift, not a bisection of the level's facts. Worlds
+    # share level objects, so each distinct level's mask is built once, when
+    # it is first seen; bits are numbered in order of first appearance.
+    bits, present, masks = {}, {}, {}
     for wid, _ in entries:
         mask = 0
-        for level in range(1, by_id[wid].n_levels + 1):
-            for prop in by_id[wid].facts(level):
-                mask |= 1 << bits.setdefault((level, prop), len(bits))
+        for level in by_id[wid].levels:
+            level_mask = masks.get(id(level))
+            if level_mask is None:
+                level_mask = 0
+                for prop in level.sorted_facts():
+                    level_mask |= 1 << bits.setdefault((level.index, prop), len(bits))
+                masks[id(level)] = level_mask
+            mask |= level_mask
         present[wid] = mask
     candidates = sorted(bits)
 

@@ -398,3 +398,47 @@ def test_plan_per_world_encodes_world_ids_in_file_names(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.domain", "e.evidence", "out"]
     dump = json.loads((out.parent / "sp-a%2Fb.json").read_text())
     assert sorted(dump["worlds"]) == ["../esc", "a/b"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("=> (contact confirmed)@2", "=> (contact confirmed)@7",
+     "compat relation (aggressor detected)@1 => (contact confirmed)@7 uses level 7"),
+    ("assert (bearing set)@3", "assert (bearing set)@8", "operator 'Set_Bearing' uses level 8"),
+    ("then assert (fire solution)@3", "then assert (fire solution)@8",
+     "rule lock-gives-solution uses level 8"),
+    ("when (type aggressor fighter)@2 => 0.9", "when (type aggressor fighter)@8 => 0.9",
+     "operator 'BVR_Attack' uses level 8"),
+])
+def test_domain_levels_outside_the_domain_are_parse_errors(fixture_paths, capsys,
+                                                           old, new, message):
+    domain, evidence = fixture_paths
+    text = Path(domain).read_text()
+    assert text.count(old) == 1
+    Path(domain).write_text(text.replace(old, new))
+    for argv in (["validate", domain], ["plan", domain, evidence]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{message}, outside 1..3" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", [0, 9])
+def test_plan_evidence_level_outside_the_domain_exits_one(fixture_paths, capsys, level):
+    domain, evidence = fixture_paths
+    text = Path(evidence).read_text()
+    Path(evidence).write_text(text.replace("(type aggressor fighter)@2",
+                                           f"(type aggressor fighter)@{level}"))
+    assert main(["plan", domain, evidence]) == 1
+    assert capsys.readouterr().err == (
+        f"error: frame 'aggressor_type' maps element 'fighter' to level {level}, "
+        "outside 1..3\n")
+
+
+def test_plan_totally_conflicting_evidence_exits_one(fixture_paths, capsys):
+    domain, evidence = fixture_paths
+    Path(evidence).write_text(Path(evidence).read_text().replace(
+        "mass aggressor_type {fighter}=0.6 {fighter bomber}=0.4",
+        "mass aggressor_type {fighter}=1.0\nmass aggressor_type {bomber}=1.0"))
+    assert main(["plan", domain, evidence]) == 1
+    assert capsys.readouterr().err == ("error: total conflict (K=1.0) combining evidence "
+                                       "over frame 'aggressor_type'\n")

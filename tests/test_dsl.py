@@ -19,6 +19,7 @@ from uplan.dsl import (
     parse_evidence,
 )
 from uplan.errors import ParseFailure
+from uplan.model import patterns_unify
 
 
 EXPECTED_OPERATORS = {
@@ -193,6 +194,82 @@ operator G level 1 plot do-all assert (q c c)@1
 
     assert stratified("b")
     assert not stratified("a")
+
+
+def _rule_domain(rules):
+    return "levels 1\ngoal G\n" + "".join(rules) + "operator G level 1 plot do-all assert (g)@1\n"
+
+
+def _stratification_errors(text):
+    return [d.message for d in lint_domain(parse_domain(text)) if "stratifiable" in d.message]
+
+
+def test_lint_long_trigger_chain_is_stratified():
+    # The check once recursed per rule along a chain and hit the recursion limit.
+    chain = [f"rule r{i} when (p{i}) then assert (p{i + 1})@1\n" for i in range(1500)]
+    assert _stratification_errors(_rule_domain(chain)) == []
+
+
+def test_lint_long_trigger_ring_is_not_stratifiable():
+    ring = [f"rule r{i} when (p{i}) then assert (p{(i + 1) % 1500})@1\n" for i in range(1500)]
+    assert _stratification_errors(_rule_domain(ring)) == [
+        "causal rules are not stratifiable: r0 can re-trigger itself"]
+
+
+def reference_unstratified_rule(rules):
+    """The stratification check as it was: every pair of rules compared,
+    and a recursive depth-first search. The label of the rule it names, or
+    None."""
+    edges = {i: set() for i in range(len(rules))}
+    for i, ri in enumerate(rules):
+        for op, p, _level in ri.effects:
+            change = p if op == "assert" else p.negated()
+            for j, rj in enumerate(rules):
+                if patterns_unify(change, rj.trigger):
+                    edges[i].add(j)
+    state = {}
+
+    def has_cycle(i):
+        state[i] = 0
+        for j in edges[i]:
+            if state.get(j) == 0:
+                return True
+            if j not in state and has_cycle(j):
+                return True
+        state[i] = 1
+        return False
+
+    for i in range(len(rules)):
+        if i not in state and has_cycle(i):
+            return rules[i].name
+    return None
+
+
+@st.composite
+def rule_sets(draw):
+    """Up to 12 named rules over a small vocabulary, so that triggers and
+    effects unify often, through variables, constants and both polarities."""
+    atom = st.builds("({}{})".format, st.sampled_from("pq"),
+                     st.sampled_from(["", " a", " ?x", " a ?x", " ?x ?x"]))
+    literal = st.builds(lambda text, negate: f"(not {text})" if negate else text,
+                        atom, st.booleans())
+    rules = []
+    for i in range(draw(st.integers(0, 12))):
+        trigger = draw(st.sampled_from(["", "retract "])) + draw(atom)
+        effects = " ".join(f"{draw(st.sampled_from(['assert', 'retract']))} {draw(literal)}@1"
+                           for _ in range(draw(st.integers(1, 2))))
+        rules.append(f"rule r{i} when {trigger} then {effects}\n")
+    return rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets())
+def test_lint_stratification_matches_reference(rules):
+    spec = parse_domain(_rule_domain(rules))
+    label = reference_unstratified_rule(spec.causal_rules)
+    expected = [] if label is None else [
+        f"causal rules are not stratifiable: {label} can re-trigger itself"]
+    assert _stratification_errors(_rule_domain(rules)) == expected
 
 
 def test_achievers_and_helper_reachability():

@@ -1,7 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uplan.errors import CombinationError, NoPossibleWorldError
+from uplan.errors import (
+    CombinationError,
+    CompatibilityViolation,
+    LevelRangeError,
+    NoPossibleWorldError,
+)
 from uplan.evidence import (
     EvidenceSet,
     Frame,
@@ -13,7 +20,13 @@ from uplan.evidence import (
     rank_pstates,
     vacuous,
 )
-from uplan.model import CompatibilityRelation, EvidentialInterval, make_pstate
+from uplan.model import (
+    CompatibilityRelation,
+    EvidentialInterval,
+    Proposition,
+    enforce_compatibility,
+    make_pstate,
+)
 
 from conftest import prop
 
@@ -201,3 +214,189 @@ def test_generated_interval_ordering(single):
     ev = EvidenceSet((frame,), tuple(m for _ in range(1)))
     for world in generate_pstates(ev, [], 1):
         assert world.interval.support <= world.interval.plausibility
+
+
+# --- factored generation against the world-by-world reference ---------------
+
+def reference_generate_pstates(ev, compat, n_levels):
+    """World generation one world at a time, as it was before the product
+    was factored: the oracle for :func:`generate_pstates`."""
+    if not ev.frames:
+        raise NoPossibleWorldError("no frames declared; nothing to build worlds from")
+    combined = {f.name: ev.combined_for(f) for f in ev.frames}
+    worlds = []
+    for picks in itertools.product(*(f.elements for f in ev.frames)):
+        support = 1.0
+        plaus = 1.0
+        contents: dict = {}
+        for frame, element in zip(ev.frames, picks):
+            m = combined[frame.name]
+            support *= belief(m, {element})
+            plaus *= plausibility(m, {element})
+            for p, level in frame.propositions_for(element):
+                contents.setdefault(level, []).append(p)
+        ps = make_pstate(
+            "+".join(picks), n_levels,
+            EvidentialInterval(support, plaus), contents,
+        )
+        try:
+            ps = enforce_compatibility(ps, compat)
+        except CompatibilityViolation:
+            continue  # incompatible combination: not a possible world
+        worlds.append(ps)
+    if not worlds:
+        raise NoPossibleWorldError("no possible world survives the compatibility relations")
+    return worlds
+
+
+# A small vocabulary, so that frames share predicates and facts, and compat
+# relations chain and clash.
+PREDICATES = ("p", "q", "r")
+CONSTANTS = ("a", "b")
+NONGROUND = Proposition("bad", ("?x",))
+
+
+@st.composite
+def facts(draw):
+    args = (draw(st.sampled_from(CONSTANTS)),)
+    positive = draw(st.sampled_from((True, True, True, False)))
+    return Proposition(draw(st.sampled_from(PREDICATES)), args, positive)
+
+
+@st.composite
+def relations(draw, n_levels):
+    """Compat relations whose antecedent binds ``?v`` or names a constant.
+    A consequent may be negative, which only a violation can follow from;
+    rarely, it leaves ``?w`` unbound or names a level past ``n_levels``."""
+    def level():
+        return draw(st.integers(1, n_levels + (draw(st.integers(0, 9)) == 0)))
+
+    if_args = (draw(st.sampled_from(("?v", "?v") + CONSTANTS)),)
+    bound = CONSTANTS + (("?v", "?v") if if_args == ("?v",) else ())
+    then_args = (draw(st.sampled_from(bound)),)
+    if draw(st.integers(0, 19)) == 0:
+        then_args = ("?w",)
+    return CompatibilityRelation(
+        level(), Proposition(draw(st.sampled_from(PREDICATES)), if_args),
+        level(), Proposition(draw(st.sampled_from(PREDICATES)), then_args,
+                             draw(st.booleans())))
+
+
+@st.composite
+def evidence_cases(draw):
+    """(evidence set, compat relations, level count): up to 4 frames of up
+    to 3 elements, elements with no facts or with facts another frame also
+    maps, up to 2 mass lines a frame, which may conflict, and, rarely, a
+    non-ground fact."""
+    n_levels = draw(st.integers(1, 3))
+    nonground = draw(st.integers(0, 7)) == 0
+    frames = []
+    for f in range(draw(st.integers(1, 4))):
+        elements = tuple(f"e{f}{j}" for j in range(draw(st.integers(1, 3))))
+        mapping = []
+        for element in elements:
+            pairs = draw(st.lists(st.tuples(facts(), st.integers(1, n_levels)), max_size=3))
+            if nonground and draw(st.integers(0, 3)) == 0:
+                pairs.append((NONGROUND, draw(st.integers(1, n_levels))))
+            if pairs or draw(st.booleans()):
+                mapping.append((element, tuple(pairs)))
+        frames.append(Frame(f"f{f}", elements, tuple(mapping)))
+    masses = tuple(draw(masses_over(frame)) for frame in frames
+                   for _ in range(draw(st.integers(0, 2))))
+    compat = [draw(relations(n_levels)) for _ in range(draw(st.integers(0, 3)))]
+    return EvidenceSet(tuple(frames), masses), compat, n_levels
+
+
+def _generated(generate, ev, compat, n_levels):
+    """Each world's id, bit-exact interval and levels, or the error raised."""
+    try:
+        worlds = generate(ev, compat, n_levels)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return [(w.id, w.interval.support.hex(), w.interval.plausibility.hex(), w.levels)
+            for w in worlds]
+
+
+@settings(max_examples=400, deadline=None)
+@given(evidence_cases())
+def test_generate_matches_reference(case):
+    assert _generated(generate_pstates, *case) == _generated(reference_generate_pstates, *case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(evidence_cases())
+def test_worlds_share_each_level_by_projection(case):
+    """Worlds whose picks agree on the frames that feed a level hold the
+    same level object, unless compatibility edited it; so do worlds whose
+    level compatibility edited alike."""
+    ev, compat, n_levels = case
+    try:
+        worlds = generate_pstates(ev, compat, n_levels)
+        plain = {w.id: w for w in generate_pstates(ev, [], n_levels)}
+    except (ValueError, CombinationError, NoPossibleWorldError):
+        return
+    named = {p.predicate for rel in compat for p in (rel.if_pattern, rel.then_pattern)}
+    compat_frames = [k for k, frame in enumerate(ev.frames)
+                     if any(p.predicate in named for _, pairs in frame.to_propositions
+                            for p, _ in pairs)]
+    for index in range(1, n_levels + 1):
+        feeds = [k for k, frame in enumerate(ev.frames)
+                 if any(level == index for _, pairs in frame.to_propositions
+                        for _, level in pairs)]
+        for group in (list(plain.values()), worlds):
+            shared = {}
+            for world in group:
+                level = world.level(index)
+                picks = world.id.split("+")
+                key = tuple(picks[k] for k in feeds)
+                if level != plain[world.id].level(index):  # compatibility edited it
+                    key = ("edited", key, tuple(picks[k] for k in compat_frames))
+                assert shared.setdefault(key, level) is level
+
+
+def _frame(name, **mapping):
+    """A frame whose elements are ``mapping``'s keys, in order, each mapping
+    the facts its value lists as (text, level) pairs."""
+    return Frame(name, tuple(mapping), tuple(
+        (element, tuple((prop(text) if "?" not in text else Proposition(
+            text.strip("()").split()[0], tuple(text.strip("()").split()[1:])), level)
+                        for text, level in pairs))
+        for element, pairs in mapping.items()))
+
+
+UNBOUND = CompatibilityRelation(1, prop("(p ?v)"), 1, Proposition("q", ("?w",)))
+
+
+@pytest.mark.parametrize("frames, compat, error", [
+    # The first world fails twice: its levels are built before enforcement.
+    ((_frame("a", x=[("(p a)", 1)]), _frame("b", u=[("(bad ?x)", 2)])), [UNBOUND],
+     "non-ground proposition (bad ?x)"),
+    # Enforcement fails at the first world, a level at the second.
+    ((_frame("a", x=[("(p a)", 1)]), _frame("b", u=[], v=[("(bad ?x)", 1)])), [UNBOUND],
+     "compatibility relation"),
+    # Level 1 fails at the second and fourth worlds, enforcement at the third.
+    ((_frame("a", x=[], y=[("(p a)", 1)]), _frame("b", u=[], v=[("(worse ?y)", 1)])),
+     [UNBOUND], "non-ground proposition (worse ?y)"),
+    # Level 2 fails at the first world, level 1 only at the second.
+    ((_frame("a", x=[("(bad ?x)", 2)]), _frame("b", u=[], v=[("(worse ?y)", 1)])), [],
+     "non-ground proposition (bad ?x)"),
+    # Both levels fail at the first world: the lower one is built first.
+    ((_frame("a", x=[("(bad ?x)", 2)]), _frame("b", u=[("(worse ?y)", 1)])), [],
+     "non-ground proposition (worse ?y)"),
+])
+def test_generate_raises_the_first_failure_of_a_world_by_world_loop(frames, compat, error):
+    ev = EvidenceSet(frames)
+    got = _generated(generate_pstates, ev, compat, 2)
+    assert got == _generated(reference_generate_pstates, ev, compat, 2)
+    assert got[0] is ValueError and got[1].startswith(error)
+
+
+def test_generate_rejects_a_level_outside_the_domain():
+    for level in (0, 4):
+        frame = Frame("aggressor_type", ("fighter", "bomber"), to_propositions=(
+            ("fighter", ((prop("(type aggressor fighter)"), level),)),
+        ))
+        with pytest.raises(LevelRangeError, match=(
+                f"frame 'aggressor_type' maps element 'fighter' to level {level}, "
+                r"outside 1\.\.3")):
+            generate_pstates(EvidenceSet((frame,)), [], 3)
