@@ -358,13 +358,11 @@ def _frame(name, **mapping):
     """A frame whose elements are ``mapping``'s keys, in order, each mapping
     the facts its value lists as (text, level) pairs."""
     return Frame(name, tuple(mapping), tuple(
-        (element, tuple((prop(text) if "?" not in text else Proposition(
-            text.strip("()").split()[0], tuple(text.strip("()").split()[1:])), level)
-                        for text, level in pairs))
+        (element, tuple((prop(text), level) for text, level in pairs))
         for element, pairs in mapping.items()))
 
 
-UNBOUND = CompatibilityRelation(1, prop("(p ?v)"), 1, Proposition("q", ("?w",)))
+UNBOUND = CompatibilityRelation(1, prop("(p ?v)"), 1, prop("(q ?w)"))
 
 
 @pytest.mark.parametrize("frames, compat, error", [
