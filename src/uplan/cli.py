@@ -13,15 +13,7 @@ import re
 import sys
 
 from .dsl import lint_domain, parse_domain, parse_evidence
-from .errors import (
-    BudgetExceededError,
-    CombinationError,
-    CoverageError,
-    LevelRangeError,
-    NoPossibleWorldError,
-    ParseFailure,
-    PlanFailure,
-)
+from .errors import BudgetExceededError, ParseFailure, PlanFailure, UplanError
 from .pipeline import plan_superplan
 from .planner import DEFAULT_NODE_BUDGET, ReviewPolicy
 from .sensitivity import (
@@ -126,12 +118,12 @@ def cmd_plan(args) -> int:
         superplan, library = plan_superplan(spec, evidence, policy=policy,
                                             budget=args.budget, threshold=threshold,
                                             trace=trace)
-    except (NoPossibleWorldError, CombinationError, LevelRangeError, CoverageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (PlanFailure, BudgetExceededError) as exc:
         print(f"error: world {exc.world_id}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, PlanFailure) else 3
+    except UplanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     payload = dumps_superplan(superplan)
     if args.out:

@@ -442,6 +442,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
 
 
 def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
+    tok = p.peek()
     if_prop = p.parse_proposition()
     if_level = p.parse_level_suffix()
     if if_level is None:
@@ -458,10 +459,15 @@ def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
         p.error("compat consequent needs an explicit '@ level'")
     if None in (if_prop, if_level, then_prop, then_level):
         return None
-    return CompatibilityRelation(if_level, if_prop, then_level, then_prop)
+    try:
+        return CompatibilityRelation(if_level, if_prop, then_level, then_prop)
+    except ValueError as exc:
+        p.error(str(exc), tok)
+        return None
 
 
 def _parse_rule(p: _Parser) -> CausalRule | None:
+    tok = p.peek()
     name = ""
     if p.peek().kind == "ident" and not p.at_keyword({"when"}):
         got = p.expect_ident("rule name")
@@ -501,10 +507,11 @@ def _parse_rule(p: _Parser) -> CausalRule | None:
             p.error("rule effects need an explicit '@ level'")
         if prop is not None and level is not None:
             effects.append((op, prop, level))
-    if not effects:
-        p.error("rule has no effects")
+    try:
+        return CausalRule(trigger, tuple(conditions), tuple(effects), name)
+    except ValueError as exc:
+        p.error(str(exc), tok)
         return None
-    return CausalRule(trigger, tuple(conditions), tuple(effects), name)
 
 
 def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
@@ -588,10 +595,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
     if level is None:
         p.error(f"operator {name!r} is missing its abstraction level", name_tok)
         return None
-    if prob_block_seen and not prob_default_seen:
-        p.error(f"operator {name!r}: probability table must end with a default",
-                name_tok)
-    if not prob_rules:
+    if not (prob_rules or prob_block_seen):
         prob_rules = [((), 1.0)]
 
     def fill(pairs):
@@ -612,7 +616,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
             planfail=planfail,
         )
     except ValueError as exc:
-        p.error(f"operator {name!r}: {exc}", name_tok)
+        p.error(str(exc), name_tok)
         return None
 
 
@@ -681,10 +685,6 @@ def parse_evidence(text: str, filename: str = "<evidence>") -> EvidenceSet:
             continue
         scaled = {}
         for subset, value in assignments:
-            unknown = sorted(set(subset) - set(frame.elements))
-            if unknown:
-                p.error(f"mass subset references unknown element(s) {unknown}", tok)
-                break
             key = frozenset(subset)
             if key in scaled:
                 p.error(f"duplicate mass subset {sorted(subset)}", tok)
@@ -702,6 +702,7 @@ def parse_evidence(text: str, filename: str = "<evidence>") -> EvidenceSet:
 
 
 def _parse_frame(p: _Parser) -> Frame | None:
+    tok = p.peek()
     name = p.expect_ident("frame name")
     if name is None:
         p.skip_to(EVIDENCE_KEYWORDS)
@@ -719,12 +720,6 @@ def _parse_frame(p: _Parser) -> Frame | None:
         p.advance()
     else:
         p.error("expected '}' closing frame elements")
-    if not elements:
-        p.error(f"frame {name!r} declares no elements")
-        return None
-    if len(set(elements)) != len(elements):
-        p.error(f"frame {name!r} repeats an element")
-        return None
     mappings = []
     while (p.peek().kind == "ident" and p.peek().text not in RESERVED
            and p.peek(1).kind == "arrow"):
@@ -737,11 +732,12 @@ def _parse_frame(p: _Parser) -> Frame | None:
                         element_tok)
             else:
                 pairs.append((prop, level))
-        if element_tok.text not in elements:
-            p.error(f"mapping for unknown element {element_tok.text!r}", element_tok)
-        else:
-            mappings.append((element_tok.text, tuple(pairs)))
-    return Frame(name, tuple(elements), tuple(mappings))
+        mappings.append((element_tok.text, tuple(pairs)))
+    try:
+        return Frame(name, tuple(elements), tuple(mappings))
+    except ValueError as exc:
+        p.error(str(exc), tok)
+        return None
 
 
 def _parse_mass(p: _Parser, masses: list):

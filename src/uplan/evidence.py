@@ -13,7 +13,9 @@ propagation", UAI 1988): each element's belief, plausibility and facts are
 worked out once, and each level is built once per distinct combination of
 the elements that feed it. Levels are immutable values, so worlds with the
 same combination share one level object; the worlds, their order, their
-intervals and their levels are those of a world-by-world loop.
+intervals and their levels are those of a world-by-world loop. Every input
+error is caught where its value is built, or before the product is, so none
+depends on the order in which worlds are built.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ class Frame:
     ``to_propositions`` maps each element to the (proposition, level) pairs it
     contributes to a world built around that element; elements may contribute
     nothing, in which case the attribute is only visible through the absence
-    of the other elements' propositions.
+    of the other elements' propositions. An element may be mapped more than
+    once, and every mapped proposition is ground.
     """
 
     name: str
@@ -51,15 +54,18 @@ class Frame:
             raise ValueError(f"frame {self.name!r} has no elements")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"frame {self.name!r} repeats an element")
-        for element, _ in self.to_propositions:
+        for element, pairs in self.to_propositions:
             if element not in self.elements:
                 raise ValueError(f"frame {self.name!r}: mapping for unknown element {element!r}")
+            for prop, _ in pairs:
+                if not prop.is_ground:
+                    raise ValueError(f"frame {self.name!r} maps element {element!r} to "
+                                     f"non-ground proposition {prop}")
 
-    def propositions_for(self, element: str):
-        for el, pairs in self.to_propositions:
-            if el == element:
-                return pairs
-        return ()
+    def propositions_for(self, element: str) -> tuple:
+        """The pairs of every mapping of ``element``, in mapping order."""
+        return tuple(pair for el, pairs in self.to_propositions if el == element
+                     for pair in pairs)
 
 
 @dataclass(frozen=True)
@@ -169,27 +175,21 @@ class EvidenceSet:
 class _Element:
     """One frame element, tabulated once: its belief and plausibility, and
     its facts per level as predicate buckets, sorted and without repeats.
-    ``compat_facts`` keeps only the buckets of compat-named predicates, and
-    ``nonground`` the first non-ground fact at each level that has one."""
+    ``compat_facts`` keeps only the buckets of compat-named predicates."""
 
-    __slots__ = ("support", "plausibility", "facts", "compat_facts", "nonground")
+    __slots__ = ("support", "plausibility", "facts", "compat_facts")
 
     def __init__(self, frame: Frame, element: str, m: MassFunction, n_levels: int,
                  compat_predicates):
         self.support = belief(m, {element})
         self.plausibility = plausibility(m, {element})
-        self.nonground = {}
         grouped: dict = {}
         for prop, level in frame.propositions_for(element):
             if not (isinstance(level, int) and 1 <= level <= n_levels):
                 raise LevelRangeError(
                     f"frame {frame.name!r} maps element {element!r} to level {level}, "
                     f"outside 1..{n_levels}")
-            facts = grouped.setdefault(level, {})
-            if prop.is_ground:
-                facts.setdefault(prop.predicate, set()).add(prop)
-            else:
-                self.nonground.setdefault(level, prop)
+            grouped.setdefault(level, {}).setdefault(prop.predicate, set()).add(prop)
         self.facts = {level: {pred: tuple(sorted(facts)) for pred, facts in buckets.items()}
                       for level, buckets in grouped.items()}
         self.compat_facts = {
@@ -243,13 +243,16 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
     and writes only predicates that compat relations name, so it runs once
     per projection onto the frames that map such facts, and what it asserts
     holds for every world of that projection; a level it edits is built once
-    per pair of projections. Errors are those of the first world that a
-    world-by-world loop would fail at.
+    per pair of projections.
 
-    Raises :class:`LevelRangeError` for a fact mapped to a level outside
-    1..``n_levels``, and :class:`NoPossibleWorldError` when no world
-    survives.
+    Raises :class:`LevelRangeError` for a compatibility relation or a fact
+    at a level outside 1..``n_levels``, and :class:`NoPossibleWorldError`
+    when no world survives.
     """
+    for rel in compat:
+        if not (1 <= rel.if_at_level <= n_levels and 1 <= rel.then_at_level <= n_levels):
+            raise LevelRangeError(f"compatibility relation {rel} uses a level outside "
+                                  f"1..{n_levels}")
     if not ev.frames:
         raise NoPossibleWorldError("no frames declared; nothing to build worlds from")
     combined = [ev.combined_for(f) for f in ev.frames]
@@ -266,23 +269,12 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
         supports = [s * e.support for s in supports for e in table]
         plausibilities = [p * e.plausibility for p in plausibilities for e in table]
 
-    # A world-by-world loop builds a world's levels in order, then enforces
-    # compatibility, and raises at its first failure. ``failures`` holds
-    # the first failure of each level and of enforcement as (world position,
-    # step, error); the least is what that loop raises.
-    failures = []
     projections, ranks = [], []  # per level: buckets per projection, each world's rank
     for index in range(1, n_levels + 1):
         frames = [k for k, table in enumerate(tables) if any(index in e.facts for e in table)]
         ranks.append(_ranks(tables, frames))
         projections.append(_projections(tables, frames, {}, lambda acc, e, i=index:
                                         _union(acc, e.facts.get(i, {}))))
-        if any(index in e.nonground for table in tables for e in table):
-            firsts = _projections(tables, frames, None, lambda acc, e, i=index:
-                                  acc or e.nonground.get(i))
-            rank = next(rank for rank, fact in enumerate(firsts) if fact)
-            failures.append((ranks[-1].index(rank), index, ValueError(
-                f"non-ground proposition {firsts[rank]} in abstraction level")))
     outcomes = []  # per compat projection: None on a violation, else what changes
     if compat:
         frames = [k for k, table in enumerate(tables)
@@ -291,14 +283,7 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
         reduced = zip(*(_projections(tables, frames, {}, lambda acc, e, i=index:
                                      _union(acc, e.compat_facts.get(i, {})))
                         for index in range(1, n_levels + 1)))
-        for rank, buckets in enumerate(reduced):
-            try:
-                outcomes.append(_enforced(buckets, compat, compat_predicates))
-            except ValueError as exc:
-                failures.append((compat_ranks.index(rank), n_levels + 1, exc))
-                break
-    if failures:
-        raise min(failures, key=lambda failure: failure[:2])[2]
+        outcomes = [_enforced(buckets, compat, compat_predicates) for buckets in reduced]
 
     columns = []  # per level: each world's level
     for index, buckets, level_ranks in zip(range(1, n_levels + 1), projections, ranks):

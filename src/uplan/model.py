@@ -42,6 +42,11 @@ def is_variable(token: str) -> bool:
     return isinstance(token, str) and token.startswith("?")
 
 
+def _variables(props) -> set:
+    """The variables among the arguments of ``props``."""
+    return {a for p in props for a in p.args if is_variable(a)}
+
+
 @dataclass(frozen=True, order=True)
 class Proposition:
     """A ground or pattern literal: predicate, arguments, polarity.
@@ -338,6 +343,12 @@ class CompatibilityRelation:
     then_at_level: int
     then_pattern: Proposition
 
+    def __post_init__(self):
+        unbound = _variables([self.then_pattern]) - _variables([self.if_pattern])
+        if unbound:
+            raise ValueError(f"compatibility relation {self}: consequent variable(s) "
+                             f"{' '.join(sorted(unbound))} not bound by the antecedent")
+
     def __str__(self):
         return (f"{self.if_pattern}@{self.if_at_level} => "
                 f"{self.then_pattern}@{self.then_at_level}")
@@ -347,7 +358,8 @@ def enforce_compatibility(ps: PState, rels) -> PState:
     """Propagate compatibility relations to fixpoint by assertion.
 
     Whenever a relation's antecedent matches at its level and the bound
-    consequent does not hold, the consequent is asserted. If the consequent's
+    consequent, ground since the antecedent binds every variable of it,
+    does not hold, the consequent is asserted. If the consequent's
     negation is explicitly present the relation cannot be repaired by
     assertion alone and a :class:`CompatibilityViolation` is raised.
     Idempotent: re-running on the result changes nothing.
@@ -357,19 +369,12 @@ def enforce_compatibility(ps: PState, rels) -> PState:
     while changed:
         changed = False
         for rel in rels:
-            if not (1 <= rel.if_at_level <= current.n_levels
-                    and 1 <= rel.then_at_level <= current.n_levels):
-                raise LevelRangeError(f"compatibility relation {rel} out of level range")
             antecedents = current.level(rel.if_at_level).facts_for(rel.if_pattern.predicate)
             for fact in antecedents:
                 bindings = match(rel.if_pattern, fact)
                 if bindings is None:
                     continue
                 consequent = rel.then_pattern.substitute(bindings)
-                if not consequent.is_ground:
-                    raise ValueError(
-                        f"compatibility relation {rel} leaves variables unbound"
-                    )
                 if holds(current, rel.then_at_level, consequent):
                     continue
                 if consequent.negated() in current.level(rel.then_at_level):
@@ -451,10 +456,17 @@ class ReductionOperator:
 
     def __post_init__(self):
         if self.plot_mode not in (CHOOSE_ONE, DO_ALL):
-            raise ValueError(f"unknown plot mode {self.plot_mode!r}")
+            raise ValueError(f"operator {self.name!r}: unknown plot mode {self.plot_mode!r}")
         if not self.probability_rules or self.probability_rules[-1].conditions:
-            raise ValueError(f"operator {self.name}: probability table must end "
-                             "with an unconditioned default")
+            raise ValueError(f"operator {self.name!r}: probability table must end "
+                             "with a default")
+        # Only positive preconditions bind: a negative one matches by absence.
+        bound = _variables(p for p, _ in (*self.necessary, *self.satisfiable) if p.polarity)
+        unbound = _variables(p for e in self.plot for _, p, _ in e.edits) - bound
+        if unbound:
+            raise ValueError(f"operator {self.name!r}: edit variable(s) "
+                             f"{' '.join(sorted(unbound))} not bound by a positive "
+                             "necessary or satisfiable precondition")
 
     @property
     def is_leaf(self) -> bool:
@@ -482,6 +494,12 @@ class CausalRule:
     def __post_init__(self):
         if not self.effects:
             raise ValueError("causal rules need at least one effect")
+        bound = _variables([self.trigger, *(p for p, _ in self.conditions if p.polarity)])
+        unbound = _variables(p for _, p, _ in self.effects) - bound
+        if unbound:
+            raise ValueError(f"rule {self.name or self.trigger}: effect variable(s) "
+                             f"{' '.join(sorted(unbound))} not bound by the trigger or "
+                             "a positive condition")
 
 
 # --- plan trees -----------------------------------------------------------

@@ -329,8 +329,10 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
     applied. Asserts produce positive change literals, retracts negative ones;
     a rule fires when its trigger matches a change and its condition holds
     (conditions without an explicit level are read at the change's level).
-    Effects are changes themselves and may trigger later strata. The rule set
-    is assumed stratified, so this terminates; a hard cap guards against
+    The trigger and the positive conditions bind every effect variable
+    (:class:`CausalRule` checks this), so effects are ground. Effects are
+    changes themselves and may trigger later strata. The rule set is
+    assumed stratified, so this terminates; a hard cap guards against
     unvetted rule sets.
     """
     state = ps
@@ -355,10 +357,6 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
                 continue
             for op, prop, effect_level in rule.effects:
                 ground = prop.substitute(bound)
-                if not ground.is_ground:
-                    raise UplanError(
-                        f"causal rule effect {prop} has unbound variables"
-                    )
                 if op == "assert" and holds(state, effect_level, ground):
                     continue
                 if op == "retract" and ground not in state.level(effect_level):
@@ -670,15 +668,8 @@ class Search:
     def _apply_leaf(self, node: PlanNode, state: PState) -> bool:
         """Apply a leaf's edits, deduce side effects and re-enforce
         compatibility; the leaf completes if its postconditions then hold."""
-        edits = []
-        for entry in node.operator.plot:
-            for op, prop, level in entry.edits:
-                ground = prop.substitute(node.bindings)
-                if not ground.is_ground:
-                    raise UplanError(
-                        f"{node.name}: edit {prop} has unbound variables"
-                    )
-                edits.append((op, ground, level))
+        edits = [(op, prop.substitute(node.bindings), level)
+                 for entry in node.operator.plot for op, prop, level in entry.edits]
         after = apply_edits(state, edits)
         after, _ = deduce_effects(after, self.spec.causal_rules, edits)
         try:

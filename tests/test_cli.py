@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from uplan.cli import main
+from uplan.errors import UplanError
 from uplan.serialize import loads_superplan
 
 from conftest import fixture_text
@@ -442,3 +443,59 @@ def test_plan_totally_conflicting_evidence_exits_one(fixture_paths, capsys):
     assert main(["plan", domain, evidence]) == 1
     assert capsys.readouterr().err == ("error: total conflict (K=1.0) combining evidence "
                                        "over frame 'aggressor_type'\n")
+
+
+_DOMAIN = """levels 1
+goal Do 100.0
+operator Do
+  level 1
+  necessary (at ?x)@1
+  plot do-all
+    assert (done ?x)@1
+  probability
+    default 1.0
+"""
+_EVIDENCE = "frame f {only}\n  only -> (at home)@1\nmass f {only}=1.0\n"
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("goal Do 100.0\n", "goal Do 100.0\ncompat (at ?x)@1 => (near ?y)@1\n",
+     "d.domain:3:8: compatibility relation (at ?x)@1 => (near ?y)@1: consequent "
+     "variable(s) ?y not bound by the antecedent"),
+    ("goal Do 100.0\n", "goal Do 100.0\nrule moved when (done ?x) then assert (seen ?y)@1\n",
+     "d.domain:3:6: rule moved: effect variable(s) ?y not bound by the trigger or "
+     "a positive condition"),
+    ("assert (done ?x)@1", "assert (done ?y)@1",
+     "d.domain:3:10: operator 'Do': edit variable(s) ?y not bound by a positive "
+     "necessary or satisfiable precondition"),
+    ("(at home)@1", "(at ?where)@1",
+     "e.evidence:1:7: frame 'f' maps element 'only' to non-ground proposition "
+     "(at ?where)"),
+])
+def test_unbound_variables_are_parse_errors(tmp_path, capsys, old, new, where):
+    domain, evidence = tmp_path / "d.domain", tmp_path / "e.evidence"
+    domain.write_text(_DOMAIN)
+    evidence.write_text(_EVIDENCE)
+    assert main(["plan", str(domain), str(evidence)]) == 0
+    capsys.readouterr()
+    changed = evidence if where.startswith("e.evidence") else domain
+    assert changed.read_text().count(old) == 1
+    changed.write_text(changed.read_text().replace(old, new))
+    runs = [["plan", str(domain), str(evidence)]]
+    if changed is domain:
+        runs.append(["validate", str(domain)])
+    for argv in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == f"{tmp_path}/{where}"
+        assert "Traceback" not in err
+
+
+def test_plan_reports_any_library_error_without_a_traceback(fixture_paths, capsys,
+                                                            monkeypatch):
+    def fail(*args, **kwargs):
+        raise UplanError("something the CLI does not name")
+
+    monkeypatch.setattr("uplan.cli.plan_superplan", fail)
+    assert main(["plan", *fixture_paths]) == 1
+    assert capsys.readouterr().err == "error: something the CLI does not name\n"

@@ -248,15 +248,24 @@ def reference_unstratified_rule(rules):
 @st.composite
 def rule_sets(draw):
     """Up to 12 named rules over a small vocabulary, so that triggers and
-    effects unify often, through variables, constants and both polarities."""
-    atom = st.builds("({}{})".format, st.sampled_from("pq"),
-                     st.sampled_from(["", " a", " ?x", " a ?x", " ?x ?x"]))
-    literal = st.builds(lambda text, negate: f"(not {text})" if negate else text,
-                        atom, st.booleans())
+    effects unify often, through variables, constants and both polarities.
+    An effect uses ``?x`` only when its trigger binds it."""
+    ground_args = ["", " a"]
+    variable_args = [" ?x", " a ?x", " ?x ?x"]
+
+    def atom(args):
+        return st.builds("({}{})".format, st.sampled_from("pq"), st.sampled_from(args))
+
+    def literal(args):
+        return st.builds(lambda text, negate: f"(not {text})" if negate else text,
+                         atom(args), st.booleans())
     rules = []
     for i in range(draw(st.integers(0, 12))):
-        trigger = draw(st.sampled_from(["", "retract "])) + draw(atom)
-        effects = " ".join(f"{draw(st.sampled_from(['assert', 'retract']))} {draw(literal)}@1"
+        trigger = draw(atom(ground_args + variable_args))
+        effect_args = ground_args + (variable_args if "?x" in trigger else [])
+        trigger = draw(st.sampled_from(["", "retract "])) + trigger
+        effects = " ".join(f"{draw(st.sampled_from(['assert', 'retract']))} "
+                           f"{draw(literal(effect_args))}@1"
                            for _ in range(draw(st.integers(1, 2))))
         rules.append(f"rule r{i} when {trigger} then {effects}\n")
     return rules

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplan.dsl import parse_evidence
 from uplan.errors import (
     CombinationError,
     CompatibilityViolation,
@@ -253,7 +254,6 @@ def reference_generate_pstates(ev, compat, n_levels):
 # relations chain and clash.
 PREDICATES = ("p", "q", "r")
 CONSTANTS = ("a", "b")
-NONGROUND = Proposition("bad", ("?x",))
 
 
 @st.composite
@@ -267,15 +267,13 @@ def facts(draw):
 def relations(draw, n_levels):
     """Compat relations whose antecedent binds ``?v`` or names a constant.
     A consequent may be negative, which only a violation can follow from;
-    rarely, it leaves ``?w`` unbound or names a level past ``n_levels``."""
+    rarely, it names a level past ``n_levels``."""
     def level():
         return draw(st.integers(1, n_levels + (draw(st.integers(0, 9)) == 0)))
 
     if_args = (draw(st.sampled_from(("?v", "?v") + CONSTANTS)),)
     bound = CONSTANTS + (("?v", "?v") if if_args == ("?v",) else ())
     then_args = (draw(st.sampled_from(bound)),)
-    if draw(st.integers(0, 19)) == 0:
-        then_args = ("?w",)
     return CompatibilityRelation(
         level(), Proposition(draw(st.sampled_from(PREDICATES)), if_args),
         level(), Proposition(draw(st.sampled_from(PREDICATES)), then_args,
@@ -286,18 +284,14 @@ def relations(draw, n_levels):
 def evidence_cases(draw):
     """(evidence set, compat relations, level count): up to 4 frames of up
     to 3 elements, elements with no facts or with facts another frame also
-    maps, up to 2 mass lines a frame, which may conflict, and, rarely, a
-    non-ground fact."""
+    maps, and up to 2 mass lines a frame, which may conflict."""
     n_levels = draw(st.integers(1, 3))
-    nonground = draw(st.integers(0, 7)) == 0
     frames = []
     for f in range(draw(st.integers(1, 4))):
         elements = tuple(f"e{f}{j}" for j in range(draw(st.integers(1, 3))))
         mapping = []
         for element in elements:
             pairs = draw(st.lists(st.tuples(facts(), st.integers(1, n_levels)), max_size=3))
-            if nonground and draw(st.integers(0, 3)) == 0:
-                pairs.append((NONGROUND, draw(st.integers(1, n_levels))))
             if pairs or draw(st.booleans()):
                 mapping.append((element, tuple(pairs)))
         frames.append(Frame(f"f{f}", elements, tuple(mapping)))
@@ -320,6 +314,11 @@ def _generated(generate, ev, compat, n_levels):
 @settings(max_examples=400, deadline=None)
 @given(evidence_cases())
 def test_generate_matches_reference(case):
+    _, compat, n_levels = case
+    if any(max(rel.if_at_level, rel.then_at_level) > n_levels for rel in compat):
+        with pytest.raises(LevelRangeError, match="compatibility relation"):
+            generate_pstates(*case)
+        return
     assert _generated(generate_pstates, *case) == _generated(reference_generate_pstates, *case)
 
 
@@ -362,31 +361,32 @@ def _frame(name, **mapping):
         for element, pairs in mapping.items()))
 
 
-UNBOUND = CompatibilityRelation(1, prop("(p ?v)"), 1, prop("(q ?w)"))
+def test_frame_mappings_are_ground():
+    with pytest.raises(ValueError, match=r"frame 'b' maps element 'u' to non-ground "
+                                         r"proposition \(bad \?x\)"):
+        _frame("b", u=[("(p a)", 1), ("(bad ?x)", 2)])
 
 
-@pytest.mark.parametrize("frames, compat, error", [
-    # The first world fails twice: its levels are built before enforcement.
-    ((_frame("a", x=[("(p a)", 1)]), _frame("b", u=[("(bad ?x)", 2)])), [UNBOUND],
-     "non-ground proposition (bad ?x)"),
-    # Enforcement fails at the first world, a level at the second.
-    ((_frame("a", x=[("(p a)", 1)]), _frame("b", u=[], v=[("(bad ?x)", 1)])), [UNBOUND],
-     "compatibility relation"),
-    # Level 1 fails at the second and fourth worlds, enforcement at the third.
-    ((_frame("a", x=[], y=[("(p a)", 1)]), _frame("b", u=[], v=[("(worse ?y)", 1)])),
-     [UNBOUND], "non-ground proposition (worse ?y)"),
-    # Level 2 fails at the first world, level 1 only at the second.
-    ((_frame("a", x=[("(bad ?x)", 2)]), _frame("b", u=[], v=[("(worse ?y)", 1)])), [],
-     "non-ground proposition (bad ?x)"),
-    # Both levels fail at the first world: the lower one is built first.
-    ((_frame("a", x=[("(bad ?x)", 2)]), _frame("b", u=[("(worse ?y)", 1)])), [],
-     "non-ground proposition (worse ?y)"),
-])
-def test_generate_raises_the_first_failure_of_a_world_by_world_loop(frames, compat, error):
-    ev = EvidenceSet(frames)
-    got = _generated(generate_pstates, ev, compat, 2)
-    assert got == _generated(reference_generate_pstates, ev, compat, 2)
-    assert got[0] is ValueError and got[1].startswith(error)
+def test_frame_mapping_lines_add_together():
+    text = "frame f {a b}\n  a -> (x)@1\n  a -> (y)@9\n"
+    with pytest.raises(LevelRangeError, match="maps element 'a' to level 9"):
+        generate_pstates(parse_evidence(text), [], 2)
+    worlds = generate_pstates(parse_evidence(text.replace("@9", "@2")), [], 2)
+    assert [(w.id, w.facts(1), w.facts(2)) for w in worlds] == [
+        ("a", [prop("(x)")], [prop("(y)")]), ("b", [], [])]
+
+
+def test_generate_checks_relation_levels_before_building_any_world():
+    """Every world violates the first relation, yet the second one's level
+    is what fails, before any world is built."""
+    ev = EvidenceSet((_frame("a", x=[("(p a)", 1), ("not (q a)", 1)], y=[("(p b)", 1)]),
+                      _frame("b", u=[("not (q b)", 1)])))
+    violated = CompatibilityRelation(1, prop("(p ?v)"), 1, prop("(q ?v)"))
+    with pytest.raises(NoPossibleWorldError):
+        generate_pstates(ev, [violated], 2)
+    with pytest.raises(LevelRangeError, match=r"\(r\)@3 uses a level outside 1\.\.2"):
+        generate_pstates(ev, [violated, CompatibilityRelation(1, prop("(p ?v)"), 3,
+                                                              prop("(r)"))], 2)
 
 
 def test_generate_rejects_a_level_outside_the_domain():

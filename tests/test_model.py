@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from uplan.errors import CompatibilityViolation, LevelRangeError
 from uplan.model import (
     AbstractionLevel,
+    CausalRule,
     CompatibilityRelation,
     EvidentialInterval,
     Proposition,
+    ReductionOperator,
     apply_edits,
     enforce_compatibility,
     holds,
@@ -16,6 +18,7 @@ from uplan.model import (
     make_pstate,
     match,
     patterns_unify,
+    state_edit,
 )
 from uplan.planner import match_conjunction
 
@@ -205,6 +208,34 @@ def test_proposition_requires_predicate():
 def test_pstate_rejects_unground():
     with pytest.raises(ValueError):
         make_pstate("w", 1, contents={1: [Proposition("p", ("?x",))]})
+
+
+def test_compat_consequent_variables_are_bound_by_the_antecedent():
+    CompatibilityRelation(1, prop("(p ?v)"), 2, prop("not (q a ?v)"))
+    with pytest.raises(ValueError, match=r"consequent variable\(s\) \?w not bound"):
+        CompatibilityRelation(1, prop("(p ?v)"), 1, prop("(q ?v ?w)"))
+
+
+def test_rule_effect_variables_are_bound_by_the_trigger_or_a_positive_condition():
+    def rule(effect):
+        return CausalRule(prop("(p ?x)"), ((prop("(q ?y)"), None), (prop("not (r ?z)"), 1)),
+                          (("assert", prop(effect), 1),), "r1")
+
+    rule("(s ?x ?y)")
+    with pytest.raises(ValueError, match=r"rule r1: effect variable\(s\) \?z not bound"):
+        rule("(s ?x ?z)")
+
+
+def test_operator_edit_variables_are_bound_by_a_positive_precondition():
+    def leaf(edit):
+        return ReductionOperator("Do", 1, necessary=((prop("(p ?x)"), 1),),
+                                 satisfiable=((prop("(q ?y)"), 1), (prop("not (r ?z)"), 1)),
+                                 plot=(state_edit(("retract", prop(edit), 1)),),
+                                 postconditions=((prop("(s ?w)"), 1),))
+
+    leaf("(s ?x ?y)")
+    with pytest.raises(ValueError, match=r"operator 'Do': edit variable\(s\) \?w \?z"):
+        leaf("(s ?z ?w)")
 
 
 def test_level_rejects_attribute_writes():
