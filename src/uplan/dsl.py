@@ -9,8 +9,10 @@ on a word that starts with ``+``, ``-``, ``.`` or a decimal digit (any
 any case: every spelling ``float()`` accepts is one of these, so other words
 are identifiers without a raised ``ValueError``. Tokens keep their offset;
 line and column are worked out only for errors. The parser recovers from
-errors and reports everything it finds; it must survive arbitrary byte soup,
-so every failure path records a diagnostic instead of raising.
+errors and reports everything it finds, each mistake once: a rejected
+operator or frame keeps its name declared, so references to it add no error.
+It must survive arbitrary byte soup, so every failure path records a
+diagnostic instead of raising.
 ``docs/grammar.md`` carries the full grammar.
 """
 
@@ -193,6 +195,9 @@ class _Parser:
         self.text = text
         self.filename = filename
         self.errors: list = []
+        # Names of statements reported and dropped: a later reference to one
+        # is not reported again.
+        self.rejected: set = set()
         self.tokens = _tokenize(text, filename, self.errors)
         # A second eof, so that ``peek(1)`` at the end needs no bounds check.
         self.tokens.append(self.tokens[-1])
@@ -391,19 +396,19 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     if goal is None:
         p.error("missing goal declaration", p.peek())
     for parent, ref, tok in subgoal_refs:
-        if ref not in names:
+        if ref not in names and ref not in p.rejected:
             p.error(f"plot of {parent!r} references undeclared operator {ref!r}", tok)
     for parent, ref, tok in recover_refs:
-        if ref not in names:
+        if ref not in names and ref not in p.rejected:
             p.error(f"planfail of {parent!r} names undeclared operator {ref!r}", tok)
     if goal is not None:
-        if goal[0] not in names:
-            p.error(f"goal names undeclared operator {goal[0]!r}", goal[1])
-        else:
+        if goal[0] in names:
             goal_op = next(op for op in operators if op.name == goal[0])
             if goal_op.abstraction_level != 1:
                 p.error(f"goal operator {goal[0]!r} must be at abstraction level 1",
                         goal[1])
+        elif goal[0] not in p.rejected:
+            p.error(f"goal names undeclared operator {goal[0]!r}", goal[1])
 
     def check_levels(owner: str, levels):
         for level in levels:
@@ -594,6 +599,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
 
     if level is None:
         p.error(f"operator {name!r} is missing its abstraction level", name_tok)
+        p.rejected.add(name)
         return None
     if not (prob_rules or prob_block_seen):
         prob_rules = [((), 1.0)]
@@ -617,6 +623,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         )
     except ValueError as exc:
         p.error(str(exc), name_tok)
+        p.rejected.add(name)
         return None
 
 
@@ -677,7 +684,8 @@ def parse_evidence(text: str, filename: str = "<evidence>") -> EvidenceSet:
     for frame_name, assignments, tok in masses:
         frame = by_name.get(frame_name)
         if frame is None:
-            p.error(f"mass references undeclared frame {frame_name!r}", tok)
+            if frame_name not in p.rejected:
+                p.error(f"mass references undeclared frame {frame_name!r}", tok)
             continue
         total = sum(v for _, v in assignments)
         if abs(total - 1.0) > 1e-6 or total <= 0:
@@ -712,6 +720,7 @@ def _parse_frame(p: _Parser) -> Frame | None:
     else:
         p.error("expected '{' opening frame elements")
         p.skip_to(EVIDENCE_KEYWORDS)
+        p.rejected.add(name)
         return None
     elements = []
     while p.peek().kind in ("ident", "number"):
@@ -737,6 +746,7 @@ def _parse_frame(p: _Parser) -> Frame | None:
         return Frame(name, tuple(elements), tuple(mappings))
     except ValueError as exc:
         p.error(str(exc), tok)
+        p.rejected.add(name)
         return None
 
 

@@ -1,11 +1,11 @@
 """Core domain types: propositions, layered world states, operators, plan trees.
 
-World states (:class:`PState`) are immutable; editing returns a new value so
-plan nodes can keep snapshots of the state they were planned against. Plan
-trees (:class:`PlanNode`) are the one mutable structure here: a tree is owned
-by a single search and never shared between concurrent searches. A tree links
-parent to child only, and the search holds the root-to-node path it needs, so
-a tree holds no reference cycle and is freed as soon as it is dropped.
+World states (:class:`PState`) are immutable; editing returns a new value.
+Plan trees (:class:`PlanNode`) are the one mutable structure here: a tree is
+owned by a single search and holds its operator choices and values only, not
+the states the search threaded through it. A tree links parent to child only,
+and the search holds the root-to-node path it needs, so a tree holds no
+reference cycle and is freed as soon as it is dropped.
 
 Each level of a P-state (:class:`AbstractionLevel`) is indexed by predicate:
 a dict maps every predicate to a sorted tuple of that predicate's facts, both
@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CompatibilityViolation, LevelRangeError
 
@@ -516,15 +517,11 @@ STATUS_FAILED = "failed"
 STATUS_REDUNDANT = "redundant"
 
 
-@dataclass
-class Values:
-    """A {fulfilment, probability} pair attached to a plan node."""
+class Values(NamedTuple):
+    """An immutable {fulfilment, probability} pair attached to a plan node."""
 
     fulfilment: float
     probability: float
-
-    def copy(self) -> "Values":
-        return Values(self.fulfilment, self.probability)
 
     @property
     def ef(self) -> float:
@@ -535,11 +532,11 @@ class Values:
 class PlanNode:
     """One node of the strategy hierarchy.
 
-    ``base`` holds the values assigned at instantiation (plot fulfilment and
-    the probability read from the P-state); ``current`` is revised by the
-    update rules as the subtree grows. ``ef`` always equals
-    current.fulfilment * current.probability after an update pass.
-    Nodes compare by identity: a tree belongs to exactly one search.
+    ``base_fulfilment`` is the plot fulfilment assigned at instantiation;
+    ``current`` is revised by the update rules as the subtree grows. ``ef``
+    always equals current.fulfilment * current.probability after an update
+    pass. Nodes compare by identity: a tree belongs to exactly one search,
+    which also keeps the P-states threaded through it.
     A node owns its ``children`` and holds no link to its parent; a child's
     ``plot_index`` is its position in its parent's ``children``.
     ``deepest_level`` is the deepest operator abstraction level in the
@@ -551,13 +548,10 @@ class PlanNode:
 
     operator: ReductionOperator
     bindings: dict = field(default_factory=dict)
-    base: Values = field(default_factory=lambda: Values(0.0, 1.0))
-    current: Values = field(default_factory=lambda: Values(0.0, 1.0))
+    base_fulfilment: float = 0.0
+    current: Values = Values(0.0, 1.0)
     children: list = field(default_factory=list)
     expansion: str = EXPANSION_UNEXPANDED
-    pstate_before: PState | None = None
-    pstate_after: PState | None = None
-    pstate_after_helpers: PState | None = None
     helpers: list = field(default_factory=list)
     status: str = STATUS_NEW
     selected_index: int | None = None

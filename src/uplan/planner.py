@@ -203,7 +203,7 @@ def update_or_node(parent: PlanNode) -> PlanNode:
     for child in applicable[1:]:
         if child.ef > best.ef:
             best = child
-    parent.current = best.current.copy()
+    parent.current = best.current
     parent.select(best)
     return parent
 
@@ -236,7 +236,7 @@ def _refresh_node(node: PlanNode, changed: PlanNode | None = None):
     elif node.expansion == EXPANSION_OR:
         selected = node.selected_child
         if selected is not None and selected.status != STATUS_FAILED:
-            node.current = selected.current.copy()
+            node.current = selected.current
 
 
 def propagate_updates(path: list, trace: PlanTrace | None = None) -> list:
@@ -305,7 +305,7 @@ def review_decisions(path: list, policy: ReviewPolicy,
                 if best is not None:
                     before = _triple(current)
                     current.select(best)
-                    current.current = best.current.copy()
+                    current.current = best.current
                     if trace is not None:
                         trace.record(
                             "review-switch", current, before=before,
@@ -392,6 +392,9 @@ class Search:
 
     Plan trees link parent to child only: each step that needs a node's
     ancestors takes the root-to-node ``path`` the search descended along.
+    The search owns the states it threads, keyed by node identity: after a
+    node's helpers in ``states_after_helpers``, after the completed node in
+    ``states_after``. A finished plan's tree holds no state.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -409,6 +412,8 @@ class Search:
         self.executed_steps = 0
         self._next_id = 0
         self.root: PlanNode | None = None
+        self.states_after_helpers: dict = {}
+        self.states_after: dict = {}
         self._halt = None        # (path, reason) of the planfail the search halted at
         self._unfinished = None  # the path to the node whose expansion that halt interrupted
 
@@ -416,14 +421,8 @@ class Search:
 
     def _instantiate(self, op: ReductionOperator, fulfilment: float,
                      state: PState) -> PlanNode:
-        probability = operator_probability(op, state)
-        node = PlanNode(
-            operator=op,
-            base=Values(fulfilment, probability),
-            current=Values(fulfilment, probability),
-            pstate_before=state,
-            node_id=self._next_id,
-        )
+        node = PlanNode(op, base_fulfilment=fulfilment, node_id=self._next_id,
+                        current=Values(fulfilment, operator_probability(op, state)))
         self._next_id += 1
         return node
 
@@ -463,7 +462,7 @@ class Search:
             if path is None:
                 break
             self._expand(path)
-        steps = tuple(self._collect_steps(self.root))
+        steps = self._collect_steps(self.root)
         return Plan(root=self.root, worlds={self.initial.id}, execution_sequence=steps)
 
     def _next_point(self) -> list | None:
@@ -515,15 +514,13 @@ class Search:
         node = path[-1]
         self._count_expansion()
         state = self._thread_state(path)
-        node.pstate_before = state
 
         if node.donor is not None and self._redundant(node, state):
             return
 
         before = _triple(node)
-        probability = operator_probability(node.operator, state)
-        if probability != node.current.probability:
-            node.current.probability = probability
+        node.current = Values(node.current.fulfilment,
+                              operator_probability(node.operator, state))
         if self.trace is not None:
             self.trace.record("expand", node, before=before, after=_triple(node))
 
@@ -531,7 +528,7 @@ class Search:
         if reason is not None:
             self._planfail(path, reason)
             return
-        state = node.pstate_after_helpers
+        state = self.states_after_helpers[node]
 
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
             self._fail_expansion(path, "choose-one plot is empty")
@@ -565,7 +562,7 @@ class Search:
         if not post or match_conjunction(state, post) is None:
             return False
         node.status = STATUS_REDUNDANT
-        node.pstate_after = state
+        self.states_after[node] = state
         if self.trace is not None:
             self.trace.record("expand", node, before=_triple(node),
                               after=_triple(node), detail="redundant")
@@ -576,15 +573,15 @@ class Search:
             return self.initial
         parent, index = path[-2], path[-1].plot_index
         if parent.expansion == EXPANSION_AND and index > 0:
-            return parent.children[index - 1].pstate_after
-        return parent.pstate_after_helpers or parent.pstate_before
+            return self.states_after[parent.children[index - 1]]
+        return self.states_after_helpers[parent]
 
     def _preconditions(self, node: PlanNode, state: PState, depth: int) -> str | None:
         """Bind ``node``'s preconditions in ``state``, planning a helper for
         each satisfiable one that does not hold.
 
         On success sets the node's bindings, its helpers and the state they
-        leave (``pstate_after_helpers``) and returns None; otherwise returns
+        leave (in ``states_after_helpers``) and returns None; otherwise returns
         why the operator does not apply. Only the main tree, whose nodes get
         the full ``depth``, records ``satisfy-precondition`` events.
         """
@@ -607,7 +604,7 @@ class Search:
             bindings = extended
         node.bindings = bindings
         node.helpers = helpers
-        node.pstate_after_helpers = state
+        self.states_after_helpers[node] = state
         return None
 
     def _satisfy(self, node: PlanNode, pattern: Proposition, level: int,
@@ -617,7 +614,7 @@ class Search:
         if depth <= 0:
             return None
         target = pattern.substitute(bindings)
-        fulfilment = node.base.fulfilment
+        fulfilment = node.base_fulfilment
         achievers = self.spec.achievers(target, level, node.operator.abstraction_level)
         for op in sorted(achievers, key=lambda op: (
                 -expected_fulfilment(fulfilment, operator_probability(op, state)), op.name)):
@@ -636,12 +633,12 @@ class Search:
         self._count_expansion()
         if self._preconditions(helper, state, depth) is not None:
             return None
-        state = helper.pstate_after_helpers
+        state = self.states_after_helpers[helper]
         op = helper.operator
         if op.plot_mode == CHOOSE_ONE and not op.plot:
             return None
         if op.is_leaf:
-            return helper.pstate_after if self._apply_leaf(helper, state) else None
+            return self.states_after[helper] if self._apply_leaf(helper, state) else None
         if depth <= 0:
             return None
         if op.plot_mode == CHOOSE_ONE:
@@ -728,14 +725,14 @@ class Search:
         """Mark ``node`` complete, leaving ``state``, if its postconditions hold there."""
         if match_conjunction(state, node.operator.postconditions, node.bindings) is None:
             return False
-        node.pstate_after = state
+        self.states_after[node] = state
         node.status = STATUS_COMPLETE
         return True
 
     def _finalize(self, path: list):
         node = path[-1]
         last = node.children[-1] if node.expansion == EXPANSION_AND else node.selected_child
-        if not self._complete(node, last.pstate_after):
+        if not self._complete(node, self.states_after[last]):
             self._planfail(path, "postconditions do not hold after reduction")
 
     def _reselect(self, path: list):
@@ -792,8 +789,8 @@ class Search:
         once, in the tree and in ``path``, which stays the tree path."""
         node = path[-1]
         recovery_op = self.spec.operator(recovery_name)
-        state = node.pstate_before or self.initial
-        replacement = self._instantiate(recovery_op, node.base.fulfilment, state)
+        replacement = self._instantiate(recovery_op, node.base_fulfilment,
+                                        self._thread_state(path))
         replacement.recovery_attempted = True
         replacement.plot_index = node.plot_index
         replacement.donor = node.donor
@@ -814,19 +811,27 @@ class Search:
 
     # -- plan extraction --
 
-    def _collect_steps(self, node: PlanNode):
-        for helper in node.helpers:
-            yield from self._collect_steps(helper)
-        if node.status == STATUS_REDUNDANT:
-            return
-        if node.expansion == EXPANSION_LEAF:
-            yield GroundStep(node.operator.name,
-                             tuple(sorted(node.bindings.items())))
-        elif node.expansion == EXPANSION_AND:
-            for child in node.children:
-                yield from self._collect_steps(child)
-        elif node.expansion == EXPANSION_OR:
-            yield from self._collect_steps(node.selected_child)
+    @staticmethod
+    def _collect_steps(root: PlanNode) -> tuple:
+        """The steps under ``root`` in execution order: a node's helpers, then
+        its own step (a leaf), children (an AND) or selection (an OR). The
+        walk keeps its own stack, so no plan is too deep to extract."""
+        steps, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, GroundStep):
+                steps.append(node)
+                continue
+            if node.status != STATUS_REDUNDANT:  # pushed first: popped after the helpers
+                if node.expansion == EXPANSION_LEAF:
+                    stack.append(GroundStep(node.operator.name,
+                                            tuple(sorted(node.bindings.items()))))
+                elif node.expansion == EXPANSION_AND:
+                    stack.extend(reversed(node.children))
+                elif node.expansion == EXPANSION_OR:
+                    stack.append(node.selected_child)
+            stack.extend(reversed(node.helpers))
+        return tuple(steps)
 
 
 class ReplayHalt(UplanError):

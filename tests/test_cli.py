@@ -418,9 +418,8 @@ def test_domain_levels_outside_the_domain_are_parse_errors(fixture_paths, capsys
     Path(domain).write_text(text.replace(old, new))
     for argv in (["validate", domain], ["plan", domain, evidence]):
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"{message}, outside 1..3" in err
-        assert "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{message}, outside 1..3")
 
 
 @pytest.mark.parametrize("level", [0, 9])
@@ -486,9 +485,8 @@ def test_unbound_variables_are_parse_errors(tmp_path, capsys, old, new, where):
         runs.append(["validate", str(domain)])
     for argv in runs:
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines()[0] == f"{tmp_path}/{where}"
-        assert "Traceback" not in err
+        # One line: later references to the rejected statement's name add none.
+        assert capsys.readouterr().err.splitlines() == [f"{tmp_path}/{where}"]
 
 
 def test_plan_reports_any_library_error_without_a_traceback(fixture_paths, capsys,

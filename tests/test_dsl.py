@@ -126,6 +126,22 @@ operator A
     assert any("abstraction level 1" in e.message for e in errors_of(text))
 
 
+@pytest.mark.parametrize("text, parser, message", [
+    # Rejected by its constructor, referenced by a plot and a recovery.
+    ("levels 1\ngoal A 1.0\noperator A\n  level 1\n  plot do-all\n    B 1.0\n"
+     "  planfail recover B\noperator B\n  level 1\n  probability\n    when (x) => 0.5\n",
+     parse_domain, "operator 'B': probability table must end with a default"),
+    # Missing its level, referenced by the goal.
+    ("levels 1\ngoal A 1.0\noperator A\n  probability\n    default 1.0\n",
+     parse_domain, "operator 'A' is missing its abstraction level"),
+    ("frame t {a a}\nmass t {a}=1.0\n", parse_evidence, "frame 't' repeats an element"),
+    ("frame t a b\nmass t {a}=1.0\n", parse_evidence, "expected '{' opening frame elements"),
+], ids=["operator", "operator-without-level", "frame", "frame-without-brace"])
+def test_a_rejected_statement_is_reported_once(text, parser, message):
+    # The statement's name stays declared, so references to it add no error.
+    assert [e.message for e in errors_of(text, parser)] == [message]
+
+
 def test_error_recovery_reports_multiple_errors():
     text = """
 levels 0

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from uplan.model import (
 from uplan.planner import (
     PlanTrace,
     ReviewPolicy,
+    Search,
     deduce_effects,
     expected_fulfilment,
     operator_probability,
@@ -65,7 +67,7 @@ DUMMY = op("dummy")
 def node(f, p, expansion="unexpanded", children=(), status="new"):
     for index, child in enumerate(children):
         child.plot_index = index
-    n = PlanNode(operator=DUMMY, base=Values(f, p), current=Values(f, p),
+    n = PlanNode(operator=DUMMY, base_fulfilment=f, current=Values(f, p),
                  children=list(children))
     n.expansion = expansion
     n.status = status
@@ -206,7 +208,7 @@ def tree_fig():
     or_root = node(0, 1, expansion="OR", children=[and_parent, sibling])
     or_root.select(and_parent)
     update_and_node(and_parent)
-    or_root.current = and_parent.current.copy()
+    or_root.current = and_parent.current
     return or_root, and_parent, leafs
 
 
@@ -417,12 +419,26 @@ def test_leaf_with_edits_changes_state():
     leaf = op("Do", level=1, plot=[state_edit(("assert", prop("(done)"), 1))],
               post=[(prop("(done)"), 1)])
     spec = spec_of("Do", [leaf], n_levels=1)
-    plan = plan_for_pstate(make_pstate("w", 1), spec)
-    assert plan.root.pstate_after.level(1).propositions == frozenset([prop("(done)")])
+    search = Search(make_pstate("w", 1), spec)
+    plan = search.run()
+    assert search.states_after[plan.root].level(1).propositions == \
+        frozenset([prop("(done)")])
     assert plan.root.children == []
 
 
 # --- whole searches ---------------------------------------------------------------
+
+def test_plan_extraction_below_the_recursion_limit():
+    # Extraction once recursed per tree level; each Ci does a Step, then C(i+1).
+    depth = sys.getrecursionlimit() + 100
+    chain = [op(f"C{i}", plot=[subgoal("Step", 1.0), subgoal(f"C{i + 1}", 1.0)])
+             for i in range(depth)]
+    chain += [op("Step", plot=[state_edit(("assert", prop("(step)"), 1))]),
+              op(f"C{depth}", plot=[state_edit(("assert", prop("(done)"), 1))],
+                 post=[(prop("(done)"), 1)])]
+    plan = plan_for_pstate(make_pstate("w", 1), spec_of("C0", chain, n_levels=1))
+    assert [s.operator for s in plan.execution_sequence] == ["Step"] * depth + [f"C{depth}"]
+
 
 def test_single_operator_domain_one_step_plan():
     only = op("Solo", level=1, plot=[state_edit(("assert", prop("(done)"), 1))])

@@ -34,7 +34,7 @@ from test_planner import op, spec_of
 
 def fake_plan(steps, worlds, root_ef=100.0):
     root = PlanNode(operator=op("fake"), current=Values(root_ef, 1.0),
-                    base=Values(root_ef, 1.0))
+                    base_fulfilment=root_ef)
     return Plan(root=root,
                 worlds=set(worlds),
                 execution_sequence=tuple(GroundStep(s) for s in steps))

@@ -5,6 +5,7 @@ in a plan, a clean failure, or budget exhaustion, deterministically."""
 import gc
 import itertools
 import random
+import types
 from collections import Counter
 from contextlib import contextmanager
 
@@ -16,6 +17,7 @@ from uplan.model import (
     DO_ALL,
     EXPANSION_OR,
     STATUS_FAILED,
+    AbstractionLevel,
     PlanNode,
     ProbabilityRule,
     PState,
@@ -214,7 +216,7 @@ def value_copy(root: PlanNode) -> PlanNode:
     copies = {}
     for node in reversed(list(root.walk())):
         copies[id(node)] = PlanNode(
-            operator=node.operator, current=node.current.copy(),
+            operator=node.operator, current=node.current,
             children=[copies[id(child)] for child in node.children],
             expansion=node.expansion, status=node.status,
             selected_index=node.selected_index)
@@ -357,3 +359,52 @@ def test_dropped_plan_trees_are_freed_without_the_cyclic_collector(
         assert (live(PlanNode), live(PState)) == before
     finally:
         gc.enable()
+
+
+def chain_mission(segments=6, per_segment=10):
+    """A do-all of segments of leaf steps whose two worlds part at a choice in
+    the last segment, as in the benchmark's long-chain workload."""
+    lines = ["levels 1", "goal Mission 1000.0", "operator Mission", "  level 1",
+             "  plot do-all", *(f"    Seg{k} 1000.0" for k in range(segments))]
+    for k in range(segments):
+        steps = [f"S{k}_{j}" for j in range(per_segment)]
+        if k == segments - 1:
+            steps[per_segment // 2] = "Pick"
+        lines += [f"operator Seg{k}", "  level 1", "  plot do-all",
+                  *(f"    {step} 1000.0" for step in steps)]
+        lines += [line for step in steps if step != "Pick" for line in (
+            f"operator {step}", "  level 1", "  plot do-all", f"    assert (done {step})@1")]
+    lines += ["operator Pick", "  level 1", "  plot choose-one", "    North 1000.0",
+              "    South 900.0"]
+    for alt, route in (("North", "n"), ("South", "s")):
+        lines += [f"operator {alt}", "  level 1", f"  necessary (route {route})@1",
+                  "  plot do-all", f"    assert (done {alt})@1"]
+    evidence = ("frame route {n s}\n  n -> (route n)@1\n  s -> (route s)@1\n"
+                "mass route {n}=0.6 {s}=0.4\n")
+    return parse_domain("\n".join(lines) + "\n"), parse_evidence(evidence)
+
+
+def reachable_types(*roots) -> set:
+    """The types of every object reachable from ``roots`` through
+    ``gc.get_referents``, not entering classes or modules."""
+    seen, kinds, stack = set(), set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        kinds.add(type(obj))
+        stack.extend(gc.get_referents(obj))
+    return kinds
+
+
+def test_a_plan_library_holds_no_state(air_combat_spec, air_combat_evidence):
+    # The search keeps the states it threads; a finished plan is structure
+    # and values only.
+    spec, evidence = chain_mission()
+    for spec, evidence in ((air_combat_spec, air_combat_evidence), (spec, evidence)):
+        superplan, library = plan_superplan(spec, evidence)
+        assert len(library) > 1 and superplan.branch_points()
+        kinds = reachable_types(superplan, library)
+        assert PlanNode in kinds
+        assert PState not in kinds and AbstractionLevel not in kinds
