@@ -401,8 +401,7 @@ def reachable_types(*roots) -> set:
 def test_a_plan_library_holds_no_state(air_combat_spec, air_combat_evidence):
     # The search keeps the states it threads; a finished plan is structure
     # and values only.
-    spec, evidence = chain_mission()
-    for spec, evidence in ((air_combat_spec, air_combat_evidence), (spec, evidence)):
+    for spec, evidence in ((air_combat_spec, air_combat_evidence), chain_mission()):
         superplan, library = plan_superplan(spec, evidence)
         assert len(library) > 1 and superplan.branch_points()
         kinds = reachable_types(superplan, library)
