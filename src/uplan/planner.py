@@ -390,6 +390,13 @@ class Search:
     :meth:`resume` then goes on from there exactly as a search without
     ``halt_on_failure`` would have.
 
+    A node whose expansion fails follows its operator's planfail
+    directive. A recovery is tried once per node, and never to an operator
+    that is already a recovery replacement on the node's own root path: such
+    a planfail backtracks instead, so a recovery operator that reduces back
+    to the failing one ends the chain rather than deepening the tree until
+    the budget runs out.
+
     Plan trees link parent to child only: each step that needs a node's
     ancestors takes the root-to-node ``path`` the search descended along.
     The search owns the states it threads, keyed by node identity: after a
@@ -762,11 +769,14 @@ class Search:
 
     def _apply_planfail(self, path: list, reason: str):
         """Carry out ``path[-1]``'s planfail directive: recover it once, or
-        fail it and backtrack to its OR ancestor or reject that whole branch."""
+        fail it and backtrack to its OR ancestor or reject that whole branch.
+        A recovery to an operator that already replaced a node on ``path``
+        backtracks instead."""
         node = path[-1]
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
-            if not node.recovery_attempted:
+            if not any(n.recovery_attempted and n.operator.name == directive
+                       for n in path) and not node.recovery_attempted:
                 self._recover(path, directive)
                 return
             directive = PLANFAIL_BACKTRACK

@@ -9,6 +9,8 @@ import types
 from collections import Counter
 from contextlib import contextmanager
 
+import pytest
+
 from uplan import plan_superplan
 from uplan.dsl import DomainSpec, parse_domain, parse_evidence
 from uplan.errors import BudgetExceededError, PlanFailure, UplanError
@@ -124,11 +126,26 @@ def reference_deepest_level(node):
     return deepest
 
 
+def recovery_operators_repeat(root) -> bool:
+    """Whether some root-to-node path holds two recovery replacements of
+    one operator."""
+    stack = [(root, frozenset())]
+    while stack:
+        node, seen = stack.pop()
+        if node.recovery_attempted:
+            if node.operator.name in seen:
+                return True
+            seen = seen | {node.operator.name}
+        stack.extend((child, seen) for child in node.children)
+    return False
+
+
 class CheckedSearch(Search):
     """A search that checks that each path it expands along is the tree
     path from the root to the node, before the expansion and, unless the
     node failed, after it, and compares every node's stored deepest level
-    with the walk after each expansion."""
+    with the walk after each expansion. It also checks that no path
+    recovers twice to one operator."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -149,6 +166,7 @@ class CheckedSearch(Search):
         for n in self.root.walk():
             assert n.deepest_level == reference_deepest_level(n), n.name
             self.checked += 1
+        assert not recovery_operators_repeat(self.root)
 
 
 def recovery_drops_deepest_subtree():
@@ -193,9 +211,77 @@ operator Shallow
     return spec, make_pstate("w", 2)
 
 
+def layered_domain(rng):
+    """Root@1 do-all over five plots at level 1 or 2, each over four or five
+    do-all steps at level 2, each over three or four leaves at level 3. A
+    leaf whose necessary precondition is missing recovers through the
+    level-1 Shallow, which cannot fail, so no recovery loops. Grows trees of
+    about a hundred nodes."""
+    def leaf(name):
+        needs = rng.random() < 0.3
+        return ReductionOperator(
+            name, 3, necessary=((rng.choice(PROPS), 3),) if needs else (),
+            plot=(state_edit((rng.choice(["assert", "retract"]), rng.choice(PROPS), 3)),),
+            probability_rules=(ProbabilityRule((), rng.uniform(0.1, 1.0)),),
+            planfail="Shallow" if needs else "backtrack")
+
+    def reduction(name, level, children, mode=DO_ALL):
+        return ReductionOperator(name, level, plot_mode=mode, plot=tuple(
+            subgoal(child.name, rng.uniform(10, 1000)) for child in children))
+
+    operators, mids = [ReductionOperator("Shallow", 1)], []
+    for i in range(5):
+        steps = []
+        for j in range(rng.randint(4, 5)):
+            leaves = [leaf(f"Leaf{i}_{j}_{k}") for k in range(rng.randint(3, 4))]
+            steps.append(reduction(f"Step{i}_{j}", 2, leaves))
+            operators += leaves
+        mids.append(reduction(f"Mid{i}", rng.randint(1, 2), steps,
+                              rng.choice([DO_ALL, DO_ALL, CHOOSE_ONE])))
+        operators += steps
+    operators += [reduction("Op0", 1, mids), *mids]
+    return DomainSpec(n_levels=3, operators=tuple(operators), goal="Op0",
+                      goal_fulfilment=1000.0, review=ReviewPolicy(0.1))
+
+
+def test_a_recovery_that_reduces_to_the_failing_operator_ends():
+    # Try recovers through Again, a do-all over Try: the first Try under
+    # Again may not recover to Again a second time, so it backtracks, and
+    # the search fails at once instead of nesting until the budget runs out.
+    spec = parse_domain("""
+levels 1
+goal Root 100.0
+operator Root
+  level 1
+  plot do-all
+    Try 100.0
+operator Try
+  level 1
+  necessary (ready)@1
+  plot do-all
+    assert (done)@1
+  planfail recover Again
+operator Again
+  level 1
+  plot do-all
+    Try 100.0
+    Try 100.0
+""")
+    trace = PlanTrace()
+    search = Search(make_pstate("w", 1), spec, budget=1000, trace=trace)
+    with pytest.raises(PlanFailure):
+        search.run()
+    assert [e.detail for e in trace if e.detail.startswith("recovery")] == ["recovery for Try"]
+    assert search.expansions == 4  # Root, Try, Again, Try
+    assert not recovery_operators_repeat(search.root)
+
+
 def test_stored_deepest_level_matches_subtree_walk():
     checked = recoveries = 0
-    for spec, ps in [*corpus(), recovery_drops_deepest_subtree(),
+    rng = random.Random(2026)
+    layered = [(layered_domain(rng), make_pstate("w", 3, contents={3: PROPS[:3]}))
+               for _ in range(4)]
+    for spec, ps in [*corpus(), *layered, recovery_drops_deepest_subtree(),
                      deepest_leaf_recovers_to_a_lower_level()]:
         search = CheckedSearch(ps, spec, budget=300)
         try:
