@@ -12,10 +12,14 @@ a dict maps every predicate to a sorted tuple of that predicate's facts, both
 polarities together. Facts are checked for groundness and sorted once, when a
 level is built. Matching and lookups touch one predicate's tuple only, and
 since propositions order by predicate first, that tuple lists its facts in the
-same order as the sorted level does. :func:`apply_edits` shares structure with
-the state it edits: untouched levels, and untouched tuples of an edited level,
-are the same objects in both states; only an edited predicate's tuple is
-copied.
+same order as the sorted level does. Within one tuple every fact has the same
+predicate, so the key ``(args, polarity)`` orders it as
+:class:`Proposition`'s own order does; lookups and edits bisect on that key,
+whose comparisons run in C, and find an asserted fact's complement by the key
+``(args, not polarity)`` without building it. :func:`apply_edits` shares
+structure with the state it edits: untouched levels, and untouched tuples of
+an edited level, are the same objects in both states; only an edited
+predicate's tuple is copied.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import CompatibilityViolation, LevelRangeError
@@ -155,8 +160,8 @@ class AbstractionLevel:
                 raise ValueError(f"non-ground proposition {p} in abstraction level")
             grouped.setdefault(p.predicate, []).append(p)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_buckets",
-                           {pred: tuple(sorted(facts)) for pred, facts in grouped.items()})
+        object.__setattr__(self, "_buckets", {pred: tuple(sorted(facts, key=_ORDER))
+                                              for pred, facts in grouped.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AbstractionLevel is immutable: cannot set {name!r}")
@@ -175,8 +180,9 @@ class AbstractionLevel:
 
     def __contains__(self, p: Proposition) -> bool:
         bucket = self._buckets.get(p.predicate, ())
-        i = bisect_left(bucket, p)
-        return i < len(bucket) and bucket[i] == p
+        key = (p.args, p.polarity)
+        i = bisect_left(bucket, key, key=_ORDER)
+        return i < len(bucket) and _ORDER(bucket[i]) == key
 
     def sorted_facts(self) -> list:
         """All facts in sorted order: the buckets joined in predicate order."""
@@ -190,9 +196,9 @@ class AbstractionLevel:
         """
         bucket = self._buckets.get(p.predicate, ())
         if op == "assert":
-            new = _without(_with(bucket, p), p.negated())
+            new = _without(_with(bucket, p), (p.args, not p.polarity))
         elif op == "retract":
-            new = _without(bucket, p)
+            new = _without(bucket, (p.args, p.polarity))
             if new is bucket:
                 log.debug("retract of absent %s at level %d ignored", p, self.index)
         else:
@@ -227,18 +233,25 @@ class AbstractionLevel:
         return f"AbstractionLevel({self.index}, {self.sorted_facts()!r})"
 
 
+# A fact's order within its predicate's bucket: Proposition's order, less
+# the predicate that every fact of the bucket shares.
+_ORDER = attrgetter("args", "polarity")
+
+
 def _with(bucket: tuple, p: Proposition) -> tuple:
     """``bucket`` with ``p`` inserted in order; the same tuple if present."""
-    i = bisect_left(bucket, p)
-    if i < len(bucket) and bucket[i] == p:
+    key = (p.args, p.polarity)
+    i = bisect_left(bucket, key, key=_ORDER)
+    if i < len(bucket) and _ORDER(bucket[i]) == key:
         return bucket
     return bucket[:i] + (p,) + bucket[i:]
 
 
-def _without(bucket: tuple, p: Proposition) -> tuple:
-    """``bucket`` with ``p`` removed; the same tuple if absent."""
-    i = bisect_left(bucket, p)
-    if i < len(bucket) and bucket[i] == p:
+def _without(bucket: tuple, key: tuple) -> tuple:
+    """``bucket`` without the fact whose ``(args, polarity)`` is ``key``;
+    the same tuple if absent."""
+    i = bisect_left(bucket, key, key=_ORDER)
+    if i < len(bucket) and _ORDER(bucket[i]) == key:
         return bucket[:i] + bucket[i + 1:]
     return bucket
 
@@ -277,6 +290,13 @@ class PState:
         for i, level in enumerate(self.levels, start=1):
             if level.index != i:
                 raise ValueError("P-state levels must be indexed 1..n in order")
+
+    @staticmethod
+    def _of(id: str, levels: tuple, interval: EvidentialInterval) -> "PState":
+        """A P-state over ``levels``, taken as built: indexed 1..n in order."""
+        ps = object.__new__(PState)
+        ps.__dict__.update(id=id, levels=levels, interval=interval)
+        return ps
 
     @property
     def n_levels(self) -> int:
@@ -332,7 +352,7 @@ def apply_edits(ps: PState, edits) -> PState:
         if not prop.is_ground:
             raise ValueError(f"edit proposition {prop} is not ground")
         levels[level_index - 1] = levels[level_index - 1]._edited(op, prop)
-    return PState(ps.id, tuple(levels), ps.interval)
+    return PState._of(ps.id, tuple(levels), ps.interval)
 
 
 @dataclass(frozen=True)
@@ -528,7 +548,7 @@ class Values(NamedTuple):
         return self.fulfilment * self.probability
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlanNode:
     """One node of the strategy hierarchy.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import BudgetExceededError, CompatibilityViolation, PlanFailure, UplanError
 from .model import (
@@ -222,32 +223,87 @@ def update_and_node(parent: PlanNode) -> PlanNode:
     return parent
 
 
-def _refresh_node(node: PlanNode, changed: PlanNode | None = None):
+# --- AND-node fold cursors ----------------------------------------------------
+#
+# A search keeps, per AND node, a cursor k at its first child that is neither
+# complete nor redundant, and the left fold of children 0..k-1: the product
+# of their probabilities and the minimum of their fulfilments, computed as
+# update_and_node computes them. A complete child's values never change, so
+# an update folds only children k onward onto the stored prefix: the same
+# float operations in the same order as the full fold, hence the same bits.
+# The product over the pending tail is still recomputed on each update, since
+# a float product regrouped could differ in its last bit.
+
+_DONE = (STATUS_COMPLETE, STATUS_REDUNDANT)
+_NO_FOLD = (0, 1.0, math.inf)  # (cursor, probability, fulfilment) of no child
+
+
+def pending_child(node: PlanNode, folds: dict) -> PlanNode | None:
+    """The first child of the AND ``node`` that is neither complete nor
+    redundant, or None when there is none. The search starts at the cursor
+    kept in ``folds[node]`` and folds each completed child it passes into
+    the stored prefix."""
+    k, probability, fulfilment = folds.get(node, _NO_FOLD)
+    children = node.children
+    start = k
+    while k < len(children) and children[k].status in _DONE:
+        values = children[k].current
+        probability *= values.probability
+        if values.fulfilment < fulfilment:  # min(fulfilment, ...), without the call
+            fulfilment = values.fulfilment
+        k += 1
+    if k != start:
+        folds[node] = (k, probability, fulfilment)
+    return children[k] if k < len(children) else None
+
+
+def fold_and_node(node: PlanNode, folds: dict):
+    """:func:`update_and_node` from the cursor kept in ``folds[node]``: the
+    stored fold of the completed children, then the rest in plot order."""
+    if not node.children:
+        return
+    k, probability, fulfilment = folds.get(node, _NO_FOLD)
+    for child in islice(node.children, k, None):
+        values = child.current
+        probability *= values.probability
+        if values.fulfilment < fulfilment:
+            fulfilment = values.fulfilment
+    node.current = Values(fulfilment, probability)
+
+
+def _refresh_node(node: PlanNode, changed: PlanNode | None = None,
+                  folds: dict | None = None):
     """Recompute one node's deepest level and values from its children,
     honouring the standing OR selection. ``changed``, the only child changed
-    since the last refresh, spares the scan when it reaches the deepest level."""
+    since the last refresh, spares the scan when it reaches the deepest level.
+    With ``folds``, an AND node folds from its cursor; without, from scratch."""
     if changed is not None and changed.deepest_level >= node.deepest_level:
         node.deepest_level = changed.deepest_level
     else:
         node.deepest_level = max([node.operator.abstraction_level]
                                  + [child.deepest_level for child in node.children])
     if node.expansion == EXPANSION_AND:
-        update_and_node(node)
+        if folds is None:
+            update_and_node(node)
+        else:
+            fold_and_node(node, folds)
     elif node.expansion == EXPANSION_OR:
         selected = node.selected_child
         if selected is not None and selected.status != STATUS_FAILED:
             node.current = selected.current
 
 
-def propagate_updates(path: list, trace: PlanTrace | None = None) -> list:
+def propagate_updates(path: list, trace: PlanTrace | None = None,
+                      folds: dict | None = None) -> list:
     """Recompute the ancestors of ``path[-1]`` along its root-to-node
     ``path``, bottom-up until the root or one whose values and deepest level
-    both stay the same; returns those whose values changed."""
+    both stay the same; returns those whose values changed. AND ancestors
+    fold from their cursors in ``folds``, if given."""
     touched = []
     for i in range(len(path) - 2, -1, -1):
         current = path[i]
         before, deepest = _triple(current), current.deepest_level
-        _refresh_node(current, path[i + 1])
+        _refresh_node(current, path[i + 1], folds)
         after = _triple(current)
         if before == after:
             if deepest == current.deepest_level:
@@ -275,9 +331,10 @@ def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> 
 
 
 def review_decisions(path: list, policy: ReviewPolicy,
-                     trace: PlanTrace | None = None) -> list:
+                     trace: PlanTrace | None = None, folds: dict | None = None) -> list:
     """Review the OR ancestors of a freshly expanded node, along its
-    root-to-node ``path``.
+    root-to-node ``path``; the updates after a switch fold from the cursors
+    in ``folds``, if given.
 
     At each OR ancestor the non-selected siblings are compared against the
     selected branch's updated EF plus the offset; the best sibling clearing it
@@ -312,7 +369,7 @@ def review_decisions(path: list, policy: ReviewPolicy,
                             after=_triple(current),
                             detail=f"{selected.name}->{best.name}",
                         )
-                    propagate_updates(path[:i + 1], trace)
+                    propagate_updates(path[:i + 1], trace, folds)
                     switched.append(current)
     return switched
 
@@ -401,7 +458,12 @@ class Search:
     ancestors takes the root-to-node ``path`` the search descended along.
     The search owns the states it threads, keyed by node identity: after a
     node's helpers in ``states_after_helpers``, after the completed node in
-    ``states_after``. A finished plan's tree holds no state.
+    ``states_after``. A finished plan's tree holds no state. It also owns
+    each AND node's fold cursor in ``folds``: the index of its first
+    incomplete child and the fold of the children before it (see
+    :func:`pending_child`). :meth:`_next_point` finds the pending child from
+    the cursor, and updates fold only the children from it onward, so an
+    expansion neither rescans nor refolds the completed part of a plot.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -421,6 +483,7 @@ class Search:
         self.root: PlanNode | None = None
         self.states_after_helpers: dict = {}
         self.states_after: dict = {}
+        self.folds: dict = {}
         self._halt = None        # (path, reason) of the planfail the search halted at
         self._unfinished = None  # the path to the node whose expansion that halt interrupted
 
@@ -486,8 +549,7 @@ class Search:
                 if node.status == STATUS_FAILED:
                     raise PlanFailure(f"goal {self.root.name!r} cannot be reduced to a plan")
                 if node.expansion == EXPANSION_AND:
-                    pending = next((c for c in node.children
-                                    if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)), None)
+                    pending = pending_child(node, self.folds)
                     if pending is None:
                         self._finalize(path)
                         break
@@ -560,8 +622,8 @@ class Search:
         failed; after a recovery, ``path[-1]`` is the replacement."""
         if path[-1].status == STATUS_FAILED:
             return
-        propagate_updates(path, self.trace)
-        review_decisions(path, self.policy, self.trace)
+        propagate_updates(path, self.trace, self.folds)
+        review_decisions(path, self.policy, self.trace, self.folds)
 
     def _redundant(self, node: PlanNode, state: PState) -> bool:
         """During replay, an operator whose postconditions already hold is skipped."""
@@ -753,7 +815,7 @@ class Search:
         if self.trace is not None:
             self.trace.record("select", or_node, before=before, after=_triple(or_node),
                               detail=or_node.selected_child.name)
-        propagate_updates(path, self.trace)
+        propagate_updates(path, self.trace, self.folds)
 
     def _planfail(self, path: list, reason: str):
         """Record a planfail of ``path[-1]``, then halt there if the search
@@ -775,8 +837,8 @@ class Search:
         node = path[-1]
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
-            if not any(n.recovery_attempted and n.operator.name == directive
-                       for n in path) and not node.recovery_attempted:
+            if not node.recovery_attempted and not any(
+                    n.recovery_attempted and n.operator.name == directive for n in path):
                 self._recover(path, directive)
                 return
             directive = PLANFAIL_BACKTRACK
@@ -817,7 +879,7 @@ class Search:
         if self.trace is not None:
             self.trace.record("select", replacement, after=_triple(replacement),
                               detail=f"recovery for {node.name}")
-        propagate_updates(path, self.trace)
+        propagate_updates(path, self.trace, self.folds)
 
     # -- plan extraction --
 

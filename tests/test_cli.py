@@ -1,7 +1,12 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uplan.cli import main
 from uplan.errors import UplanError
@@ -497,3 +502,93 @@ def test_plan_reports_any_library_error_without_a_traceback(fixture_paths, capsy
     monkeypatch.setattr("uplan.cli.plan_superplan", fail)
     assert main(["plan", *fixture_paths]) == 1
     assert capsys.readouterr().err == "error: something the CLI does not name\n"
+
+
+# --- one diagnostic per mistake, in the bundled fixtures -------------------------
+
+_FIXTURE = {"domain": fixture_text("air_combat.domain"),
+            "evidence": fixture_text("air_combat.evidence")}
+_OPERATORS = re.findall(r"^operator (\w+)$", _FIXTURE["domain"], re.M)
+_LEAVES = [name for name in _OPERATORS
+           if re.search(rf"^operator {name}\n(  .*\n)*?    assert ", _FIXTURE["domain"], re.M)]
+_FRAMES = re.findall(r"^frame (\w+) ", _FIXTURE["evidence"], re.M)
+
+
+def _at(text: str, head: str, column: int) -> tuple:
+    """(line, column) of the statement that starts with ``head`` on its line."""
+    return text[:text.index(head)].count("\n") + 1, column
+
+
+def _in_statement(text: str, head: str, edit) -> str:
+    """``text`` with ``edit`` applied to the block that starts with ``head``."""
+    start = text.index(head)
+    end = text.find("\n\n", start)
+    end = len(text) if end < 0 else end
+    block = edit(text[start:end])
+    assert block != text[start:end], head
+    return text[:start] + block + text[end:]
+
+
+@st.composite
+def fixture_mistakes(draw):
+    """(file kind, edited text, (line, column) of the edited statement):
+    one statement of a bundled fixture edited so that its constructor or
+    the parser rejects it."""
+    domain, evidence = _FIXTURE["domain"], _FIXTURE["evidence"]
+    compat, rule = "compat (aggressor detected)@1", "rule lock-gives-solution"
+    level = draw(st.sampled_from([0, 4, 9]), label="level")
+    name = draw(st.sampled_from(_OPERATORS), label="operator")
+    leaf = draw(st.sampled_from(_LEAVES), label="leaf")
+    frame = draw(st.sampled_from(_FRAMES), label="frame")
+    op_head, leaf_head, frame_head = f"operator {name}\n", f"operator {leaf}\n", f"frame {frame} "
+    mistakes = {
+        "unbound compat consequent": ("domain", _in_statement(domain, compat, lambda b: b.replace(
+            "=> (contact confirmed)@2", "=> (contact ?z)@2")), _at(domain, compat, 8)),
+        "unbound rule effect": ("domain", _in_statement(domain, rule, lambda b: b.replace(
+            "then assert (fire solution)@3", "then assert (fire ?z)@3")), _at(domain, rule, 6)),
+        "unbound edit variable": ("domain", _in_statement(domain, leaf_head, lambda b: re.sub(
+            r"assert \((.*?)\)@", r"assert (\1 ?z)@", b, count=1)), _at(domain, leaf_head, 10)),
+        "edit variable bound only by a negative precondition": (
+            "domain", _in_statement(domain, leaf_head, lambda b: re.sub(
+                r"  plot do-all\n    assert \((.*?)\)@",
+                r"  necessary (not (aim ?z))@3\n  plot do-all\n    assert (\1 ?z)@", b)),
+            _at(domain, leaf_head, 10)),
+        "operator level out of range": ("domain", _in_statement(domain, op_head, lambda b: re.sub(
+            r"  level \d", f"  level {level}", b, count=1)), _at(domain, op_head, 10)),
+        "operator slot level out of range": ("domain", _in_statement(
+            domain, op_head, lambda b: re.sub(r"(probability\n(    .*\n)*?    default)",
+                                              rf"postconditions (done)@{level}\n  \1", b)),
+            _at(domain, op_head, 10)),
+        "compat level out of range": ("domain", _in_statement(domain, compat, lambda b: b.replace(
+            "(contact confirmed)@2", f"(contact confirmed)@{level}")), _at(domain, compat, 8)),
+        "rule level out of range": ("domain", _in_statement(domain, rule, lambda b: b.replace(
+            "(fire solution)@3", f"(fire solution)@{level}")), _at(domain, rule, 6)),
+        "table without a default": ("domain", _in_statement(domain, op_head, lambda b: re.sub(
+            r"    default .*\n", "", b)), _at(domain, op_head, 10)),
+        "non-ground mapping": ("evidence", _in_statement(evidence, frame_head, lambda b: re.sub(
+            r"-> \((\w+) \w+", r"-> (\1 ?who", b, count=1)), _at(evidence, frame_head, 7)),
+        "repeated frame element": ("evidence", _in_statement(
+            evidence, frame_head, lambda b: re.sub(r"\{(\w+)", r"{\1 \1", b, count=1)),
+            _at(evidence, frame_head, 7)),
+    }
+    return mistakes[draw(st.sampled_from(sorted(mistakes)), label="mistake")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fixture_mistakes())
+def test_a_fixture_mistake_gets_one_diagnostic_at_its_statement(mistake):
+    kind, text, (line, column) = mistake
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"domain": Path(tmp) / "air.domain", "evidence": Path(tmp) / "air.evidence"}
+        for which, path in paths.items():
+            path.write_text(text if which == kind else _FIXTURE[which])
+        runs = [["plan", str(paths["domain"]), str(paths["evidence"])]]
+        if kind == "domain":
+            runs.append(["validate", str(paths["domain"])])
+        for argv in runs:
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                assert main(argv) == 1
+            assert err.getvalue().splitlines() and len(err.getvalue().splitlines()) == 1, \
+                err.getvalue()
+            assert err.getvalue().startswith(f"{paths[kind]}:{line}:{column}: "), err.getvalue()

@@ -298,28 +298,49 @@ N_LEVELS = 3
 ARITY = {"p": 2, "q": 2, "r": 1}
 CONSTANTS = ("a", "b", "c", "d")
 VARIABLES = ("?x", "?y")
+# One predicate whose facts mix arities, argument orders and number-like
+# strings, which order as strings: ("10",) before ("9",), ("a",) before
+# ("a", "b") before ("b",).
+MIXED_ARGS = [(), ("a",), ("a", "b"), ("b",), ("b", "a"), ("10",), ("9",), ("9", "10"),
+              ("-1",), ("1e3",), ("a", "10")]
 
 
 def atoms(terms):
-    """Positive literals of the predicates in ``ARITY`` over ``terms``."""
-    return [Proposition(pred, args) for pred, arity in ARITY.items()
-            for args in itertools.product(terms, repeat=arity)]
+    """Positive literals of the predicates in ``ARITY`` over ``terms``, and
+    of ``s`` over ``MIXED_ARGS``."""
+    return ([Proposition(pred, args) for pred, arity in ARITY.items()
+             for args in itertools.product(terms, repeat=arity)]
+            + [Proposition("s", args) for args in MIXED_ARGS])
 
 
 UNIVERSE = atoms(CONSTANTS) + [a.negated() for a in atoms(CONSTANTS)]
+# Facts no level holds, next to ones it may: ``in`` must find none of them.
+ABSENT = [Proposition("s", args, polarity) for args in [("a", "b", "c"), ("09",), ("1",)]
+          for polarity in (True, False)] + [Proposition("t", ("a",))]
 facts_st = st.sampled_from(UNIVERSE)
-edits_st = st.tuples(st.sampled_from(["assert", "retract"]), facts_st,
-                     st.integers(1, N_LEVELS))
-# Sparse levels, or dense ones from a bit mask over the 72 ground literals:
+# Sparse levels, or dense ones from a bit mask over the 94 ground literals:
 # p and q then have buckets of about 16 facts, past the size at which
 # membership switches from a scan to bisection.
-dense_st = st.binary(min_size=len(UNIVERSE) // 8, max_size=len(UNIVERSE) // 8).map(
+dense_st = st.binary(min_size=(len(UNIVERSE) + 7) // 8,
+                     max_size=(len(UNIVERSE) + 7) // 8).map(
     lambda mask: {fact for i, fact in enumerate(UNIVERSE) if mask[i // 8] >> i % 8 & 1})
 level_facts_st = st.one_of(st.sets(facts_st, max_size=10), dense_st)
 contents_st = st.fixed_dictionaries(
     {level: level_facts_st for level in range(1, N_LEVELS + 1)}
 )
-batches_st = st.lists(st.lists(edits_st, max_size=6), min_size=1, max_size=6)
+
+
+@st.composite
+def edited_st(draw):
+    """(contents, batches of edits): an edit's fact is drawn from the whole
+    universe, or is the complement of a fact the contents hold, so that
+    many asserts find their complement present."""
+    contents = draw(contents_st)
+    complements = sorted({fact.negated() for facts in contents.values() for fact in facts})
+    fact_st = st.one_of(facts_st, st.sampled_from(complements)) if complements else facts_st
+    edits = st.tuples(st.sampled_from(["assert", "retract"]), fact_st,
+                      st.integers(1, N_LEVELS))
+    return contents, draw(st.lists(st.lists(edits, max_size=6), min_size=1, max_size=6))
 
 
 def _edited_state(contents, batches):
@@ -331,8 +352,9 @@ def _edited_state(contents, batches):
 
 
 @settings(max_examples=200, deadline=None)
-@given(contents_st, batches_st)
-def test_indexed_levels_match_set_reference(contents, batches):
+@given(edited_st())
+def test_indexed_levels_match_set_reference(edited):
+    contents, batches = edited
     ps = make_pstate("w", N_LEVELS, contents=contents)
     ref = [frozenset(contents[level]) for level in range(1, N_LEVELS + 1)]
     for edits in batches:
@@ -343,10 +365,14 @@ def test_indexed_levels_match_set_reference(contents, batches):
             facts = ref[level - 1]
             assert ps.level(level).propositions == facts
             assert ps.facts(level) == sorted(facts)
-            for fact in UNIVERSE:
+            for fact in UNIVERSE + ABSENT:
                 assert (fact in ps.level(level)) == (fact in facts)
                 expected = fact.positive() in facts
                 assert holds(ps, level, fact) == (expected if fact.polarity else not expected)
+            # Each bucket, kept in its key order, is in Proposition's own order.
+            for pred in [*ARITY, "s"]:
+                assert list(ps.level(level).facts_for(pred)) == sorted(
+                    fact for fact in facts if fact.predicate == pred)
             rebuilt = AbstractionLevel(level, facts)
             assert ps.level(level) == rebuilt
             assert hash(ps.level(level)) == hash(rebuilt)
@@ -361,7 +387,10 @@ def test_indexed_levels_match_set_reference(contents, batches):
 
 
 # Four in five patterns positive, so that a fair share of conjunctions bind.
-patterns_st = st.tuples(st.sampled_from(atoms(VARIABLES + CONSTANTS)),
+# The s patterns bind variables against facts of every arity.
+MIXED_PATTERNS = [Proposition("s", args) for args in
+                  [("?x",), ("?x", "?y"), ("a", "?y"), ("?x", "10"), ("9", "?y")]]
+patterns_st = st.tuples(st.sampled_from(atoms(VARIABLES + CONSTANTS) + MIXED_PATTERNS),
                         st.sampled_from([True, True, True, True, False])).map(
     lambda drawn: drawn[0] if drawn[1] else drawn[0].negated())
 conjunctions_st = st.lists(st.tuples(patterns_st, st.integers(1, N_LEVELS)),
@@ -369,10 +398,10 @@ conjunctions_st = st.lists(st.tuples(patterns_st, st.integers(1, N_LEVELS)),
 
 
 @settings(max_examples=200, deadline=None)
-@given(contents_st, batches_st, st.lists(conjunctions_st, min_size=1, max_size=5),
-       st.sampled_from([None, {"?x": "a"}, {"?y": "d"}]))
-def test_bucket_matching_matches_sorted_scan(contents, batches, conjunctions, bindings):
-    ps, ref = _edited_state(contents, batches)
+@given(edited_st(), st.lists(conjunctions_st, min_size=1, max_size=5),
+       st.sampled_from([None, {"?x": "a"}, {"?y": "d"}, {"?x": "9"}]))
+def test_bucket_matching_matches_sorted_scan(edited, conjunctions, bindings):
+    ps, ref = _edited_state(*edited)
     for pairs in conjunctions:
         assert (match_conjunction(ps, pairs, bindings)
                 == reference_match_conjunction(ref, pairs, bindings))

@@ -9,6 +9,8 @@ from uplan.errors import BudgetExceededError, PlanFailure
 from uplan.model import (
     CHOOSE_ONE,
     DO_ALL,
+    STATUS_COMPLETE,
+    STATUS_REDUNDANT,
     CausalRule,
     PlanNode,
     ProbabilityRule,
@@ -24,7 +26,9 @@ from uplan.planner import (
     Search,
     deduce_effects,
     expected_fulfilment,
+    fold_and_node,
     operator_probability,
+    pending_child,
     plan_for_pstate,
     propagate_updates,
     rank_candidates,
@@ -236,6 +240,53 @@ def test_propagate_matches_full_recompute():
     recompute_values(or_root)
     assert snapshot == [(n.current.fulfilment, n.current.probability)
                         for n in or_root.walk()]
+
+
+# --- AND-node fold cursors -------------------------------------------------------
+
+# Zeros of both signs and repeated values test the min's tie order; the
+# probabilities are arbitrary floats, so a product taken in another order
+# differs in its last bits.
+fold_values_st = st.builds(
+    Values,
+    st.one_of(st.sampled_from([0.0, -0.0, 5.0, 1000.0]), st.floats(0, 1000)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
+
+
+def exact(values: Values) -> tuple:
+    return values.fulfilment.hex(), values.probability.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fold_cursor_equals_the_full_fold(data):
+    # An AND node of any width, a completed prefix of any length, then
+    # steps that change or complete the pending child: after each step the
+    # cursor sits at the first incomplete child, and the values folded from
+    # it equal update_and_node's fold from scratch, bit for bit.
+    width = data.draw(st.integers(1, 9), label="width")
+    children = [node(0, 1) for _ in range(width)]
+    for child in children:
+        child.current = data.draw(fold_values_st)
+    parent = node(0, 1, expansion="AND", children=children)
+    for child in children[:data.draw(st.integers(0, width), label="completed")]:
+        child.status = data.draw(st.sampled_from([STATUS_COMPLETE, STATUS_REDUNDANT]))
+    folds = {}
+    steps = data.draw(st.lists(st.sampled_from(["change", "complete", "change and complete"]),
+                               max_size=2 * width), label="steps")
+    for step in ["look", *steps]:
+        pending = pending_child(parent, folds)
+        assert pending is next((c for c in children
+                                if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)), None)
+        if pending is None:
+            break
+        if "change" in step:
+            pending.current = data.draw(fold_values_st)
+        if "complete" in step:
+            pending.status = STATUS_COMPLETE
+        fold_and_node(parent, folds)
+        want = update_and_node(node(0, 1, expansion="AND", children=children))
+        assert exact(parent.current) == exact(want.current), step
 
 
 # --- review -----------------------------------------------------------------------
