@@ -325,7 +325,19 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     names = set()
     subgoal_refs = []   # (parent op, subgoal name, token) for resolution
     recover_refs = []   # (op name, recovery name, token)
-    starts = {}         # id of each compat relation, rule and operator -> its first token
+    deferred = []       # level checks of statements read before the levels declaration
+
+    def check_levels(start: _Token, owner: str, levels, own_level: int | None = None):
+        """Report each level outside 1..n, the statement's own or one it
+        uses, at ``start``, its first token; before n is declared, once it is."""
+        if n_levels is None:
+            deferred.append((start, owner, levels, own_level))
+            return
+        if own_level is not None and not 1 <= own_level <= n_levels:
+            p.error(f"{owner} is at level {own_level}, outside 1..{n_levels}", start)
+        for level in levels:
+            if level is not None and not 1 <= level <= n_levels:
+                p.error(f"{owner} uses level {level}, outside 1..{n_levels}", start)
 
     while p.peek().kind != "eof":
         if not p.at_keyword(TOP_KEYWORDS):
@@ -378,12 +390,16 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
             rel = _parse_compat(p)
             if rel is not None:
                 compat.append(rel)
-                starts[id(rel)] = start
+                check_levels(start, f"compat relation {rel}",
+                             (rel.if_at_level, rel.then_at_level))
         elif keyword == "rule":
             rule = _parse_rule(p)
             if rule is not None:
                 rules.append(rule)
-                starts[id(rule)] = start
+                # A condition without a level is read at the level of the change.
+                check_levels(start, f"rule {rule.name or f'#{len(rules)}'}",
+                             [level for _, level in rule.conditions]
+                             + [level for _, _, level in rule.effects])
         elif keyword == "operator":
             op = _parse_operator(p, subgoal_refs, recover_refs)
             if op is not None:
@@ -392,12 +408,19 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                 else:
                     names.add(op.name)
                     operators.append(op)
-                    starts[id(op)] = start
+                    check_levels(start, f"operator {op.name!r}", [
+                        level for pairs in (op.necessary, op.satisfiable, op.postconditions,
+                                            *(rule.conditions for rule in op.probability_rules))
+                        for _, level in pairs
+                    ] + [level for entry in op.plot for _, _, level in entry.edits],
+                        op.abstraction_level)
 
     # Resolution pass.
     if n_levels is None:
         p.error("missing levels declaration", p.peek())
         n_levels = 1
+    for check in deferred:
+        check_levels(*check)
     if goal is None:
         p.error("missing goal declaration", p.peek())
     for parent, ref, tok in subgoal_refs:
@@ -409,36 +432,12 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     if goal is not None:
         if goal[0] in names:
             goal_op = next(op for op in operators if op.name == goal[0])
-            # A level outside 1..n is reported below, at the operator.
+            # A level outside 1..n is reported at the operator.
             if goal_op.abstraction_level != 1 and 1 <= goal_op.abstraction_level <= n_levels:
                 p.error(f"goal operator {goal[0]!r} must be at abstraction level 1",
                         goal[1])
         elif goal[0] not in p.rejected:
             p.error(f"goal names undeclared operator {goal[0]!r}", goal[1])
-
-    def check_levels(statement, owner: str, levels):
-        """Report each level of ``statement`` outside 1..n at its first token."""
-        for level in levels:
-            if level is not None and not 1 <= level <= n_levels:
-                p.error(f"{owner} uses level {level}, outside 1..{n_levels}",
-                        starts[id(statement)])
-
-    for rel in compat:
-        check_levels(rel, f"compat relation {rel}", (rel.if_at_level, rel.then_at_level))
-    for i, rule in enumerate(rules):
-        # A condition without a level is read at the level of the change.
-        check_levels(rule, f"rule {rule.name or f'#{i + 1}'}",
-                     [level for _, level in rule.conditions]
-                     + [level for _, _, level in rule.effects])
-    for op in operators:
-        if not 1 <= op.abstraction_level <= n_levels:
-            p.error(f"operator {op.name!r} is at level {op.abstraction_level}, "
-                    f"outside 1..{n_levels}", starts[id(op)])
-        check_levels(op, f"operator {op.name!r}", [
-            level for pairs in (op.necessary, op.satisfiable, op.postconditions,
-                                *(rule.conditions for rule in op.probability_rules))
-            for _, level in pairs
-        ] + [level for entry in op.plot for _, _, level in entry.edits])
 
     if p.errors:
         raise ParseFailure(p.errors)

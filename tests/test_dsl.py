@@ -126,6 +126,16 @@ operator A
     assert any("abstraction level 1" in e.message for e in errors_of(text))
 
 
+def test_levels_declared_last_still_bound_every_statement():
+    # Statements read before the levels declaration are checked once it is
+    # read, and each error sits at its statement.
+    text = ("goal Do 100.0\noperator Do\n  level 1\n  plot do-all\n    assert (done)@3\n"
+            "rule r when (done) then assert (x)@4\nlevels 2\n")
+    assert [(e.line, e.column, e.message) for e in errors_of(text)] == [
+        (2, 10, "operator 'Do' uses level 3, outside 1..2"),
+        (6, 6, "rule r uses level 4, outside 1..2")]
+
+
 @pytest.mark.parametrize("text, parser, message", [
     # Rejected by its constructor, referenced by a plot and a recovery.
     ("levels 1\ngoal A 1.0\noperator A\n  level 1\n  plot do-all\n    B 1.0\n"
