@@ -212,7 +212,7 @@ operator Shallow
 
 
 def layered_domain(rng):
-    """Root@1 do-all over five plots at level 1 or 2, each over four or five
+    """Op0@1 do-all over five plots at level 1 or 2, each over four or five
     do-all steps at level 2, each over three or four leaves at level 3. A
     leaf whose necessary precondition is missing recovers through the
     level-1 Shallow, which cannot fail, so no recovery loops. Grows trees of
