@@ -291,13 +291,6 @@ class PState:
             if level.index != i:
                 raise ValueError("P-state levels must be indexed 1..n in order")
 
-    @staticmethod
-    def _of(id: str, levels: tuple, interval: EvidentialInterval) -> "PState":
-        """A P-state over ``levels``, taken as built: indexed 1..n in order."""
-        ps = object.__new__(PState)
-        ps.__dict__.update(id=id, levels=levels, interval=interval)
-        return ps
-
     @property
     def n_levels(self) -> int:
         return len(self.levels)
@@ -352,7 +345,7 @@ def apply_edits(ps: PState, edits) -> PState:
         if not prop.is_ground:
             raise ValueError(f"edit proposition {prop} is not ground")
         levels[level_index - 1] = levels[level_index - 1]._edited(op, prop)
-    return PState._of(ps.id, tuple(levels), ps.interval)
+    return PState(ps.id, tuple(levels), ps.interval)
 
 
 @dataclass(frozen=True)
