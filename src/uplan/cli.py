@@ -105,7 +105,8 @@ def cmd_plan(args) -> int:
         return 2
     try:
         spec = parse_domain(domain_text, filename=args.domain)
-        evidence = parse_evidence(evidence_text, filename=args.evidence)
+        evidence = parse_evidence(evidence_text, filename=args.evidence,
+                                  n_levels=spec.n_levels)
     except ParseFailure as failure:
         for error in failure.errors:
             print(str(error), file=sys.stderr)

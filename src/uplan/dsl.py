@@ -1,14 +1,18 @@
 """Parser, linter and pretty-printer for the domain and evidence file formats.
 
 Both formats are keyword-block UTF-8 text with s-expression proposition
-literals and ``;`` comments. One regular expression splits the text into
-tokens: a word is a run of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that
-``->`` ends, and a number if ``float()`` accepts it. ``float()`` is tried only
-on a word that starts with ``+``, ``-``, ``.`` or a decimal digit (any
-``str.isdecimal`` character), or that is ``inf``, ``nan`` or ``infinity`` in
-any case: every spelling ``float()`` accepts is one of these, so other words
-are identifiers without a raised ``ValueError``. Tokens keep their offset;
-line and column are worked out only for errors. The parser recovers from
+literals and ``;`` comments. One ``findall`` of one regular expression splits
+the text into two parallel lists, token kinds and token texts, with no object
+per token: a word is a run of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that
+``->`` ends. Whether a word is a number is asked only where the parser needs
+to know (a number, a name, a predicate head, a frame element mapped with
+``->``), and ``float()`` is tried only on a word that starts with ``+``, ``-``,
+``.`` or a decimal digit (any ``str.isdecimal`` character), or that is
+``inf``, ``nan`` or ``infinity`` in any case: every spelling ``float()``
+accepts is one of these, so other words are identifiers without a raised
+``ValueError``. Offsets are not kept: the first error of a parse works them
+out with one ``finditer`` pass of the same expression, and line and column
+from them, so clean input pays for neither. The parser recovers from
 errors and reports everything it finds, each mistake once: a rejected
 operator or frame keeps its name declared, so references to it add no error.
 It must survive arbitrary byte soup, so every failure path records a
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import repeat
 
 from .errors import ParseFailure
 from .evidence import EvidenceSet, Frame, MassFunction, _canonical
@@ -130,30 +134,44 @@ class DomainSpec:
 
 # --- tokenizer -------------------------------------------------------------
 
-# One match per token: whitespace and comments are skipped inside the match.
-# ``bad`` is a run of characters that start no token; ``\Z`` stops a trailing
-# comment from being backtracked into.
+# One match per token, whose single group is the token: whitespace and
+# comments before it are skipped inside the match. The fifth alternative is a
+# run of bad characters, which start no token; ``\Z`` gives the empty eof
+# token and stops a trailing comment from being backtracked into.
 _TOKEN_RE = re.compile(r"""
     (?: \s+ | ;[^\n]* )*
-    (?: (?P<darrow> => ) | (?P<arrow> -> )
-      | (?P<lparen> \( ) | (?P<rparen> \) ) | (?P<lbrace> \{ ) | (?P<rbrace> \} )
-      | (?P<at> @ ) | (?P<equals> = )
-      | (?P<word> (?: [\w?.+/'*<!&%$#~^|\\]+ | -(?!>) )+ )
-      | (?P<bad> [^\s;(){}@=\w?.+/'*<!&%$#~^|\\-]+ )
-      | \Z )
+    ( => | -> | [(){}@=]
+    | (?: [\w?.+/'*<!&%$#~^|\\]+ | -(?!>) )+
+    | [^\s;(){}@=\w?.+/'*<!&%$#~^|\\-]+
+    | \Z )
     """, re.VERBOSE)
 
+# Every token that is not a word has a kind of its own.
+_KINDS = {"=>": "darrow", "->": "arrow", "(": "lparen", ")": "rparen",
+          "{": "lbrace", "}": "rbrace", "@": "at", "=": "equals", "": "eof"}
+# The characters besides ``str.isalnum`` ones (``\w`` less ``_``) that can
+# start a token.
+_TOKEN_STARTS = "_?.+/'*<!&%$#~^|\\-(){}@="
 
 # The letters-only words ``float()`` accepts, lowercased; every other word it
 # accepts starts with a sign, a point or a decimal digit.
 _FLOAT_NAMES = frozenset({"inf", "infinity", "nan"})
 
 
-class _Token(NamedTuple):
-    kind: str  # lparen rparen lbrace rbrace at equals arrow darrow ident number eof
-    text: str
-    value: float | None
-    pos: int  # offset into the text
+def _number(word: str) -> float | None:
+    """The value of ``word`` if it is a number, else None."""
+    if word[0] in "+-." or word[0].isdecimal() or word.lower() in _FLOAT_NAMES:
+        try:
+            return float(word)
+        except ValueError:
+            pass
+    return None
+
+
+def _bad(token: str) -> bool:
+    """Whether ``token`` is a run of characters that start no token."""
+    first = token[:1]
+    return not (first.isalnum() or first in _TOKEN_STARTS)  # "" is eof
 
 
 def _where(text: str, pos: int) -> tuple:
@@ -161,88 +179,109 @@ def _where(text: str, pos: int) -> tuple:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str, filename: str, errors: list) -> list:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # only whitespace and comments were left
-            break
-        word, pos = m.group(kind), m.start(kind)
-        if kind == "word":
-            value = None
-            if (word[0] in "+-." or word[0].isdecimal()
-                    or word.lower() in _FLOAT_NAMES):
-                try:
-                    value = float(word)
-                except ValueError:
-                    pass
-            tokens.append(_Token("ident" if value is None else "number",
-                                 word, value, pos))
-        elif kind == "bad":
-            if len(errors) < MAX_ERRORS:
-                errors.append(ParseError(filename, *_where(text, pos),
-                                         "unexpected characters", word[0]))
-        else:
-            tokens.append(_Token(kind, word, None, pos))
-    tokens.append(_Token("eof", "", None, len(text)))
-    return tokens
+def _tokenize(text: str, filename: str, errors: list) -> tuple:
+    """The (kinds, texts) of the tokens of ``text``, two parallel lists that
+    end in at least two eof tokens. A word's kind is ``word``; runs of bad
+    characters are reported to ``errors`` and dropped."""
+    texts = _TOKEN_RE.findall(text)
+    # A bad run's first character starts no other token, so the distinct
+    # tokens show whether the text has one.
+    if any(map(_bad, set(texts))):
+        texts = []
+        for m in _TOKEN_RE.finditer(text):
+            token = m.group(1)
+            if not _bad(token):
+                texts.append(token)
+            elif len(errors) < MAX_ERRORS:
+                errors.append(ParseError(filename, *_where(text, m.start(1)),
+                                         "unexpected characters", token[0]))
+    # findall gives one eof after the last token, and a second one when
+    # whitespace or a comment ends the text.
+    if texts[-2:] != ["", ""]:
+        texts.append("")
+    return list(map(_KINDS.get, texts, repeat("word"))), texts
 
 
 # --- parser core ------------------------------------------------------------
 
 class _Parser:
+    """A cursor over the token lists. A token is named by its index, and
+    its offset is worked out only when an error is reported."""
+
     def __init__(self, text: str, filename: str):
-        self.text = text
+        self.source = text
         self.filename = filename
         self.errors: list = []
         # Names of statements reported and dropped: a later reference to one
         # is not reported again.
         self.rejected: set = set()
-        self.tokens = _tokenize(text, filename, self.errors)
-        # A second eof, so that ``peek(1)`` at the end needs no bounds check.
-        self.tokens.append(self.tokens[-1])
+        self.kinds, self.texts = _tokenize(text, filename, self.errors)
+        self.offsets = None  # of each token, from the first error on
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        """The token ``ahead`` (0 or 1) places on; eof past the end."""
-        return self.tokens[self.pos + ahead]
+    def kind(self, ahead: int = 0) -> str:
+        """The kind of the token ``ahead`` (0 or 1) places on; eof past the end."""
+        return self.kinds[self.pos + ahead]
 
-    def advance(self) -> _Token:
-        """Consume and return the next token; at eof, stay there."""
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def token(self) -> str:
+        """The text of the next token."""
+        return self.texts[self.pos]
+
+    def advance(self) -> str:
+        """Consume the next token and return its text; at eof, stay there."""
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return self.texts[i]
 
     def at_keyword(self, words) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text in words
+        return self.texts[self.pos] in words  # every keyword is a word
 
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
+    def at_name(self) -> bool:
+        """Whether the next token is a word that is neither reserved nor a number."""
+        word = self.texts[self.pos]
+        return (self.kinds[self.pos] == "word" and word not in RESERVED
+                and _number(word) is None)
+
+    def offset(self, index: int) -> int:
+        """The offset in the text of token ``index``."""
+        if self.offsets is None:
+            # The tokens ``_tokenize`` kept, and the eof it may have added.
+            self.offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.source)
+                            if not _bad(m.group(1))]
+            self.offsets += [len(self.source)] * (len(self.texts) - len(self.offsets))
+        return self.offsets[index]
+
+    def error(self, message: str, index: int | None = None):
+        """Report ``message`` at token ``index``, by default the next one."""
         if len(self.errors) < MAX_ERRORS:
-            self.errors.append(ParseError(self.filename, *_where(self.text, tok.pos),
-                                          message, tok.text))
+            if index is None:
+                index = self.pos
+            self.errors.append(ParseError(self.filename,
+                                          *_where(self.source, self.offset(index)),
+                                          message, self.texts[index]))
 
     def skip_to(self, keywords):
         """Error recovery: drop tokens until a statement keyword or EOF."""
-        while self.peek().kind != "eof" and not self.at_keyword(keywords):
+        while self.kind() != "eof" and not self.at_keyword(keywords):
             self.advance()
 
     def expect_ident(self, what: str) -> str | None:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text not in RESERVED:
-            self.advance()
-            return tok.text
-        self.error(f"expected {what}", tok)
+        if self.at_name():
+            return self.advance()
+        self.error(f"expected {what}")
         return None
 
+    def number(self) -> float | None:
+        """The value of the next token if it is a number, else None."""
+        return _number(self.texts[self.pos]) if self.kinds[self.pos] == "word" else None
+
     def expect_number(self, what: str) -> float | None:
-        tok = self.peek()
-        if tok.kind == "number":
+        value = self.number()
+        if value is not None:
             self.advance()
-            return tok.value
-        self.error(f"expected {what}", tok)
+            return value
+        self.error(f"expected {what}")
         return None
 
     def expect_int(self, what: str) -> int | None:
@@ -255,45 +294,43 @@ class _Parser:
         return int(value)
 
     def parse_proposition(self, depth: int = 0) -> Proposition | None:
-        tok = self.peek()
-        if tok.kind != "lparen":
-            self.error("expected '(' starting a proposition", tok)
+        if self.kind() != "lparen":
+            self.error("expected '(' starting a proposition")
             return None
         if depth > MAX_PROP_DEPTH:
-            self.error("proposition nested too deeply", tok)
+            self.error("proposition nested too deeply")
             self.advance()
             return None
         self.advance()
-        head = self.peek()
-        if head.kind == "ident" and head.text == "not":
+        if self.token() == "not":
             self.advance()
             inner = self.parse_proposition(depth + 1)
-            if self.peek().kind == "rparen":
+            if self.kind() == "rparen":
                 self.advance()
             else:
                 self.error("expected ')' closing (not ...)")
             return inner.negated() if inner else None
-        if head.kind != "ident" or head.text in RESERVED:
-            self.error("expected predicate name", head)
-            while self.peek().kind not in ("rparen", "eof"):
+        if not self.at_name():
+            self.error("expected predicate name")
+            while self.kind() not in ("rparen", "eof"):
                 self.advance()
-            if self.peek().kind == "rparen":
+            if self.kind() == "rparen":
                 self.advance()
             return None
-        self.advance()
+        head = self.advance()
         args = []
-        while self.peek().kind in ("ident", "number"):
-            args.append(self.advance().text)
-        if self.peek().kind == "rparen":
+        while self.kind() == "word":
+            args.append(self.advance())
+        if self.kind() == "rparen":
             self.advance()
         else:
             self.error("expected ')' closing proposition")
             return None
-        return Proposition(head.text, tuple(args))
+        return Proposition(head, tuple(args))
 
     def parse_level_suffix(self) -> int | None:
         """An optional '@ <int>' after a proposition."""
-        if self.peek().kind == "at":
+        if self.kind() == "at":
             self.advance()
             return self.expect_int("level index after '@'")
         return None
@@ -301,7 +338,7 @@ class _Parser:
     def parse_prop_list(self, default_level: int | None):
         """Propositions with optional level suffixes, until a non-'(' token."""
         out = []
-        while self.peek().kind == "lparen":
+        while self.kind() == "lparen":
             prop = self.parse_proposition()
             level = self.parse_level_suffix()
             if prop is not None:
@@ -323,22 +360,22 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     rules = []
     operators = []
     names = set()
-    subgoal_refs = []   # (parent op, subgoal name, token) for resolution
-    recover_refs = []   # (op name, recovery name, token)
-    # (first token, owner, levels used, own level) of each statement read
+    subgoal_refs = []   # (parent op, subgoal name, token index) for resolution
+    recover_refs = []   # (op name, recovery name, token index)
+    # (first token index, owner, levels used, own level) of each statement read
     # and not yet checked. Checks wait here only until n is known, not to the
     # end: holding one per operator raises the parse peak by about 0.2 MiB
     # on 1093 operators.
     level_checks = []
 
-    while p.peek().kind != "eof":
+    while p.kind() != "eof":
         if not p.at_keyword(TOP_KEYWORDS):
-            p.error(f"expected a top-level keyword, found {p.peek().text!r}")
+            p.error(f"expected a top-level keyword, found {p.token()!r}")
             p.advance()
             p.skip_to(TOP_KEYWORDS)
             continue
-        keyword = p.advance().text
-        start = p.peek()
+        keyword = p.advance()
+        start = p.pos
         if keyword == "levels":
             value = p.expect_int("level count after 'levels'")
             if value is not None:
@@ -349,15 +386,17 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                 else:
                     n_levels = value
         elif keyword == "goal":
-            tok = p.peek()
+            tok = p.pos
             name = p.expect_ident("goal operator name")
             if name is not None:
                 if goal is not None:
                     p.error("duplicate goal declaration", tok)
                 else:
                     goal = (name, tok)
-            if p.peek().kind == "number":
-                goal_fulfilment = p.advance().value
+            value = p.number()
+            if value is not None:
+                p.advance()
+                goal_fulfilment = value
                 if not goal_fulfilment >= 0:
                     p.error("goal fulfilment must be >= 0")
                     goal_fulfilment = 1000.0
@@ -411,11 +450,11 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
 
     # Resolution pass.
     if n_levels is None:
-        p.error("missing levels declaration", p.peek())
+        p.error("missing levels declaration")
         n_levels = 1
     _check_levels(p, level_checks, n_levels)
     if goal is None:
-        p.error("missing goal declaration", p.peek())
+        p.error("missing goal declaration")
     for parent, ref, tok in subgoal_refs:
         if ref not in names and ref not in p.rejected:
             p.error(f"plot of {parent!r} references undeclared operator {ref!r}", tok)
@@ -459,12 +498,12 @@ def _check_levels(p: _Parser, checks: list, n_levels: int):
 
 
 def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
-    tok = p.peek()
+    tok = p.pos
     if_prop = p.parse_proposition()
     if_level = p.parse_level_suffix()
     if if_level is None:
         p.error("compat antecedent needs an explicit '@ level'")
-    if p.peek().kind == "darrow":
+    if p.kind() == "darrow":
         p.advance()
     else:
         p.error("expected '=>' in compat relation")
@@ -484,9 +523,9 @@ def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
 
 
 def _parse_rule(p: _Parser) -> CausalRule | None:
-    tok = p.peek()
+    tok = p.pos
     name = ""
-    if p.peek().kind == "ident" and not p.at_keyword({"when"}):
+    if p.kind() == "word" and p.number() is None and not p.at_keyword({"when"}):
         got = p.expect_ident("rule name")
         name = got or ""
     if p.at_keyword({"when"}):
@@ -517,7 +556,7 @@ def _parse_rule(p: _Parser) -> CausalRule | None:
         return None
     effects = []
     while p.at_keyword({"assert", "retract"}):
-        op = p.advance().text
+        op = p.advance()
         prop = p.parse_proposition()
         level = p.parse_level_suffix()
         if level is None:
@@ -532,7 +571,7 @@ def _parse_rule(p: _Parser) -> CausalRule | None:
 
 
 def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
-    name_tok = p.peek()
+    name_tok = p.pos
     name = p.expect_ident("operator name")
     if name is None:
         p.skip_to(TOP_KEYWORDS)
@@ -549,7 +588,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
     planfail = PLANFAIL_BACKTRACK
 
     while p.at_keyword(SLOT_KEYWORDS):
-        slot = p.advance().text
+        slot = p.advance()
         if slot == "level":
             level = p.expect_int("abstraction level")
         elif slot == "necessary":
@@ -571,7 +610,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
             prob_block_seen = True
         elif slot == "when":
             conds = p.parse_prop_list(default_level=None)
-            if p.peek().kind == "darrow":
+            if p.kind() == "darrow":
                 p.advance()
             else:
                 p.error("expected '=>' after probability condition")
@@ -601,7 +640,8 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
                 p.advance()
                 planfail = PLANFAIL_REJECT_BRANCH
             elif p.at_keyword({"recover"}):
-                tok = p.advance()
+                tok = p.pos
+                p.advance()
                 target = p.expect_ident("recovery operator name")
                 if target is not None:
                     planfail = target
@@ -642,25 +682,25 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
 def _parse_plot_entries(p: _Parser, parent: str, subgoal_refs: list):
     entries = []
     while True:
-        tok = p.peek()
-        if tok.kind == "ident" and tok.text in ("assert", "retract"):
-            p.advance()
+        tok = p.pos
+        if p.at_keyword(("assert", "retract")):
+            op = p.advance()
             prop = p.parse_proposition()
             level = p.parse_level_suffix()
             if level is None:
                 p.error("plot edits need an explicit '@ level'")
             if prop is not None and level is not None:
-                entries.append(PlotEntry("state-edit", edits=((tok.text, prop, level),)))
-        elif tok.kind == "ident" and tok.text not in RESERVED:
-            p.advance()
-            fulfilment = p.expect_number(f"fulfilment after subgoal {tok.text!r}")
+                entries.append(PlotEntry("state-edit", edits=((op, prop, level),)))
+        elif p.at_name():
+            name = p.advance()
+            fulfilment = p.expect_number(f"fulfilment after subgoal {name!r}")
             if fulfilment is not None:
                 if not fulfilment >= 0:
                     p.error("fulfilment must be >= 0")
                 else:
-                    entries.append(PlotEntry("subgoal", subgoal_name=tok.text,
+                    entries.append(PlotEntry("subgoal", subgoal_name=name,
                                              fulfilment=fulfilment))
-                    subgoal_refs.append((parent, tok.text, tok))
+                    subgoal_refs.append((parent, name, tok))
         else:
             break
     return entries
@@ -668,21 +708,25 @@ def _parse_plot_entries(p: _Parser, parent: str, subgoal_refs: list):
 
 # --- evidence parsing --------------------------------------------------------
 
-def parse_evidence(text: str, filename: str = "<evidence>") -> EvidenceSet:
-    """Parse an evidence file; raises :class:`ParseFailure` on any error."""
+def parse_evidence(text: str, filename: str = "<evidence>",
+                   n_levels: int | None = None) -> EvidenceSet:
+    """Parse an evidence file; raises :class:`ParseFailure` on any error.
+
+    Given the domain's level count ``n_levels``, a mapping to a level outside
+    1..n is one of those errors, reported at the mapping."""
     p = _Parser(text, filename)
     frames: list = []
-    masses = []  # (frame name, [(subset, value)], token)
+    masses = []  # (frame name, [(subset, value)], token index)
 
-    while p.peek().kind != "eof":
+    while p.kind() != "eof":
         if not p.at_keyword(EVIDENCE_KEYWORDS):
-            p.error(f"expected 'frame' or 'mass', found {p.peek().text!r}")
+            p.error(f"expected 'frame' or 'mass', found {p.token()!r}")
             p.advance()
             p.skip_to(EVIDENCE_KEYWORDS)
             continue
-        keyword = p.advance().text
+        keyword = p.advance()
         if keyword == "frame":
-            frame = _parse_frame(p)
+            frame = _parse_frame(p, n_levels)
             if frame is not None:
                 if any(f.name == frame.name for f in frames):
                     p.error(f"duplicate frame {frame.name!r}")
@@ -721,13 +765,13 @@ def parse_evidence(text: str, filename: str = "<evidence>") -> EvidenceSet:
     return EvidenceSet(tuple(frames), tuple(built_masses))
 
 
-def _parse_frame(p: _Parser) -> Frame | None:
-    tok = p.peek()
+def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
+    tok = p.pos
     name = p.expect_ident("frame name")
     if name is None:
         p.skip_to(EVIDENCE_KEYWORDS)
         return None
-    if p.peek().kind == "lbrace":
+    if p.kind() == "lbrace":
         p.advance()
     else:
         p.error("expected '{' opening frame elements")
@@ -735,16 +779,16 @@ def _parse_frame(p: _Parser) -> Frame | None:
         p.rejected.add(name)
         return None
     elements = []
-    while p.peek().kind in ("ident", "number"):
-        elements.append(p.advance().text)
-    if p.peek().kind == "rbrace":
+    while p.kind() == "word":
+        elements.append(p.advance())
+    if p.kind() == "rbrace":
         p.advance()
     else:
         p.error("expected '}' closing frame elements")
     mappings = []
-    while (p.peek().kind == "ident" and p.peek().text not in RESERVED
-           and p.peek(1).kind == "arrow"):
-        element_tok = p.advance()
+    while p.at_name() and p.kind(1) == "arrow":
+        element_tok = p.pos
+        element = p.advance()
         p.advance()  # ->
         pairs = []
         for prop, level in p.parse_prop_list(default_level=None):
@@ -753,7 +797,12 @@ def _parse_frame(p: _Parser) -> Frame | None:
                         element_tok)
             else:
                 pairs.append((prop, level))
-        mappings.append((element_tok.text, tuple(pairs)))
+        outside = [level for _, level in pairs
+                   if n_levels is not None and not 1 <= level <= n_levels]
+        if outside:
+            p.error(f"frame {name!r} maps element {element!r} to level {outside[0]}, "
+                    f"outside 1..{n_levels}", element_tok)
+        mappings.append((element, tuple(pairs)))
     try:
         return Frame(name, tuple(elements), tuple(mappings))
     except ValueError as exc:
@@ -763,23 +812,23 @@ def _parse_frame(p: _Parser) -> Frame | None:
 
 
 def _parse_mass(p: _Parser, masses: list):
-    tok = p.peek()
+    tok = p.pos
     frame_name = p.expect_ident("frame name after 'mass'")
     if frame_name is None:
         p.skip_to(EVIDENCE_KEYWORDS)
         return
     assignments = []
-    while p.peek().kind == "lbrace":
+    while p.kind() == "lbrace":
         p.advance()
         subset = []
-        while p.peek().kind in ("ident", "number"):
-            subset.append(p.advance().text)
-        if p.peek().kind == "rbrace":
+        while p.kind() == "word":
+            subset.append(p.advance())
+        if p.kind() == "rbrace":
             p.advance()
         else:
             p.error("expected '}' closing mass subset")
             break
-        if p.peek().kind == "equals":
+        if p.kind() == "equals":
             p.advance()
         else:
             p.error("expected '=' after mass subset")

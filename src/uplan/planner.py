@@ -171,7 +171,7 @@ def _match_from(ps: PState, pairs: tuple, i: int, current: dict):
 def operator_probability(op: ReductionOperator, ps: PState) -> float:
     """First probability rule whose condition holds in the P-state fires."""
     for rule in op.probability_rules:
-        if match_conjunction(ps, rule.conditions) is not None:
+        if not rule.conditions or match_conjunction(ps, rule.conditions) is not None:
             return rule.value
     raise UplanError(f"operator {op.name} has no default probability rule")
 
@@ -392,6 +392,8 @@ def deduce_effects(ps: PState, rules, changed) -> tuple:
     assumed stratified, so this terminates; a hard cap guards against
     unvetted rule sets.
     """
+    if not rules:
+        return ps, []
     state = ps
     log = []
     queue = deque(

@@ -434,8 +434,9 @@ def test_plan_evidence_level_outside_the_domain_exits_one(fixture_paths, capsys,
     Path(evidence).write_text(text.replace("(type aggressor fighter)@2",
                                            f"(type aggressor fighter)@{level}"))
     assert main(["plan", domain, evidence]) == 1
+    # At the mapping: the fixture's line 8, where the element starts.
     assert capsys.readouterr().err == (
-        f"error: frame 'aggressor_type' maps element 'fighter' to level {level}, "
+        f"{evidence}:8:3: frame 'aggressor_type' maps element 'fighter' to level {level}, "
         "outside 1..3\n")
 
 
@@ -519,6 +520,12 @@ def _at(text: str, head: str, column: int) -> tuple:
     return text[:text.index(head)].count("\n") + 1, column
 
 
+def _mapping_at(text: str, head: str) -> tuple:
+    """(line, column) of the first frame mapping after ``head``."""
+    m = re.compile(r"^( *)\w+ -> ", re.M).search(text, text.index(head))
+    return text.count("\n", 0, m.start()) + 1, len(m.group(1)) + 1
+
+
 def _in_statement(text: str, head: str, edit) -> str:
     """``text`` with ``edit`` applied to the block that starts with ``head``."""
     start = text.index(head)
@@ -567,6 +574,9 @@ def fixture_mistakes(draw):
             r"    default .*\n", "", b)), _at(domain, op_head, 10)),
         "non-ground mapping": ("evidence", _in_statement(evidence, frame_head, lambda b: re.sub(
             r"-> \((\w+) \w+", r"-> (\1 ?who", b, count=1)), _at(evidence, frame_head, 7)),
+        "mapping level out of range": ("evidence", _in_statement(
+            evidence, frame_head, lambda b: re.sub(r"\)@\d", f")@{level}", b, count=1)),
+            _mapping_at(evidence, frame_head)),
         "repeated frame element": ("evidence", _in_statement(
             evidence, frame_head, lambda b: re.sub(r"\{(\w+)", r"{\1 \1", b, count=1)),
             _at(evidence, frame_head, 7)),

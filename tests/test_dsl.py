@@ -10,6 +10,7 @@ from uplan.dsl import (
     MAX_ERRORS,
     ParseError,
     _Parser,
+    _number,
     _tokenize,
     _where,
     format_domain,
@@ -134,6 +135,17 @@ def test_levels_declared_last_still_bound_every_statement():
     assert [(e.line, e.column, e.message) for e in errors_of(text)] == [
         (2, 10, "operator 'Do' uses level 3, outside 1..2"),
         (6, 6, "rule r uses level 4, outside 1..2")]
+
+
+def test_evidence_levels_outside_the_domain_are_reported_at_their_mapping():
+    # Once per mapping, at its element; without the level count the
+    # evidence parses, and world generation checks the levels.
+    text = "frame f {a b}\n  a -> (x)@1\n  b -> (y)@0 (z)@9\n  a -> (w)@3\n"
+    assert [(e.line, e.column, e.message) for e in errors_of(
+        text, lambda t: parse_evidence(t, "e", n_levels=2))] == [
+        (3, 3, "frame 'f' maps element 'b' to level 0, outside 1..2"),
+        (4, 3, "frame 'f' maps element 'a' to level 3, outside 1..2")]
+    assert [f.name for f in parse_evidence(text).frames] == ["f"]
 
 
 @pytest.mark.parametrize("text, parser, message", [
@@ -633,25 +645,46 @@ def _same_value(a, b):
     return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
 
 
+def _lexed(text: str) -> tuple:
+    """The tokens the parser walks, as the reference gives them: (kind, text,
+    value, (line, column)), ident and number split by ``_number``; and the
+    errors of tokenizing."""
+    p = _Parser(text, "f")
+    # Two eof tokens end the lists, so that ``kind(1)`` needs no bounds check.
+    assert p.kinds[-2:] == ["eof", "eof"]
+    tokens = []
+    for i, (kind, word) in enumerate(zip(p.kinds[:-1], p.texts[:-1])):
+        value = _number(word) if kind == "word" else None
+        if kind == "word":
+            kind = "ident" if value is None else "number"
+        tokens.append((kind, word, value, _where(text, p.offset(i))))
+    return tokens, p.errors
+
+
 @settings(max_examples=1500, deadline=None)
 @given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
 def test_tokenizer_matches_reference(text):
-    errors, ref_errors = [], []
-    tokens = _tokenize(text, "f", errors)
+    tokens, errors = _lexed(text)
+    ref_errors = []
     expected = reference_tokenize(text, "f", ref_errors)
     assert errors == ref_errors
-    assert [(t.kind, t.text) for t in tokens] == [(t.kind, t.text) for t in expected]
-    for tok, ref in zip(tokens, expected):
-        assert _same_value(tok.value, ref.value)
-        assert _where(text, tok.pos) == (ref.line, ref.column)
+    assert [t[:2] for t in tokens] == [(t.kind, t.text) for t in expected]
+    for (_, _, value, where), ref in zip(tokens, expected):
+        assert _same_value(value, ref.value)
+        assert where == (ref.line, ref.column)
 
 
 def test_tokenizer_error_cap_matches_reference():
     text = "a [ " * (MAX_ERRORS + 10) + "; end"
-    errors, ref_errors = [], []
-    _tokenize(text, "f", errors)
-    reference_tokenize(text, "f", ref_errors)
+    tokens, errors = _lexed(text)
+    ref_errors = []
+    expected = reference_tokenize(text, "f", ref_errors)
     assert len(errors) == MAX_ERRORS and errors == ref_errors
+    assert [t[1:] for t in tokens] == [(t.text, t.value, (t.line, t.column)) for t in expected]
+    # At the cap, a parse adds no error of its own.
+    with pytest.raises(ParseFailure) as info:
+        parse_domain(text, "f")
+    assert info.value.errors == ref_errors
 
 
 @pytest.mark.parametrize("kind, parser", [("domain", parse_domain),
@@ -660,9 +693,10 @@ def test_truncated_fixtures_parse_or_fail_cleanly(request, kind, parser):
     # Cut at every token boundary, so that the text can end anywhere a
     # look-ahead or a consumed token is expected.
     text = request.getfixturevalue(f"air_combat_{kind}_text")
+    p = _Parser(text, "f")
     cuts = set()
-    for tok in _tokenize(text, "f", []):
-        cuts |= {tok.pos, tok.pos + len(tok.text)}
+    for i, word in enumerate(p.texts):
+        cuts |= {p.offset(i), p.offset(i) + len(word)}
     for cut in sorted(cuts):
         try:
             parser(text[:cut])
@@ -673,12 +707,76 @@ def test_truncated_fixtures_parse_or_fail_cleanly(request, kind, parser):
 def test_cursor_stays_at_eof():
     # No parse path is known to reach these today; the cursor's contract
     # keeps a new one from raising IndexError.
-    for text in ("", "frame f", "levels 1 ; note"):
+    for text in ("", "frame f", "levels 1 ; note", "levels 1 ;\n\t"):
         p = _Parser(text, "f")
-        for _ in range(len(p.tokens) + 2):
+        for _ in range(len(p.texts) + 2):
             p.advance()
-        assert p.peek().kind == p.peek(1).kind == "eof"
-        assert p.peek().pos == len(text)
+        assert p.kind() == p.kind(1) == "eof" and p.token() == ""
+        assert p.offset(p.pos) == p.offset(p.pos + 1) == len(text)
+
+
+def _tree_domain(depth: int = 7, width: int = 3) -> str:
+    """A domain shaped like the benchmark's deep hierarchy: choose-one and
+    do-all operators alternate down to leaves that edit the state; width 3
+    and depth 7 give 1093 operators."""
+    lines = ["levels 3", "goal Root 1000.0", ""]
+    frontier = [("Root", 1)]
+    while frontier:
+        name, d = frontier.pop()
+        lines += [f"operator {name}", f"  level {min(d, 3)}"]
+        if d == depth:
+            lines += [f"  necessary (site ?s {name.lower()})@3",
+                      "  plot do-all", f"    assert (done {name})@3",
+                      "  probability", "    when (hazard h1)@2 => 0.7", "    default 0.98",
+                      f"  postconditions (done {name})@3"]
+        else:
+            children = [f"{name}_{i}" for i in range(width)]
+            lines.append("  plot " + ("choose-one" if d % 2 else "do-all"))
+            lines += [f"    {child} {1000.0 - 40 * i}" for i, child in enumerate(children)]
+            frontier += [(child, d + 1) for child in children]
+        lines += ["  planfail backtrack", ""]
+    return "\n".join(lines)
+
+
+def test_errors_deep_in_a_large_domain_have_their_line_and_column():
+    text = _tree_domain()
+    assert len(parse_domain(text).operators) == 1093
+    lines = text.split("\n")
+
+    def edit(start, old, new, marker):
+        """Replace ``old`` by ``new`` on the first line from ``start`` that
+        holds it; the 1-based (line, column) of ``marker`` there."""
+        row = next(i for i in range(start, len(lines)) if old in lines[i])
+        lines[row] = lines[row].replace(old, new)
+        return row + 1, lines[row].index(marker) + 1
+
+    # A bad run first, so that the later tokens' offsets are worked out past
+    # a dropped run; then a parse error and an error of the resolution pass.
+    expected = [
+        (*edit(3000, "default 0.98", "default 0.98 §§", "§§"), "unexpected characters"),
+        (*edit(6000, "postconditions (done", "postconditions (3", "3 Root"),
+         "expected predicate name"),
+        (*edit(9000, "    Root", "    Nowhere_", "Nowhere_"),
+         "references undeclared operator 'Nowhere_"),
+    ]
+    errors = errors_of("\n".join(lines))
+    assert [(e.line, e.column) for e in errors] == [tuple(where) for *where, _ in expected]
+    for error, (*_, message) in zip(errors, expected):
+        assert message in error.message
+
+
+def test_parse_peak_memory_per_input_character():
+    # The token stream is two lists of strings, with no object per token
+    # and no stored offsets; about 13 bytes per input character today.
+    import tracemalloc
+    text = _tree_domain()
+    tracemalloc.start()
+    try:
+        parse_domain(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(text), (peak, len(text))
 
 
 def test_regex_classes_match_str_predicates():
