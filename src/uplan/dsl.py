@@ -181,7 +181,7 @@ def _where(text: str, pos: int) -> tuple:
 
 def _tokenize(text: str, filename: str, errors: list) -> tuple:
     """The (kinds, texts) of the tokens of ``text``, two parallel lists that
-    end in at least two eof tokens. A word's kind is ``word``; runs of bad
+    end in two eof tokens. A word's kind is ``word``; runs of bad
     characters are reported to ``errors`` and dropped."""
     texts = _TOKEN_RE.findall(text)
     # A bad run's first character starts no other token, so the distinct
@@ -195,7 +195,8 @@ def _tokenize(text: str, filename: str, errors: list) -> tuple:
             elif len(errors) < MAX_ERRORS:
                 errors.append(ParseError(filename, *_where(text, m.start(1)),
                                          "unexpected characters", token[0]))
-    # findall gives one eof after the last token, and a second one when
+    # Two eof tokens, so that ``kind(1)`` at the end needs no bounds check:
+    # findall gives one after the last token, and a second one when
     # whitespace or a comment ends the text.
     if texts[-2:] != ["", ""]:
         texts.append("")

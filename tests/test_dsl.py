@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -11,7 +12,6 @@ from uplan.dsl import (
     ParseError,
     _Parser,
     _number,
-    _tokenize,
     _where,
     format_domain,
     format_evidence,
@@ -768,7 +768,6 @@ def test_errors_deep_in_a_large_domain_have_their_line_and_column():
 def test_parse_peak_memory_per_input_character():
     # The token stream is two lists of strings, with no object per token
     # and no stored offsets; about 13 bytes per input character today.
-    import tracemalloc
     text = _tree_domain()
     tracemalloc.start()
     try:
