@@ -13,21 +13,24 @@ accepts is one of these, so other words are identifiers without a raised
 ``ValueError``. Offsets are not kept: the first error of a parse works them
 out with one ``finditer`` pass of the same expression, and line and column
 from them, so clean input pays for neither. The parser recovers from
-errors and reports everything it finds, each mistake once: a rejected
-operator or frame keeps its name declared, so references to it add no error.
-It must survive arbitrary byte soup, so every failure path records a
-diagnostic instead of raising.
+errors and reports everything it finds, each mistake once and at its place:
+a rejected number at its own token, a rule a constructor owns (a
+probability range, a mass subset) by that constructor. A statement with an
+error is dropped whole and keeps its name declared, so references to it add
+no error. It must survive arbitrary byte soup, so every failure path records
+a diagnostic instead of raising.
 ``docs/grammar.md`` carries the full grammar.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
 from .errors import ParseFailure
-from .evidence import EvidenceSet, Frame, MassFunction, _canonical
+from .evidence import EvidenceSet, Frame, MassFunction
 from .model import (
     CHOOSE_ONE,
     DO_ALL,
@@ -217,6 +220,9 @@ class _Parser:
         # is not reported again.
         self.rejected: set = set()
         self.kinds, self.texts = _tokenize(text, filename, self.errors)
+        # How many errors were reported, also past the ``MAX_ERRORS`` cap: a
+        # statement whose parse reported one is dropped.
+        self.reported = len(self.errors)
         self.offsets = None  # of each token, from the first error on
         self.pos = 0
 
@@ -255,12 +261,22 @@ class _Parser:
 
     def error(self, message: str, index: int | None = None):
         """Report ``message`` at token ``index``, by default the next one."""
+        self.reported += 1
         if len(self.errors) < MAX_ERRORS:
             if index is None:
                 index = self.pos
             self.errors.append(ParseError(self.filename,
                                           *_where(self.source, self.offset(index)),
                                           message, self.texts[index]))
+
+    def build(self, index: int, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None once its ``ValueError`` is
+        reported at token ``index``."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.error(str(exc), index)
+            return None
 
     def skip_to(self, keywords):
         """Error recovery: drop tokens until a statement keyword or EOF."""
@@ -277,22 +293,30 @@ class _Parser:
         """The value of the next token if it is a number, else None."""
         return _number(self.texts[self.pos]) if self.kinds[self.pos] == "word" else None
 
-    def expect_number(self, what: str) -> float | None:
+    def expect_number(self, what: str, rule: str | None = None, low: float = -math.inf,
+                      high: float = math.inf, integer: bool = False):
+        """The next token's number, consumed; else None. A token that is not
+        a number is reported as ``expected {what}`` and left in place. A
+        number that is not an integer when ``integer`` is set, or that lies
+        outside [low, high] when a ``rule`` is given (NaN lies in no range),
+        is reported at its own token, as ``{what} must be an integer`` or as
+        ``rule``."""
         value = self.number()
-        if value is not None:
+        if value is None:
+            self.error(f"expected {what}")
+            return None
+        if integer and not value.is_integer():  # also rejects inf and nan
+            rule = f"{what} must be an integer"
+        elif rule is None or low <= value <= high:
             self.advance()
-            return value
-        self.error(f"expected {what}")
+            return int(value) if integer else value
+        self.error(rule)
+        self.advance()
         return None
 
-    def expect_int(self, what: str) -> int | None:
-        value = self.expect_number(what)
-        if value is None:
-            return None
-        if not value.is_integer():  # also rejects inf and nan
-            self.error(f"{what} must be an integer")
-            return None
-        return int(value)
+    def expect_int(self, what: str, rule: str | None = None,
+                   low: float = -math.inf) -> int | None:
+        return self.expect_number(what, rule, low, integer=True)
 
     def parse_proposition(self, depth: int = 0) -> Proposition | None:
         if self.kind() != "lparen":
@@ -329,21 +353,24 @@ class _Parser:
             return None
         return Proposition(head, tuple(args))
 
-    def parse_level_suffix(self) -> int | None:
-        """An optional '@ <int>' after a proposition."""
+    def parse_level_suffix(self, missing: str | None = None) -> int | None:
+        """An optional '@ <int>' after a proposition; if there is none,
+        ``missing``, when given, is reported."""
         if self.kind() == "at":
             self.advance()
             return self.expect_int("level index after '@'")
+        if missing is not None:
+            self.error(missing)
         return None
 
-    def parse_prop_list(self, default_level: int | None):
-        """Propositions with optional level suffixes, until a non-'(' token."""
+    def parse_prop_list(self, missing: str | None = None):
+        """(proposition, level or None) pairs, until a non-'(' token."""
         out = []
         while self.kind() == "lparen":
             prop = self.parse_proposition()
-            level = self.parse_level_suffix()
+            level = self.parse_level_suffix(missing)
             if prop is not None:
-                out.append((prop, default_level if level is None else level))
+                out.append((prop, level))
         return out
 
 
@@ -352,7 +379,7 @@ class _Parser:
 def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     """Parse a domain file; raises :class:`ParseFailure` with every error found."""
     p = _Parser(text, filename)
-    n_levels = None
+    n_levels = None  # 0 once a declaration's value is rejected: no level is checked
     goal = None
     goal_fulfilment = 1000.0
     rho = 0.1
@@ -370,54 +397,45 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     level_checks = []
 
     while p.kind() != "eof":
+        reported = p.reported
         if not p.at_keyword(TOP_KEYWORDS):
             p.error(f"expected a top-level keyword, found {p.token()!r}")
-            p.advance()
             p.skip_to(TOP_KEYWORDS)
             continue
         keyword = p.advance()
         start = p.pos
         if keyword == "levels":
-            value = p.expect_int("level count after 'levels'")
-            if value is not None:
-                if value < 1:
-                    p.error("level count must be >= 1")
-                elif n_levels is not None:
-                    p.error("duplicate levels declaration")
-                else:
-                    n_levels = value
+            value = p.expect_int("level count after 'levels'", "level count must be >= 1", 1)
+            if n_levels is None:
+                n_levels = value or 0
+            elif value is not None:
+                p.error("duplicate levels declaration", start)
         elif keyword == "goal":
-            tok = p.pos
             name = p.expect_ident("goal operator name")
             if name is not None:
                 if goal is not None:
-                    p.error("duplicate goal declaration", tok)
+                    p.error("duplicate goal declaration", start)
                 else:
-                    goal = (name, tok)
-            value = p.number()
-            if value is not None:
-                p.advance()
-                goal_fulfilment = value
-                if not goal_fulfilment >= 0:
-                    p.error("goal fulfilment must be >= 0")
-                    goal_fulfilment = 1000.0
+                    goal = (name, start)
+            if p.number() is not None:
+                value = p.expect_number("goal fulfilment", "goal fulfilment must be >= 0", 0)
+                if value is not None:
+                    goal_fulfilment = value
         elif keyword == "review":
             if p.at_keyword({"rho"}):
                 p.advance()
-            value = p.expect_number("offset fraction after 'review rho'")
+            value = p.expect_number("offset fraction after 'review rho'",
+                                    "review rho must be >= 0", 0)
             if value is not None:
-                if not value >= 0:
-                    p.error("review rho must be >= 0")
-                else:
-                    rho = value
+                rho = value
         elif keyword == "coverage":
-            s = p.expect_number("coverage support threshold")
-            pl = p.expect_number("coverage plausibility threshold")
-            if s is not None and pl is not None:
-                if not (0 <= s <= 1 and 0 <= pl <= 1):
-                    p.error("coverage thresholds must lie in [0, 1]")
-                else:
-                    coverage = (s, pl)
+            bounds = "coverage thresholds must lie in [0, 1]"
+            s = p.expect_number("coverage support threshold", bounds, 0, 1)
+            # A rejected support drops the statement with its plausibility unread.
+            pl = None if s is None else p.expect_number(
+                "coverage plausibility threshold", bounds, 0, 1)
+            if pl is not None:
+                coverage = (s, pl)
         elif keyword == "compat":
             rel = _parse_compat(p)
             if rel is not None:
@@ -436,7 +454,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
             op = _parse_operator(p, subgoal_refs, recover_refs)
             if op is not None:
                 if op.name in names:
-                    p.error(f"duplicate operator name {op.name!r}")
+                    p.error(f"duplicate operator name {op.name!r}", start)
                 else:
                     names.add(op.name)
                     operators.append(op)
@@ -446,14 +464,17 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                         for _, level in pairs
                     ] + [level for entry in op.plot for _, _, level in entry.edits],
                         op.abstraction_level))
-        if n_levels is not None:
+        if p.reported > reported:  # the statement is dropped up to the next one
+            p.skip_to(TOP_KEYWORDS)
+        if n_levels:
             _check_levels(p, level_checks, n_levels)
 
     # Resolution pass.
     if n_levels is None:
         p.error("missing levels declaration")
         n_levels = 1
-    _check_levels(p, level_checks, n_levels)
+    if n_levels:
+        _check_levels(p, level_checks, n_levels)
     if goal is None:
         p.error("missing goal declaration")
     for parent, ref, tok in subgoal_refs:
@@ -499,32 +520,23 @@ def _check_levels(p: _Parser, checks: list, n_levels: int):
 
 
 def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
-    tok = p.pos
+    tok, reported = p.pos, p.reported
     if_prop = p.parse_proposition()
-    if_level = p.parse_level_suffix()
-    if if_level is None:
-        p.error("compat antecedent needs an explicit '@ level'")
+    if_level = p.parse_level_suffix("compat antecedent needs an explicit '@ level'")
     if p.kind() == "darrow":
         p.advance()
     else:
         p.error("expected '=>' in compat relation")
-        p.skip_to(TOP_KEYWORDS)
         return None
     then_prop = p.parse_proposition()
-    then_level = p.parse_level_suffix()
-    if then_level is None:
-        p.error("compat consequent needs an explicit '@ level'")
-    if None in (if_prop, if_level, then_prop, then_level):
+    then_level = p.parse_level_suffix("compat consequent needs an explicit '@ level'")
+    if p.reported > reported:
         return None
-    try:
-        return CompatibilityRelation(if_level, if_prop, then_level, then_prop)
-    except ValueError as exc:
-        p.error(str(exc), tok)
-        return None
+    return p.build(tok, CompatibilityRelation, if_level, if_prop, then_level, then_prop)
 
 
 def _parse_rule(p: _Parser) -> CausalRule | None:
-    tok = p.pos
+    tok, reported = p.pos, p.reported
     name = ""
     if p.kind() == "word" and p.number() is None and not p.at_keyword({"when"}):
         got = p.expect_ident("rule name")
@@ -533,7 +545,6 @@ def _parse_rule(p: _Parser) -> CausalRule | None:
         p.advance()
     else:
         p.error("expected 'when' in rule")
-        p.skip_to(TOP_KEYWORDS)
         return None
     retract_trigger = False
     if p.at_keyword({"retract"}):
@@ -541,48 +552,40 @@ def _parse_rule(p: _Parser) -> CausalRule | None:
         retract_trigger = True
     trigger = p.parse_proposition()
     if trigger is None:
-        p.skip_to(TOP_KEYWORDS)
         return None
     if retract_trigger:
         trigger = trigger.negated()
     conditions = []
     if p.at_keyword({"if"}):
         p.advance()
-        conditions = p.parse_prop_list(default_level=None)
+        conditions = p.parse_prop_list()
     if p.at_keyword({"then"}):
         p.advance()
     else:
         p.error("expected 'then' in rule")
-        p.skip_to(TOP_KEYWORDS)
         return None
     effects = []
     while p.at_keyword({"assert", "retract"}):
         op = p.advance()
         prop = p.parse_proposition()
-        level = p.parse_level_suffix()
-        if level is None:
-            p.error("rule effects need an explicit '@ level'")
-        if prop is not None and level is not None:
-            effects.append((op, prop, level))
-    try:
-        return CausalRule(trigger, tuple(conditions), tuple(effects), name)
-    except ValueError as exc:
-        p.error(str(exc), tok)
+        level = p.parse_level_suffix("rule effects need an explicit '@ level'")
+        effects.append((op, prop, level))
+    if p.reported > reported:
         return None
+    return p.build(tok, CausalRule, trigger, tuple(conditions), tuple(effects), name)
 
 
 def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
-    name_tok = p.pos
+    name_tok, reported = p.pos, p.reported
     name = p.expect_ident("operator name")
     if name is None:
-        p.skip_to(TOP_KEYWORDS)
         return None
     level = None
     necessary = []
     satisfiable = []
     plot_mode = None
     plot_entries = []
-    prob_rules = []
+    prob_rules = []  # (conditions, value, the value's token index)
     prob_default_seen = False
     prob_block_seen = False
     postconditions = []
@@ -593,9 +596,9 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         if slot == "level":
             level = p.expect_int("abstraction level")
         elif slot == "necessary":
-            necessary.extend(p.parse_prop_list(default_level=None))
+            necessary.extend(p.parse_prop_list())
         elif slot == "satisfiable":
-            satisfiable.extend(p.parse_prop_list(default_level=None))
+            satisfiable.extend(p.parse_prop_list())
         elif slot == "plot":
             if p.at_keyword({"choose-one"}):
                 p.advance()
@@ -610,29 +613,25 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         elif slot == "probability":
             prob_block_seen = True
         elif slot == "when":
-            conds = p.parse_prop_list(default_level=None)
+            if prob_default_seen:
+                p.error("probability 'when' clause after 'default'", p.pos - 1)
+            conds = p.parse_prop_list()
             if p.kind() == "darrow":
                 p.advance()
             else:
                 p.error("expected '=>' after probability condition")
+            index = p.pos
             value = p.expect_number("probability value")
             if value is not None:
-                if not 0.0 <= value <= 1.0:
-                    p.error(f"probability {value} outside [0, 1]")
-                elif prob_default_seen:
-                    p.error("probability 'when' clause after 'default'")
-                else:
-                    prob_rules.append((tuple(conds), value))
+                prob_rules.append((tuple(conds), value, index))
         elif slot == "default":
+            index = p.pos
             value = p.expect_number("default probability value")
             if value is not None:
-                if not 0.0 <= value <= 1.0:
-                    p.error(f"probability {value} outside [0, 1]")
-                else:
-                    prob_rules.append(((), value))
-                    prob_default_seen = True
+                prob_rules.append(((), value, index))
+                prob_default_seen = True
         elif slot == "postconditions":
-            postconditions.extend(p.parse_prop_list(default_level=None))
+            postconditions.extend(p.parse_prop_list())
         elif slot == "planfail":
             if p.at_keyword({"backtrack"}):
                 p.advance()
@@ -650,34 +649,34 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
             else:
                 p.error("expected 'backtrack', 'reject-branch' or 'recover <name>'")
 
-    if level is None:
+    # A level that was given but rejected has been reported already.
+    if level is None and p.reported == reported:
         p.error(f"operator {name!r} is missing its abstraction level", name_tok)
-        p.rejected.add(name)
-        return None
     if not (prob_rules or prob_block_seen):
-        prob_rules = [((), 1.0)]
+        prob_rules = [((), 1.0, name_tok)]
 
     def fill(pairs):
         return tuple((prop, level if lvl is None else lvl) for prop, lvl in pairs)
 
-    try:
-        return ReductionOperator(
-            name=name,
-            abstraction_level=level,
-            necessary=fill(necessary),
-            satisfiable=fill(satisfiable),
-            plot_mode=plot_mode or DO_ALL,
-            plot=tuple(plot_entries),
-            probability_rules=tuple(
-                ProbabilityRule(fill(conds), value) for conds, value in prob_rules
-            ),
-            postconditions=fill(postconditions),
-            planfail=planfail,
-        )
-    except ValueError as exc:
-        p.error(str(exc), name_tok)
+    # Each table row is checked by its constructor, at its value.
+    rules = tuple(p.build(index, ProbabilityRule, fill(conds), value)
+                  for conds, value, index in prob_rules)
+    op = None if p.reported > reported else p.build(
+        name_tok,
+        ReductionOperator,
+        name=name,
+        abstraction_level=level,
+        necessary=fill(necessary),
+        satisfiable=fill(satisfiable),
+        plot_mode=plot_mode or DO_ALL,
+        plot=tuple(plot_entries),
+        probability_rules=rules,
+        postconditions=fill(postconditions),
+        planfail=planfail,
+    )
+    if op is None:
         p.rejected.add(name)
-        return None
+    return op
 
 
 def _parse_plot_entries(p: _Parser, parent: str, subgoal_refs: list):
@@ -687,21 +686,15 @@ def _parse_plot_entries(p: _Parser, parent: str, subgoal_refs: list):
         if p.at_keyword(("assert", "retract")):
             op = p.advance()
             prop = p.parse_proposition()
-            level = p.parse_level_suffix()
-            if level is None:
-                p.error("plot edits need an explicit '@ level'")
-            if prop is not None and level is not None:
-                entries.append(PlotEntry("state-edit", edits=((op, prop, level),)))
+            level = p.parse_level_suffix("plot edits need an explicit '@ level'")
+            entries.append(PlotEntry("state-edit", edits=((op, prop, level),)))
         elif p.at_name():
             name = p.advance()
-            fulfilment = p.expect_number(f"fulfilment after subgoal {name!r}")
+            fulfilment = p.expect_number(f"fulfilment after subgoal {name!r}",
+                                         "fulfilment must be >= 0", 0)
             if fulfilment is not None:
-                if not fulfilment >= 0:
-                    p.error("fulfilment must be >= 0")
-                else:
-                    entries.append(PlotEntry("subgoal", subgoal_name=name,
-                                             fulfilment=fulfilment))
-                    subgoal_refs.append((parent, name, tok))
+                entries.append(PlotEntry("subgoal", subgoal_name=name, fulfilment=fulfilment))
+                subgoal_refs.append((parent, name, tok))
         else:
             break
     return entries
@@ -720,21 +713,24 @@ def parse_evidence(text: str, filename: str = "<evidence>",
     masses = []  # (frame name, [(subset, value)], token index)
 
     while p.kind() != "eof":
+        reported = p.reported
         if not p.at_keyword(EVIDENCE_KEYWORDS):
             p.error(f"expected 'frame' or 'mass', found {p.token()!r}")
-            p.advance()
             p.skip_to(EVIDENCE_KEYWORDS)
             continue
         keyword = p.advance()
         if keyword == "frame":
+            start = p.pos
             frame = _parse_frame(p, n_levels)
             if frame is not None:
                 if any(f.name == frame.name for f in frames):
-                    p.error(f"duplicate frame {frame.name!r}")
+                    p.error(f"duplicate frame {frame.name!r}", start)
                 else:
                     frames.append(frame)
         else:
             _parse_mass(p, masses)
+        if p.reported > reported:  # the statement is dropped up to the next one
+            p.skip_to(EVIDENCE_KEYWORDS)
 
     built_masses = []
     by_name = {f.name: f for f in frames}
@@ -748,18 +744,13 @@ def parse_evidence(text: str, filename: str = "<evidence>",
         if abs(total - 1.0) > 1e-6 or total <= 0:
             p.error(f"masses sum to {total:g}", tok)
             continue
-        scaled = {}
-        for subset, value in assignments:
-            key = frozenset(subset)
-            if key in scaled:
-                p.error(f"duplicate mass subset {sorted(subset)}", tok)
-                break
-            scaled[key] = value / total
-        else:
-            try:
-                built_masses.append(MassFunction(frame, _canonical(scaled)))
-            except ValueError as exc:
-                p.error(str(exc), tok)
+        # Sorted as ``mass_function`` sorts, with any repeated subset kept
+        # for the constructor to reject.
+        mass = p.build(tok, MassFunction, frame, tuple(sorted(
+            ((subset, value / total) for subset, value in assignments),
+            key=lambda pair: sorted(pair[0]))))
+        if mass is not None:
+            built_masses.append(mass)
 
     if p.errors:
         raise ParseFailure(p.errors)
@@ -767,16 +758,14 @@ def parse_evidence(text: str, filename: str = "<evidence>",
 
 
 def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
-    tok = p.pos
+    tok, reported = p.pos, p.reported
     name = p.expect_ident("frame name")
     if name is None:
-        p.skip_to(EVIDENCE_KEYWORDS)
         return None
     if p.kind() == "lbrace":
         p.advance()
     else:
         p.error("expected '{' opening frame elements")
-        p.skip_to(EVIDENCE_KEYWORDS)
         p.rejected.add(name)
         return None
     elements = []
@@ -791,32 +780,24 @@ def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
         element_tok = p.pos
         element = p.advance()
         p.advance()  # ->
-        pairs = []
-        for prop, level in p.parse_prop_list(default_level=None):
-            if level is None:
-                p.error("frame element propositions need an explicit '@ level'",
-                        element_tok)
-            else:
-                pairs.append((prop, level))
-        outside = [level for _, level in pairs
-                   if n_levels is not None and not 1 <= level <= n_levels]
+        pairs = p.parse_prop_list("frame element propositions need an explicit '@ level'")
+        outside = [level for _, level in pairs if n_levels is not None
+                   and level is not None and not 1 <= level <= n_levels]
         if outside:
             p.error(f"frame {name!r} maps element {element!r} to level {outside[0]}, "
                     f"outside 1..{n_levels}", element_tok)
         mappings.append((element, tuple(pairs)))
-    try:
-        return Frame(name, tuple(elements), tuple(mappings))
-    except ValueError as exc:
-        p.error(str(exc), tok)
+    frame = None if p.reported > reported else p.build(
+        tok, Frame, name, tuple(elements), tuple(mappings))
+    if frame is None:
         p.rejected.add(name)
-        return None
+    return frame
 
 
 def _parse_mass(p: _Parser, masses: list):
-    tok = p.pos
+    tok, reported = p.pos, p.reported
     frame_name = p.expect_ident("frame name after 'mass'")
     if frame_name is None:
-        p.skip_to(EVIDENCE_KEYWORDS)
         return
     assignments = []
     while p.kind() == "lbrace":
@@ -837,10 +818,9 @@ def _parse_mass(p: _Parser, masses: list):
         value = p.expect_number("mass value")
         if value is None:
             break
-        if not subset:
-            p.error("mass assigned to the empty set")
-            continue
-        assignments.append((tuple(subset), value))
+        assignments.append((frozenset(subset), value))
+    if p.reported > reported:
+        return
     if not assignments:
         p.error(f"mass declaration for {frame_name!r} assigns nothing", tok)
         return

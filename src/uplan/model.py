@@ -415,7 +415,7 @@ class PlotEntry:
 
     def __post_init__(self):
         if self.kind == "subgoal":
-            if not self.subgoal_name or self.fulfilment is None or self.fulfilment < 0:
+            if not self.subgoal_name or self.fulfilment is None or not self.fulfilment >= 0:
                 raise ValueError("subgoal plot entries need a name and a fulfilment >= 0")
         elif self.kind == "state-edit":
             if not self.edits:

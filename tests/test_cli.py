@@ -512,12 +512,36 @@ _FIXTURE = {"domain": fixture_text("air_combat.domain"),
 _OPERATORS = re.findall(r"^operator (\w+)$", _FIXTURE["domain"], re.M)
 _LEAVES = [name for name in _OPERATORS
            if re.search(rf"^operator {name}\n(  .*\n)*?    assert ", _FIXTURE["domain"], re.M)]
+_PARENTS = [name for name in _OPERATORS
+            if re.search(rf"^operator {name}\n(  .*\n)*?    \w+ [\d.]+\n", _FIXTURE["domain"], re.M)]
 _FRAMES = re.findall(r"^frame (\w+) ", _FIXTURE["evidence"], re.M)
 
 
 def _at(text: str, head: str, column: int) -> tuple:
     """(line, column) of the statement that starts with ``head`` on its line."""
     return text[:text.index(head)].count("\n") + 1, column
+
+
+def _value_at(text: str, head: str, pattern: str) -> tuple:
+    """(line, column) of group 1 of the first match of ``pattern`` after ``head``."""
+    at = re.compile(pattern, re.M).search(text, text.index(head)).start(1)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _repeat_at(text: str, head: str, column: int) -> tuple:
+    """(line, column) of the copy that ``_repeated`` puts after ``head``'s statement."""
+    return _at(text, head, column)[0] + _block(text, head).count("\n") + 2, column
+
+
+def _block(text: str, head: str) -> str:
+    """The statement that starts with ``head``, up to the blank line after it."""
+    start = text.index(head)
+    end = text.find("\n\n", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def _repeated(block: str) -> str:
+    return f"{block}\n\n{block}"
 
 
 def _mapping_at(text: str, head: str) -> tuple:
@@ -528,25 +552,26 @@ def _mapping_at(text: str, head: str) -> tuple:
 
 def _in_statement(text: str, head: str, edit) -> str:
     """``text`` with ``edit`` applied to the block that starts with ``head``."""
-    start = text.index(head)
-    end = text.find("\n\n", start)
-    end = len(text) if end < 0 else end
-    block = edit(text[start:end])
-    assert block != text[start:end], head
-    return text[:start] + block + text[end:]
+    start, block = text.index(head), _block(text, head)
+    edited = edit(block)
+    assert edited != block, head
+    return text[:start] + edited + text[start + len(block):]
 
 
 @st.composite
 def fixture_mistakes(draw):
-    """(file kind, edited text, (line, column) of the edited statement):
-    one statement of a bundled fixture edited so that its constructor or
-    the parser rejects it."""
+    """(file kind, edited text, (line, column) of the mistake): one statement
+    of a bundled fixture edited so that its constructor or the parser rejects
+    it. A rule of the statement as a whole is reported at its name, a rejected
+    number at the number and a repeated statement at its repeated name."""
     domain, evidence = _FIXTURE["domain"], _FIXTURE["evidence"]
     compat, rule = "compat (aggressor detected)@1", "rule lock-gives-solution"
     level = draw(st.sampled_from([0, 4, 9]), label="level")
     name = draw(st.sampled_from(_OPERATORS), label="operator")
     leaf = draw(st.sampled_from(_LEAVES), label="leaf")
     frame = draw(st.sampled_from(_FRAMES), label="frame")
+    parent = draw(st.sampled_from(_PARENTS), label="parent")
+    parent_head = f"operator {parent}\n"
     op_head, leaf_head, frame_head = f"operator {name}\n", f"operator {leaf}\n", f"frame {frame} "
     mistakes = {
         "unbound compat consequent": ("domain", _in_statement(domain, compat, lambda b: b.replace(
@@ -572,6 +597,16 @@ def fixture_mistakes(draw):
             "(fire solution)@3", f"(fire solution)@{level}")), _at(domain, rule, 6)),
         "table without a default": ("domain", _in_statement(domain, op_head, lambda b: re.sub(
             r"    default .*\n", "", b)), _at(domain, op_head, 10)),
+        "default outside [0, 1]": ("domain", _in_statement(domain, op_head, lambda b: re.sub(
+            r"(    default ).*", r"\g<1>1.5", b)), _value_at(domain, op_head, r"    default (.)")),
+        "non-integer level": ("domain", _in_statement(domain, op_head, lambda b: re.sub(
+            r"  level \d", "  level 1.5", b, count=1)), _value_at(domain, op_head, r"  level (.)")),
+        "negative subgoal fulfilment": ("domain", _in_statement(
+            domain, parent_head, lambda b: re.sub(r"^(    \w+ )[\d.]+$", r"\g<1>-1", b, count=1,
+                                                  flags=re.M)),
+            _value_at(domain, parent_head, r"^    \w+ ([\d.]+)$")),
+        "repeated operator name": ("domain", _in_statement(domain, op_head, _repeated),
+                                   _repeat_at(domain, op_head, 10)),
         "non-ground mapping": ("evidence", _in_statement(evidence, frame_head, lambda b: re.sub(
             r"-> \((\w+) \w+", r"-> (\1 ?who", b, count=1)), _at(evidence, frame_head, 7)),
         "mapping level out of range": ("evidence", _in_statement(
@@ -580,6 +615,8 @@ def fixture_mistakes(draw):
         "repeated frame element": ("evidence", _in_statement(
             evidence, frame_head, lambda b: re.sub(r"\{(\w+)", r"{\1 \1", b, count=1)),
             _at(evidence, frame_head, 7)),
+        "repeated frame name": ("evidence", _in_statement(evidence, frame_head, _repeated),
+                                _repeat_at(evidence, frame_head, 7)),
     }
     return mistakes[draw(st.sampled_from(sorted(mistakes)), label="mistake")]
 

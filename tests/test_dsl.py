@@ -158,7 +158,18 @@ def test_evidence_levels_outside_the_domain_are_reported_at_their_mapping():
      parse_domain, "operator 'A' is missing its abstraction level"),
     ("frame t {a a}\nmass t {a}=1.0\n", parse_evidence, "frame 't' repeats an element"),
     ("frame t a b\nmass t {a}=1.0\n", parse_evidence, "expected '{' opening frame elements"),
-], ids=["operator", "operator-without-level", "frame", "frame-without-brace"])
+    # A rule its constructor owns, reported by the constructor alone.
+    ("frame t {a}\nmass t {}=0.5 {a}=0.5\n", parse_evidence, "mass assigned to the empty set"),
+    ("frame t {a}\nmass t {a}=0.5 {a}=0.5\n", parse_evidence, "duplicate mass subset ['a']"),
+    # A level suffix rejected, so no second error says it is missing.
+    ("levels 1\ngoal A\ncompat (p)@1.5 => (q)@1\noperator A level 1\n", parse_domain,
+     "level index after '@' must be an integer"),
+    ("levels 1\ngoal A\nrule when (p) then assert (q)@x\noperator A level 1\n", parse_domain,
+     "expected level index after '@'"),
+    ("frame t {a}\n  a -> (p)@nan\nmass t {a}=1.0\n", parse_evidence,
+     "level index after '@' must be an integer"),
+], ids=["operator", "operator-without-level", "frame", "frame-without-brace", "empty-mass-subset",
+        "repeated-mass-subset", "compat-level", "rule-level", "mapping-level"])
 def test_a_rejected_statement_is_reported_once(text, parser, message):
     # The statement's name stays declared, so references to it add no error.
     assert [e.message for e in errors_of(text, parser)] == [message]
@@ -510,26 +521,53 @@ operator A
     B 10.0
 operator B
   level 2
+  probability
+    when (x)@1 => 0.5
+    default 0.9
 """
 
 
 @pytest.mark.parametrize("old, new, message", [
     ("levels 2", "levels inf", "level count after 'levels' must be an integer"),
     ("levels 2", "levels 1e400", "level count after 'levels' must be an integer"),
+    ("levels 2", "levels 0", "level count must be >= 1"),
     ("level 1", "level nan", "abstraction level must be an integer"),
+    ("level 1", "level 1.5", "abstraction level must be an integer"),
     ("(x)@1", "(x)@inf", "level index after '@' must be an integer"),
     ("rho 0.1", "rho nan", "review rho must be >= 0"),
+    ("rho 0.1", "rho -1", "review rho must be >= 0"),
     ("goal A 1.0", "goal A nan", "goal fulfilment must be >= 0"),
     ("B 10.0", "B nan", "fulfilment must be >= 0"),
+    ("B 10.0", "B -1", "fulfilment must be >= 0"),
     ("coverage 0.5 0.5", "coverage 5 5", "coverage thresholds must lie in [0, 1]"),
     ("coverage 0.5 0.5", "coverage nan nan", "coverage thresholds must lie in [0, 1]"),
     ("coverage 0.5 0.5", "coverage 0.5 -0.1", "coverage thresholds must lie in [0, 1]"),
+    ("=> 0.5", "=> 1.5", "probability 1.5 outside [0, 1]"),
+    ("default 0.9", "default 1.5", "probability 1.5 outside [0, 1]"),
+    ("default 0.9", "default nan", "probability nan outside [0, 1]"),
 ])
 def test_bad_numbers_are_parse_errors(old, new, message):
     parse_domain(_VALID_DOMAIN)  # so the replaced number is the only fault
     assert old in _VALID_DOMAIN
     text = _VALID_DOMAIN.replace(old, new, 1)
-    assert message in [e.message for e in errors_of(text)]
+    # Once, at the first number the edit changed; the statement is dropped
+    # whole, so nothing that refers to it adds an error.
+    value = next(m for m, word in zip(re.finditer(r"[^\s@]+", new), re.findall(r"[^\s@]+", old))
+                 if m.group() != word)
+    at = _VALID_DOMAIN.index(old) + value.start()
+    assert [(e.line, e.column, e.message) for e in errors_of(text)] == \
+        [(*_where(text, at), message)]
+
+
+@pytest.mark.parametrize("text, parser, where, message", [
+    (_VALID_DOMAIN + "levels 3\n", parse_domain, (16, 8), "duplicate levels declaration"),
+    (_VALID_DOMAIN + "operator A\n  level 1\n", parse_domain, (16, 10),
+     "duplicate operator name 'A'"),
+    ("frame t {a}\nframe t {b}\n", parse_evidence, (2, 7), "duplicate frame 't'"),
+], ids=["levels", "operator", "frame"])
+def test_a_repeat_is_reported_once_at_its_name_or_number(text, parser, where, message):
+    assert [((e.line, e.column), e.message) for e in errors_of(text, parser)] == \
+        [(where, message)]
 
 
 # --- the lexer against the character-loop tokenizer it replaced --------------
@@ -685,6 +723,14 @@ def test_tokenizer_error_cap_matches_reference():
     with pytest.raises(ParseFailure) as info:
         parse_domain(text, "f")
     assert info.value.errors == ref_errors
+
+
+def test_statements_past_the_error_cap_are_still_dropped():
+    # An error past the cap is not kept but still drops its statement, so no
+    # operator is built from the rejected default.
+    text = ("[ " * MAX_ERRORS + "levels 1\ngoal A\n"
+            "operator A level 1 probability when (p) => 0.5 default 1.5\n")
+    assert len(errors_of(text)) == MAX_ERRORS
 
 
 @pytest.mark.parametrize("kind, parser", [("domain", parse_domain),

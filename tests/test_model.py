@@ -9,6 +9,7 @@ from uplan.model import (
     CausalRule,
     CompatibilityRelation,
     EvidentialInterval,
+    PlotEntry,
     Proposition,
     ReductionOperator,
     apply_edits,
@@ -208,6 +209,13 @@ def test_proposition_requires_predicate():
 def test_pstate_rejects_unground():
     with pytest.raises(ValueError):
         make_pstate("w", 1, contents={1: [Proposition("p", ("?x",))]})
+
+
+@pytest.mark.parametrize("fulfilment", [-1.0, float("nan"), None])
+def test_subgoal_entry_rejects_a_fulfilment_that_is_not_at_least_zero(fulfilment):
+    PlotEntry("subgoal", subgoal_name="A", fulfilment=0.0)
+    with pytest.raises(ValueError, match="fulfilment >= 0"):
+        PlotEntry("subgoal", subgoal_name="A", fulfilment=fulfilment)
 
 
 def test_compat_consequent_variables_are_bound_by_the_antecedent():
