@@ -28,7 +28,6 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
 
 from .errors import CompatibilityViolation, LevelRangeError
 
@@ -530,26 +529,16 @@ STATUS_FAILED = "failed"
 STATUS_REDUNDANT = "redundant"
 
 
-class Values(NamedTuple):
-    """An immutable {fulfilment, probability} pair attached to a plan node."""
-
-    fulfilment: float
-    probability: float
-
-    @property
-    def ef(self) -> float:
-        return self.fulfilment * self.probability
-
-
 @dataclass(eq=False, slots=True)
 class PlanNode:
     """One node of the strategy hierarchy.
 
-    ``base_fulfilment`` is the plot fulfilment assigned at instantiation;
-    ``current`` is revised by the update rules as the subtree grows. ``ef``
-    always equals current.fulfilment * current.probability after an update
-    pass. Nodes compare by identity: a tree belongs to exactly one search,
-    which also keeps the P-states threaded through it.
+    ``base_fulfilment`` is the plot fulfilment assigned at instantiation and
+    never changes. ``fulfilment`` and ``probability`` start as that
+    fulfilment and the operator's probability, and the update rules revise
+    them as the subtree grows; ``ef`` is always their product. Nodes compare
+    by identity: a tree belongs to exactly one search, which also keeps the
+    P-states threaded through it.
     A node owns its ``children`` and holds no link to its parent; a child's
     ``plot_index`` is its position in its parent's ``children``.
     ``deepest_level`` is the deepest operator abstraction level in the
@@ -562,7 +551,8 @@ class PlanNode:
     operator: ReductionOperator
     bindings: dict = field(default_factory=dict)
     base_fulfilment: float = 0.0
-    current: Values = Values(0.0, 1.0)
+    fulfilment: float = 0.0
+    probability: float = 1.0
     children: list = field(default_factory=list)
     expansion: str = EXPANSION_UNEXPANDED
     helpers: list = field(default_factory=list)
@@ -580,7 +570,7 @@ class PlanNode:
 
     @property
     def ef(self) -> float:
-        return self.current.ef
+        return self.fulfilment * self.probability
 
     @property
     def name(self) -> str:

@@ -47,7 +47,6 @@ from .model import (
     PState,
     Proposition,
     ReductionOperator,
-    Values,
     apply_edits,
     enforce_compatibility,
     holds,
@@ -126,7 +125,7 @@ class PlanTrace:
 
 
 def _triple(node: PlanNode) -> tuple:
-    return (node.current.fulfilment, node.current.probability, node.ef)
+    return (node.fulfilment, node.probability, node.ef)
 
 
 # --- value calculus ---------------------------------------------------------
@@ -204,7 +203,7 @@ def update_or_node(parent: PlanNode) -> PlanNode:
     for child in applicable[1:]:
         if child.ef > best.ef:
             best = child
-    parent.current = best.current
+    parent.fulfilment, parent.probability = best.fulfilment, best.probability
     parent.select(best)
     return parent
 
@@ -215,11 +214,11 @@ def update_and_node(parent: PlanNode) -> PlanNode:
     probability = 1.0
     fulfilment = math.inf
     for child in parent.children:
-        probability *= child.current.probability
-        fulfilment = min(fulfilment, child.current.fulfilment)
+        probability *= child.probability
+        fulfilment = min(fulfilment, child.fulfilment)
     if not parent.children:
         return parent
-    parent.current = Values(fulfilment, probability)
+    parent.fulfilment, parent.probability = fulfilment, probability
     return parent
 
 
@@ -247,10 +246,10 @@ def pending_child(node: PlanNode, folds: dict) -> PlanNode | None:
     children = node.children
     start = k
     while k < len(children) and children[k].status in _DONE:
-        values = children[k].current
-        probability *= values.probability
-        if values.fulfilment < fulfilment:  # min(fulfilment, ...), without the call
-            fulfilment = values.fulfilment
+        child = children[k]
+        probability *= child.probability
+        if child.fulfilment < fulfilment:  # min(fulfilment, ...), without the call
+            fulfilment = child.fulfilment
         k += 1
     if k != start:
         folds[node] = (k, probability, fulfilment)
@@ -264,11 +263,10 @@ def fold_and_node(node: PlanNode, folds: dict):
         return
     k, probability, fulfilment = folds.get(node, _NO_FOLD)
     for child in islice(node.children, k, None):
-        values = child.current
-        probability *= values.probability
-        if values.fulfilment < fulfilment:
-            fulfilment = values.fulfilment
-    node.current = Values(fulfilment, probability)
+        probability *= child.probability
+        if child.fulfilment < fulfilment:
+            fulfilment = child.fulfilment
+    node.fulfilment, node.probability = fulfilment, probability
 
 
 def _refresh_node(node: PlanNode, changed: PlanNode | None = None,
@@ -290,7 +288,7 @@ def _refresh_node(node: PlanNode, changed: PlanNode | None = None,
     elif node.expansion == EXPANSION_OR:
         selected = node.selected_child
         if selected is not None and selected.status != STATUS_FAILED:
-            node.current = selected.current
+            node.fulfilment, node.probability = selected.fulfilment, selected.probability
 
 
 def propagate_updates(path: list, trace: PlanTrace | None = None,
@@ -362,7 +360,7 @@ def review_decisions(path: list, policy: ReviewPolicy,
                 if best is not None:
                     before = _triple(current)
                     current.select(best)
-                    current.current = best.current
+                    current.fulfilment, current.probability = best.fulfilment, best.probability
                     if trace is not None:
                         trace.record(
                             "review-switch", current, before=before,
@@ -494,7 +492,8 @@ class Search:
     def _instantiate(self, op: ReductionOperator, fulfilment: float,
                      state: PState) -> PlanNode:
         node = PlanNode(op, base_fulfilment=fulfilment, node_id=self._next_id,
-                        current=Values(fulfilment, operator_probability(op, state)))
+                        fulfilment=fulfilment,
+                        probability=operator_probability(op, state))
         self._next_id += 1
         return node
 
@@ -590,8 +589,7 @@ class Search:
             return
 
         before = _triple(node)
-        node.current = Values(node.current.fulfilment,
-                              operator_probability(node.operator, state))
+        node.probability = operator_probability(node.operator, state)
         if self.trace is not None:
             self.trace.record("expand", node, before=before, after=_triple(node))
 

@@ -85,12 +85,21 @@ def ratio_threshold(gamma: float, delta: float) -> float:
     return 2.0 * (gamma + delta + gamma * delta) + 1.0
 
 
+# The most values one axis of a table may take: a 0.001 step over [0, 1].
+# The grid is the product of two axes, so this caps it near a million rows.
+MAX_AXIS_VALUES = 1001
+
+
 def _spread(lo: float, hi: float, step: float) -> list:
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be > 0")
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"range [{lo}, {hi}] must lie inside [0, 1]")
-    count = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if steps > MAX_AXIS_VALUES - 0.5:  # round(steps) + 1 > MAX_AXIS_VALUES
+        raise ValueError(f"step {step:g} gives more than {MAX_AXIS_VALUES} "
+                         f"values over [{lo}, {hi}]")
+    count = int(round(steps))
     values = [round(lo + i * step, 12) for i in range(count + 1)]
     return [v for v in values if v <= hi + 1e-12]
 

@@ -171,8 +171,8 @@ def plan_to_dict(plan: Plan) -> dict:
         "worlds": sorted(plan.worlds),
         "root_operator": plan.root.operator.name,
         "root_values": {
-            "fulfilment": plan.root.current.fulfilment,
-            "probability": plan.root.current.probability,
+            "fulfilment": plan.root.fulfilment,
+            "probability": plan.root.probability,
             "ef": plan.root.ef,
         },
         "execution_sequence": [step_to_dict(s) for s in plan.execution_sequence],

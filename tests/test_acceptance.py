@@ -29,7 +29,6 @@ from uplan.model import (
     CHOOSE_ONE,
     DO_ALL,
     EvidentialInterval,
-    Values,
     make_pstate,
     subgoal,
 )
@@ -222,9 +221,9 @@ def test_criterion_4a_and_probability(children_values):
                   children=[node(f, p) for f, p in children_values])
     update_and_node(parent)
     product = math.prod(p for _, p in children_values)
-    assert abs(parent.current.probability - product) <= 1e-12
-    assert 0.0 <= parent.current.probability <= 1.0
-    assert parent.current.probability <= min(p for _, p in children_values)
+    assert abs(parent.probability - product) <= 1e-12
+    assert 0.0 <= parent.probability <= 1.0
+    assert parent.probability <= min(p for _, p in children_values)
 
 
 @criterion(4, "AND fulfilment is the exact minimum (1000 cases)")
@@ -234,7 +233,7 @@ def test_criterion_4b_and_fulfilment(children_values):
     parent = node(1.0, 1.0, expansion="AND",
                   children=[node(f, p) for f, p in children_values])
     update_and_node(parent)
-    assert parent.current.fulfilment == min(f for f, _ in children_values)
+    assert parent.fulfilment == min(f for f, _ in children_values)
 
 
 @criterion(4, "OR parent equals its max-EF applicable child (1000 cases)")
@@ -256,8 +255,8 @@ def test_criterion_4c_or_update(children_spec):
     update_or_node(parent)
     best = max(applicable, key=lambda c: c.ef)
     assert parent.ef == best.ef
-    assert parent.current.fulfilment == parent.selected_child.current.fulfilment
-    assert parent.current.probability == parent.selected_child.current.probability
+    assert parent.fulfilment == parent.selected_child.fulfilment
+    assert parent.probability == parent.selected_child.probability
     assert parent.selected_child.status != "failed"
 
 
@@ -303,11 +302,11 @@ def test_criterion_4d_propagation_equals_recompute(tree, pick, new_values):
         else:
             leaf_paths.append(path)
     path = leaf_paths[pick % len(leaf_paths)]
-    path[-1].current = Values(*new_values)
+    path[-1].fulfilment, path[-1].probability = new_values
     propagate_updates(path)
-    snapshot = [(n.current.fulfilment, n.current.probability) for n in root.walk()]
+    snapshot = [(n.fulfilment, n.probability) for n in root.walk()]
     recompute_values(root)
-    assert snapshot == [(n.current.fulfilment, n.current.probability)
+    assert snapshot == [(n.fulfilment, n.probability)
                         for n in root.walk()]
 
 

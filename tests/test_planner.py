@@ -15,7 +15,6 @@ from uplan.model import (
     PlanNode,
     ProbabilityRule,
     ReductionOperator,
-    Values,
     make_pstate,
     state_edit,
     subgoal,
@@ -71,7 +70,7 @@ DUMMY = op("dummy")
 def node(f, p, expansion="unexpanded", children=(), status="new"):
     for index, child in enumerate(children):
         child.plot_index = index
-    n = PlanNode(operator=DUMMY, base_fulfilment=f, current=Values(f, p),
+    n = PlanNode(operator=DUMMY, base_fulfilment=f, fulfilment=f, probability=p,
                  children=list(children))
     n.expansion = expansion
     n.status = status
@@ -148,16 +147,16 @@ def test_update_or_takes_max_ef_child():
         node(900, 0.9), node(1000, 0.7),
     ])
     update_or_node(parent)
-    assert parent.current.fulfilment == 900
-    assert parent.current.probability == 0.9
+    assert parent.fulfilment == 900
+    assert parent.probability == 0.9
     assert parent.ef == pytest.approx(810, abs=1e-9)
-    assert parent.selected_child.current.fulfilment == 900
+    assert parent.selected_child.fulfilment == 900
 
 
 def test_update_or_single_child_copies():
     parent = node(0, 1, expansion="OR", children=[node(123, 0.25)])
     update_or_node(parent)
-    assert (parent.current.fulfilment, parent.current.probability) == (123, 0.25)
+    assert (parent.fulfilment, parent.probability) == (123, 0.25)
 
 
 def test_update_or_skips_failed_children():
@@ -165,7 +164,7 @@ def test_update_or_skips_failed_children():
     best_but_failed.status = "failed"
     parent = node(0, 1, expansion="OR", children=[best_but_failed, node(500, 0.5)])
     update_or_node(parent)
-    assert parent.current.fulfilment == 500
+    assert parent.fulfilment == 500
 
 
 def test_update_or_lower_fulfilment_propagates_down():
@@ -174,7 +173,7 @@ def test_update_or_lower_fulfilment_propagates_down():
         node(900, 1.0), node(1000, 0.85),
     ])
     update_or_node(parent)
-    assert parent.current.fulfilment == 900
+    assert parent.fulfilment == 900
 
 
 def test_update_and_product_and_min():
@@ -182,15 +181,15 @@ def test_update_and_product_and_min():
         node(1000, 0.9), node(1000, 1.0), node(1000, 0.9),
     ])
     update_and_node(parent)
-    assert parent.current.probability == pytest.approx(0.81, abs=1e-12)
-    assert parent.current.fulfilment == 1000
+    assert parent.probability == pytest.approx(0.81, abs=1e-12)
+    assert parent.fulfilment == 1000
     assert parent.ef == pytest.approx(810, abs=1e-9)
 
 
 def test_update_and_single_child():
     parent = node(1, 1, expansion="AND", children=[node(777, 0.5)])
     update_and_node(parent)
-    assert (parent.current.fulfilment, parent.current.probability) == (777, 0.5)
+    assert (parent.fulfilment, parent.probability) == (777, 0.5)
 
 
 def test_update_and_min_fulfilment():
@@ -198,7 +197,7 @@ def test_update_and_min_fulfilment():
         node(1000, 1.0), node(800, 1.0), node(950, 1.0),
     ])
     update_and_node(parent)
-    assert parent.current.fulfilment == 800
+    assert parent.fulfilment == 800
 
 
 # --- propagation -----------------------------------------------------------------
@@ -212,7 +211,7 @@ def tree_fig():
     or_root = node(0, 1, expansion="OR", children=[and_parent, sibling])
     or_root.select(and_parent)
     update_and_node(and_parent)
-    or_root.current = and_parent.current
+    or_root.fulfilment, or_root.probability = and_parent.fulfilment, and_parent.probability
     return or_root, and_parent, leafs
 
 
@@ -224,21 +223,21 @@ def test_propagate_stops_when_unchanged():
 
 def test_propagate_reaches_root():
     or_root, and_parent, leafs = tree_fig()
-    leafs[1].current = Values(600, 1.0)
+    leafs[1].fulfilment, leafs[1].probability = 600, 1.0
     touched = propagate_updates([or_root, and_parent, leafs[1]])
     assert and_parent in touched and or_root in touched
-    assert and_parent.current.fulfilment == 600
-    assert or_root.current.fulfilment == 600
+    assert and_parent.fulfilment == 600
+    assert or_root.fulfilment == 600
 
 
 def test_propagate_matches_full_recompute():
     or_root, and_parent, leafs = tree_fig()
-    leafs[2].current = Values(1000, 0.5)
+    leafs[2].fulfilment, leafs[2].probability = 1000, 0.5
     propagate_updates([or_root, and_parent, leafs[2]])
-    snapshot = [(n.current.fulfilment, n.current.probability)
+    snapshot = [(n.fulfilment, n.probability)
                 for n in or_root.walk()]
     recompute_values(or_root)
-    assert snapshot == [(n.current.fulfilment, n.current.probability)
+    assert snapshot == [(n.fulfilment, n.probability)
                         for n in or_root.walk()]
 
 
@@ -247,14 +246,13 @@ def test_propagate_matches_full_recompute():
 # Zeros of both signs and repeated values test the min's tie order; the
 # probabilities are arbitrary floats, so a product taken in another order
 # differs in its last bits.
-fold_values_st = st.builds(
-    Values,
+fold_values_st = st.tuples(
     st.one_of(st.sampled_from([0.0, -0.0, 5.0, 1000.0]), st.floats(0, 1000)),
     st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1)))
 
 
-def exact(values: Values) -> tuple:
-    return values.fulfilment.hex(), values.probability.hex()
+def exact(n: PlanNode) -> tuple:
+    return n.fulfilment.hex(), n.probability.hex()
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +265,7 @@ def test_fold_cursor_equals_the_full_fold(data):
     width = data.draw(st.integers(1, 9), label="width")
     children = [node(0, 1) for _ in range(width)]
     for child in children:
-        child.current = data.draw(fold_values_st)
+        child.fulfilment, child.probability = data.draw(fold_values_st)
     parent = node(0, 1, expansion="AND", children=children)
     for child in children[:data.draw(st.integers(0, width), label="completed")]:
         child.status = data.draw(st.sampled_from([STATUS_COMPLETE, STATUS_REDUNDANT]))
@@ -281,12 +279,12 @@ def test_fold_cursor_equals_the_full_fold(data):
         if pending is None:
             break
         if "change" in step:
-            pending.current = data.draw(fold_values_st)
+            pending.fulfilment, pending.probability = data.draw(fold_values_st)
         if "complete" in step:
             pending.status = STATUS_COMPLETE
         fold_and_node(parent, folds)
         want = update_and_node(node(0, 1, expansion="AND", children=children))
-        assert exact(parent.current) == exact(want.current), step
+        assert exact(parent) == exact(want), step
 
 
 # --- review -----------------------------------------------------------------------
@@ -297,7 +295,7 @@ def test_review_switches_when_sibling_clears_offset():
     assert or_root.selected_child is and_parent
     switched = review_decisions([or_root, and_parent, leafs[0]], ReviewPolicy(0.0))
     assert switched == [or_root]
-    assert or_root.selected_child.current.fulfilment == 820
+    assert or_root.selected_child.fulfilment == 820
 
 
 def test_review_large_offset_suppresses_switch():
@@ -609,7 +607,7 @@ def test_ef_invariant_everywhere(air_combat_spec, air_combat_worlds):
     for world in air_combat_worlds:
         plan = plan_for_pstate(world, air_combat_spec, policy=ReviewPolicy(0.0))
         for n in plan.root.walk():
-            assert abs(n.ef - n.current.fulfilment * n.current.probability) <= 1e-9
+            assert abs(n.ef - n.fulfilment * n.probability) <= 1e-9
 
 
 def test_review_safety_selected_beats_complete_siblings(air_combat_spec,
@@ -645,7 +643,7 @@ def test_trace_replay_reproduces_final_values(air_combat_spec, air_combat_worlds
     for n in plan.root.walk():
         if n.node_id in replayed:
             f, p, ef = replayed[n.node_id]
-            assert (f, p) == (n.current.fulfilment, n.current.probability)
+            assert (f, p) == (n.fulfilment, n.probability)
             assert ef == pytest.approx(n.ef, abs=1e-12)
 
 
@@ -664,9 +662,9 @@ def test_property_and_update(children_values):
                   children=[node(f, p) for f, p in children_values])
     update_and_node(parent)
     product = math.prod(p for _, p in children_values)
-    assert abs(parent.current.probability - product) <= 1e-12
-    assert 0.0 <= parent.current.probability <= 1.0
-    assert parent.current.fulfilment == min(f for f, _ in children_values)
+    assert abs(parent.probability - product) <= 1e-12
+    assert 0.0 <= parent.probability <= 1.0
+    assert parent.fulfilment == min(f for f, _ in children_values)
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,7 +11,6 @@ from uplan.model import (
     SuperPlan,
     SuperPlanAlternative,
     SuperPlanNode,
-    Values,
     holds,
     make_pstate,
     state_edit,
@@ -33,8 +32,8 @@ from test_planner import op, spec_of
 
 
 def fake_plan(steps, worlds, root_ef=100.0):
-    root = PlanNode(operator=op("fake"), current=Values(root_ef, 1.0),
-                    base_fulfilment=root_ef)
+    root = PlanNode(operator=op("fake"), base_fulfilment=root_ef,
+                    fulfilment=root_ef, probability=1.0)
     return Plan(root=root,
                 worlds=set(worlds),
                 execution_sequence=tuple(GroundStep(s) for s in steps))

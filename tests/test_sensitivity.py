@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplan.cli import main
 from uplan.sensitivity import (
+    MAX_AXIS_VALUES,
     ErrorBoundedEF,
+    _spread,
     contour_csv,
     contour_rows,
     distinguishable,
@@ -96,6 +99,31 @@ def test_grid_rejects_bad_ranges():
         sensitivity_grid((0.5, 0.1), (0.0, 0.5), 0.1)
     with pytest.raises(ValueError):
         sensitivity_grid((0.0, 1.5), (0.0, 0.5), 0.1)
+
+
+def test_spread_caps_the_values_per_axis():
+    # A 0.001 step over [0, 1] is the finest allowed; anything finer, down to
+    # a step whose count of values overflows a float, is refused up front.
+    assert len(_spread(0, 1, 0.001)) == MAX_AXIS_VALUES == 1001
+    for step in (1e-4, 1e-9, 1e-320):
+        with pytest.raises(ValueError, match="more than 1001 values"):
+            _spread(0, 1, step)
+    assert len(_spread(0.5, 0.6, 1e-4)) == 1001
+
+
+@pytest.mark.parametrize("step, message", [
+    ("1e-9", "step 1e-09 gives more than 1001 values over [0.0, 1.0]"),
+    ("nan", "step must be > 0"),
+    ("-0.1", "step must be > 0"),
+])
+def test_sensitivity_bad_step_exits_two(step, message, tmp_path, capsys):
+    grid, contour = tmp_path / "g.csv", tmp_path / "c.csv"
+    assert main(["sensitivity", "--step", step, "--grid-out", str(grid),
+                 "--contour-out", str(contour)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not grid.exists() and not contour.exists()
 
 
 def test_contours_hit_integer_ratios():
