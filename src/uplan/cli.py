@@ -9,8 +9,12 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
+import stat
 import sys
+from functools import partial
 
 from .dsl import lint_domain, parse_domain, parse_evidence
 from .errors import BudgetExceededError, ParseFailure, PlanFailure, UplanError
@@ -24,7 +28,7 @@ from .sensitivity import (
     grid_csv,
     sensitivity_grid,
 )
-from .serialize import dumps_plan, dumps_superplan
+from .serialize import dump_superplan, dumps_plan, superplan_to_dict
 
 
 def _read(path: str) -> str | None:
@@ -36,13 +40,41 @@ def _read(path: str) -> str | None:
         return None
 
 
-def _write(path: str, text: str) -> bool:
+def _cannot_write(name: str, exc: OSError) -> bool:
+    print(f"error: cannot write {name}: {exc.strerror}", file=sys.stderr)
+    return False
+
+
+def _write(path: str, write) -> bool:
+    """Open ``path`` and call ``write(handle)``. If that fails part-way, the
+    partial file is removed; an ``OSError`` is reported on one line and gives
+    False, and every other exception propagates."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        handle = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
+        return _cannot_write(path, exc)
+    try:
+        with handle:
+            write(handle)
+    except BaseException as exc:
+        # lstat: a symlink or a device (``/dev/full``) is never removed.
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            return _cannot_write(path, exc)
+        raise
+    return True
+
+
+def _write_stdout(write) -> bool:
+    """Call ``write(sys.stdout)`` and flush, so that a failure is reported
+    here on one line, not again when the interpreter exits."""
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _cannot_write("<stdout>", exc)
     return True
 
 
@@ -126,19 +158,19 @@ def cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    payload = dumps_superplan(superplan)
-    if args.out:
-        if not _write(args.out, payload):
-            return 2
-    else:
-        sys.stdout.write(payload)
+    # Converted before any output is opened: a plan nested too deep to
+    # convert raises RecursionError here and leaves no file behind.
+    write = partial(dump_superplan, superplan_to_dict(superplan))
+    if not (_write(args.out, write) if args.out else _write_stdout(write)):
+        return 2
     if args.per_world:
         base = args.out or "superplan.json"
         stem = base[:-5] if base.endswith(".json") else base
         for plan in library:
             text = dumps_plan(plan)
             for world_id in sorted(plan.worlds):
-                if not _write(f"{stem}-{_file_name_part(world_id)}.json", text):
+                if not _write(f"{stem}-{_file_name_part(world_id)}.json",
+                              lambda handle: handle.write(text)):
                     return 2
     return 0
 
@@ -171,8 +203,9 @@ def cmd_sensitivity(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not (_write(args.grid_out, grid_csv(grid))
-            and _write(args.contour_out, contour_csv(contours))):
+    if not (_write(args.grid_out, lambda handle: handle.write(grid_csv(grid)))
+            and _write(args.contour_out,
+                       lambda handle: handle.write(contour_csv(contours)))):
         return 2
     print(f"wrote {len(grid)} grid rows to {args.grid_out} and "
           f"{len(contours)} contour rows to {args.contour_out}")

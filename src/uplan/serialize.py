@@ -4,10 +4,14 @@ Super-plan files round-trip: reading one back reconstructs an equal
 :class:`SuperPlan`. Output is deterministic so golden files diff cleanly. Its
 layout is exactly ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``:
 two-space indent, sorted keys, ``": "`` and ``","`` separators, ``{}`` and
-``[]`` when empty, ASCII escapes and a final newline. ``_dumps`` writes it
+``[]`` when empty, ASCII escapes and a final newline. ``_write`` writes it
 itself because, with ``indent`` set, ``json`` drops to a pure-Python encoder
 whose per-container generators make deeply nested documents slow.
-``docs/superplan-schema.md`` documents the schema.
+
+``_write`` hands each piece of text to an ``emit`` callable as it makes it.
+:func:`dump_superplan` streams the pieces to a file, so writing holds memory
+linear in the plan, not in its text; :func:`dumps_superplan` joins them into
+one string. ``docs/superplan-schema.md`` documents the schema.
 """
 
 from __future__ import annotations
@@ -127,37 +131,44 @@ def superplan_from_dict(d: dict) -> SuperPlan:
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, built in one list."""
     out: list = []
-    _write(value, "\n", out)
+    _write(value, 0, out.append)
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, pad: str, out: list) -> None:
-    # ``pad``: the newline and indent before ``value``'s closing bracket.
+def _write(value, depth: int, emit) -> None:
+    # ``depth``: the indent level of ``value``'s closing bracket. Each indent
+    # string is built where it is emitted, so the recursion holds none.
     if isinstance(value, str):
-        out.append(_escape(value))
+        emit(_escape(value))
     elif isinstance(value, dict) and value:
-        inner = pad + "  "
-        sep = "{" + inner
+        opener = "{"
         for key in sorted(value):
-            out.append(sep + _escape(key) + ": ")
-            _write(value[key], inner, out)
-            sep = "," + inner
-        out.append(pad + "}")
+            emit(f'{opener}\n{"  " * (depth + 1)}{_escape(key)}: ')
+            _write(value[key], depth + 1, emit)
+            opener = ","
+        emit(f'\n{"  " * depth}}}')
     elif isinstance(value, (list, tuple)) and value:
-        inner = pad + "  "
-        sep = "[" + inner
+        opener = "["
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
-            sep = "," + inner
-        out.append(pad + "]")
+            emit(f'{opener}\n{"  " * (depth + 1)}')
+            _write(item, depth + 1, emit)
+            opener = ","
+        emit(f'\n{"  " * depth}]')
     else:  # every other scalar, and {} and []
-        out.append(json.dumps(value))
+        emit(json.dumps(value))
 
 
 def dumps_superplan(sp: SuperPlan) -> str:
     return _dumps(superplan_to_dict(sp))
+
+
+def dump_superplan(document: dict, handle) -> None:
+    """Write ``document``, the :func:`superplan_to_dict` of a super-plan, to
+    the text file ``handle`` piece by piece: the text of
+    :func:`dumps_superplan`, never held whole in memory."""
+    _write(document, 0, handle.write)
+    handle.write("\n")
 
 
 def loads_superplan(text: str) -> SuperPlan:

@@ -1,5 +1,7 @@
+import errno
 import io
 import json
+import os
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplan import cli
 from uplan.cli import main
 from uplan.errors import UplanError
 from uplan.serialize import loads_superplan
@@ -374,6 +377,80 @@ def test_plan_unwritable_out_exits_two(fixture_paths, tmp_path, capsys):
     assert main(["plan", domain, evidence, "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_plan_to_stdout_matches_golden_superplan(fixture_paths, capsys):
+    domain, evidence = fixture_paths
+    assert main(["plan", domain, evidence]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == \
+        (GOLDEN / "air_combat.superplan.json").read_bytes()
+
+
+class _FullStdout(io.StringIO):
+    """A standard output on a full device."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_plan_unwritable_stdout_exits_two(fixture_paths, monkeypatch, capsys):
+    domain, evidence = fixture_paths
+    monkeypatch.setattr("sys.stdout", _FullStdout())
+    assert main(["plan", domain, evidence]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+def _fail_after_first_piece(monkeypatch, exc):
+    """Make the super-plan writer raise ``exc`` once it has written one piece."""
+    real = cli.dump_superplan
+
+    class Handle:
+        def __init__(self, handle):
+            self.pieces, self.handle = 0, handle
+
+        def write(self, text):
+            if self.pieces:
+                raise exc
+            self.pieces += 1
+            self.handle.write(text)
+            self.handle.flush()
+
+    monkeypatch.setattr(cli, "dump_superplan",
+                        lambda document, handle: real(document, Handle(handle)))
+
+
+def test_plan_out_failing_part_way_leaves_no_file(fixture_paths, tmp_path,
+                                                  monkeypatch, capsys):
+    domain, evidence = fixture_paths
+    out = tmp_path / "sp.json"
+    _fail_after_first_piece(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    assert main(["plan", domain, evidence, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
+
+
+def test_plan_out_other_failures_propagate_and_leave_no_file(fixture_paths, tmp_path,
+                                                             monkeypatch):
+    domain, evidence = fixture_paths
+    out = tmp_path / "sp.json"
+    _fail_after_first_piece(monkeypatch, RecursionError("too deep"))
+    with pytest.raises(RecursionError, match="too deep"):
+        main(["plan", domain, evidence, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_plan_out_failure_keeps_a_symlinked_target(fixture_paths, tmp_path, monkeypatch):
+    # Only a regular file is removed; the link (like a device such as /dev/full)
+    # is not the writer's to delete.
+    domain, evidence = fixture_paths
+    target = tmp_path / "target.json"
+    link = tmp_path / "sp.json"
+    link.symlink_to(target)
+    _fail_after_first_piece(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    assert main(["plan", domain, evidence, "--out", str(link)]) == 2
+    assert link.is_symlink()
 
 
 @pytest.mark.parametrize("flag", ["--grid-out", "--contour-out"])

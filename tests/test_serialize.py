@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from uplan.model import (
 )
 from uplan.serialize import (
     _dumps,
+    dump_superplan,
     dumps_plan,
     dumps_superplan,
     loads_superplan,
@@ -109,13 +113,42 @@ _json_values = st.recursive(
 @settings(max_examples=600, deadline=None)
 @given(_json_values)
 def test_writer_matches_json_dumps(value):
-    assert _dumps(value) == reference_dumps(value)
+    expected = reference_dumps(value)
+    assert _dumps(value) == expected
+    assert streamed(value) == expected
+
+
+def streamed(document) -> str:
+    handle = io.StringIO()
+    dump_superplan(document, handle)
+    return handle.getvalue()
+
+
+def chain_superplan(steps: int) -> SuperPlan:
+    node = None
+    for i in reversed(range(steps)):
+        bindings = (("?x", f"v{i}"),) if i % 2 else ()
+        node = SuperPlanNode(step=GroundStep(f"s{i}", bindings), next=node)
+    return SuperPlan(root=node, worlds=(("w", EvidentialInterval(1.0, 1.0)),))
 
 
 def test_writer_matches_json_dumps_on_a_900_step_chain():
-    node = None
-    for i in reversed(range(900)):
-        bindings = (("?x", f"v{i}"),) if i % 2 else ()
-        node = SuperPlanNode(step=GroundStep(f"s{i}", bindings), next=node)
-    sp = SuperPlan(root=node, worlds=(("w", EvidentialInterval(1.0, 1.0)),))
-    assert dumps_superplan(sp) == reference_dumps(superplan_to_dict(sp))
+    sp = chain_superplan(900)
+    expected = reference_dumps(superplan_to_dict(sp))
+    assert dumps_superplan(sp) == expected
+    assert streamed(superplan_to_dict(sp)) == expected
+
+
+def test_streaming_holds_memory_linear_in_the_plan():
+    # The 900-step chain nests 900 deep, so its text grows with the square of
+    # its length; converting and streaming it must not hold that text.
+    sp = chain_superplan(900)
+    length = len(dumps_superplan(sp))
+    with open(os.devnull, "w", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            dump_superplan(superplan_to_dict(sp), handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < length / 5
