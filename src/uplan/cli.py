@@ -74,6 +74,14 @@ def _write_stdout(write) -> bool:
         write(sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
+        # A buffered writer may keep the bytes it failed to write and flush
+        # them again at exit; point the descriptor at the null device so that
+        # this flush succeeds. A stand-in without a descriptor has no such flush.
+        with contextlib.suppress(OSError, ValueError):
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
         return _cannot_write("<stdout>", exc)
     return True
 

@@ -131,9 +131,14 @@ def superplan_from_dict(d: dict) -> SuperPlan:
 def _dumps(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, built in one list."""
     out: list = []
-    _write(value, 0, out.append)
-    out.append("\n")
+    _dump(value, out.append)
     return "".join(out)
+
+
+def _dump(value, emit) -> None:
+    """Emit the text of ``_dumps(value)`` piece by piece."""
+    _write(value, 0, emit)
+    emit("\n")
 
 
 def _write(value, depth: int, emit) -> None:
@@ -164,11 +169,14 @@ def dumps_superplan(sp: SuperPlan) -> str:
 
 
 def dump_superplan(document: dict, handle) -> None:
-    """Write ``document``, the :func:`superplan_to_dict` of a super-plan, to
-    the text file ``handle`` piece by piece: the text of
-    :func:`dumps_superplan`, never held whole in memory."""
-    _write(document, 0, handle.write)
-    handle.write("\n")
+    """Write ``document`` to the text file ``handle`` piece by piece, never
+    holding its text whole in memory.
+
+    ``document`` is the plain dict :func:`superplan_to_dict` returns, not a
+    :class:`SuperPlan`: the caller converts first, so that a super-plan too
+    deep to convert fails before any output is opened. The text is that of
+    :func:`dumps_superplan`."""
+    _dump(document, handle.write)
 
 
 def loads_superplan(text: str) -> SuperPlan:

@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -399,6 +401,33 @@ def test_plan_unwritable_stdout_exits_two(fixture_paths, monkeypatch, capsys):
     assert main(["plan", domain, evidence]) == 2
     assert capsys.readouterr().err == \
         f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("sink, code", [("/dev/full", errno.ENOSPC),
+                                        ("closed pipe", errno.EPIPE)])
+def test_plan_unwritable_stdout_in_a_process_exits_two(fixture_paths, sink, code):
+    # A real standard output is buffered: the bytes that failed must not be
+    # flushed, and the failure reported, a second time at interpreter exit.
+    domain, evidence = fixture_paths
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full on this platform")
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        read, stdout = os.pipe()
+        os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "uplan.cli", "plan", domain, evidence],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(stdout)
+    assert done.stderr.splitlines() == \
+        [f"error: cannot write <stdout>: {os.strerror(code)}"]
+    assert done.returncode == 2
 
 
 def _fail_after_first_piece(monkeypatch, exc):
