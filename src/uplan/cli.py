@@ -28,7 +28,7 @@ from .sensitivity import (
     grid_csv,
     sensitivity_grid,
 )
-from .serialize import dump_superplan, dumps_plan, superplan_to_dict
+from .serialize import dump_superplan, dumps_plan
 
 
 def _read(path: str) -> str | None:
@@ -166,9 +166,7 @@ def cmd_plan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # Converted before any output is opened: a plan nested too deep to
-    # convert raises RecursionError here and leaves no file behind.
-    write = partial(dump_superplan, superplan_to_dict(superplan))
+    write = partial(dump_superplan, superplan)
     if not (_write(args.out, write) if args.out else _write_stdout(write)):
         return 2
     if args.per_world:

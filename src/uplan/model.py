@@ -24,14 +24,11 @@ predicate's tuple is copied.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import CompatibilityViolation, LevelRangeError
-
-log = logging.getLogger(__name__)
 
 # Planfail directives understood by the search.
 PLANFAIL_BACKTRACK = "backtrack"
@@ -198,8 +195,6 @@ class AbstractionLevel:
             new = _without(_with(bucket, p), (p.args, not p.polarity))
         elif op == "retract":
             new = _without(bucket, (p.args, p.polarity))
-            if new is bucket:
-                log.debug("retract of absent %s at level %d ignored", p, self.index)
         else:
             raise ValueError(f"unknown edit op {op!r}")
         if new is bucket:
@@ -332,7 +327,7 @@ def apply_edits(ps: PState, edits) -> PState:
     """Apply (op, proposition, level) edits in order; returns a new P-state.
 
     Asserting a proposition removes its complement so a level never carries
-    both p and (not p). Retracting an absent proposition is a logged no-op.
+    both p and (not p). Retracting an absent proposition is a no-op.
     Untouched levels are shared with ``ps``.
     """
     levels = list(ps.levels)
@@ -654,22 +649,19 @@ class SuperPlanAlternative:
 
 @dataclass(frozen=True)
 class SuperPlanNode:
-    """Either a linear action step or a branch point.
+    """A run of action steps and the branch point after it.
 
-    Action nodes carry a step and a single continuation. Branch points carry
-    either a knowledge-acquisition operator or per-alternative evidence
-    weights, never neither; :func:`uplan.reapply.merge_plans` attaches one
-    or the other as it creates each branch point.
+    ``steps`` is the run: a shared prefix of the merged plans is one node.
+    ``alternatives`` is the branch point that follows it; when empty, the plan
+    ends after the run. A branch point carries either a knowledge-acquisition
+    operator or per-alternative evidence weights, never neither;
+    :func:`uplan.reapply.insert_ka_operators` attaches one or the other as it
+    creates each branch point.
     """
 
-    step: GroundStep | None = None
-    next: "SuperPlanNode | None" = None
+    steps: tuple = ()  # GroundSteps
     ka: KnowledgeAcquisitionOperator | None = None
     alternatives: tuple = ()
-
-    @property
-    def is_branch(self) -> bool:
-        return bool(self.alternatives)
 
 
 @dataclass(frozen=True)
@@ -682,13 +674,9 @@ class SuperPlan:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node is None:
-                continue
-            if node.is_branch:
+            if node is not None and node.alternatives:
                 out.append(node)
                 stack.extend(alt.subtree for alt in node.alternatives)
-            else:
-                stack.append(node.next)
         return out
 
     def paths(self):
@@ -697,13 +685,10 @@ class SuperPlan:
         stack = [(self.root, ())]
         while stack:
             node, prefix = stack.pop()
-            steps = list(prefix)
-            while node is not None and not node.is_branch:
-                steps.append(node.step)
-                node = node.next
-            if node is None:
-                results.append(tuple(steps))
+            if node is not None:
+                prefix += node.steps
+            if node is None or not node.alternatives:
+                results.append(prefix)
             else:
-                prefix = tuple(steps)
                 stack.extend((alt.subtree, prefix) for alt in reversed(node.alternatives))
         return results

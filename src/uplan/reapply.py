@@ -143,9 +143,9 @@ def merge_plans(plans, worlds, threshold=(0.0, 0.0)) -> SuperPlan:
 
 def _build(entries, depth, by_id):
     """The super-plan from ``depth`` on for (sequence, worlds) entries
-    that agree before it: a loop over the shared steps, one call per
-    alternative of the branch point that ends them. ``by_id`` maps world ids
-    to the P-states, for :func:`insert_ka_operators`."""
+    that agree before it: one node, whose run is the steps they share, with
+    one call per alternative of the branch point that ends the run. ``by_id``
+    maps world ids to the P-states, for :func:`insert_ka_operators`."""
     steps = []
     while True:
         # One bucket per distinct head, in first-seen order.
@@ -157,16 +157,14 @@ def _build(entries, depth, by_id):
             break
         steps.append(next(iter(buckets)))
         depth += 1
-    node = None
-    if len(buckets) > 1:
-        node = insert_ka_operators(
-            [(_build(group, depth, by_id), frozenset().union(*(ids for _, ids in group)))
-             for group in buckets.values()],
-            by_id,
-        )
-    for step in reversed(steps):
-        node = SuperPlanNode(step=step, next=node)
-    return node
+    if len(buckets) < 2:  # the plans end after the run
+        return SuperPlanNode(tuple(steps)) if steps else None
+    branch = insert_ka_operators(
+        [(_build(group, depth, by_id), frozenset().union(*(ids for _, ids in group)))
+         for group in buckets.values()],
+        by_id,
+    )
+    return SuperPlanNode(tuple(steps), branch.ka, branch.alternatives)
 
 
 def _combined_interval(world_ids, by_id) -> EvidentialInterval:

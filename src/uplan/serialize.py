@@ -8,6 +8,11 @@ two-space indent, sorted keys, ``": "`` and ``","`` separators, ``{}`` and
 itself because, with ``indent`` set, ``json`` drops to a pure-Python encoder
 whose per-container generators make deeply nested documents slow.
 
+In memory a super-plan node holds a whole run of steps; format v1 nests one
+action object per step. Converting between the two loops over each run, so
+it recurses once per branch point, but ``_write`` (like ``json``) still
+recurses once per nesting level, and so once per step of a v1 document.
+
 ``_write`` hands each piece of text to an ``emit`` callable as it makes it.
 :func:`dump_superplan` streams the pieces to a file, so writing holds memory
 linear in the plan, not in its text; :func:`dumps_superplan` joins them into
@@ -54,9 +59,13 @@ def _interval_to_list(interval: EvidentialInterval) -> list:
 
 
 def _node_to_dict(node: SuperPlanNode | None):
+    """v1's nesting of ``node``: one action object per step of its run, each
+    holding the next in ``next``, and the branch point innermost. Built by a
+    loop over the run; the recursion is once per branch point."""
     if node is None:
         return None
-    if node.is_branch:
+    tail = None
+    if node.alternatives:
         branch = {
             "alternatives": [
                 {
@@ -77,37 +86,42 @@ def _node_to_dict(node: SuperPlanNode | None):
             }
         else:
             branch["ka"] = None
-        return {"branch": branch}
-    return {"action": step_to_dict(node.step), "next": _node_to_dict(node.next)}
+        tail = {"branch": branch}
+    for step in reversed(node.steps):
+        tail = {"action": step_to_dict(step), "next": tail}
+    return tail
 
 
 def _node_from_dict(d):
+    """The node whose run is the chain of action objects from ``d`` on, and
+    whose branch point is the branch object that ends the chain, if any."""
+    steps = []
+    while d is not None and "branch" not in d:
+        steps.append(step_from_dict(d["action"]))
+        d = d["next"]
     if d is None:
-        return None
-    if "branch" in d:
-        branch = d["branch"]
-        ka = None
-        if branch.get("ka") is not None:
-            raw = branch["ka"]
-            ka = KnowledgeAcquisitionOperator(
-                observe=tuple(
-                    (entry["level"], proposition_from_dict(entry["proposition"]))
-                    for entry in raw["observe"]
-                ),
-                maps=tuple(sorted((k, v) for k, v in raw["maps"].items())),
-            )
-        alternatives = tuple(
-            SuperPlanAlternative(
-                subtree=_node_from_dict(alt["subtree"]),
-                worlds=frozenset(alt["worlds"]),
-                weight=None if alt["weight"] is None
-                else EvidentialInterval(*alt["weight"]),
-            )
-            for alt in branch["alternatives"]
+        return SuperPlanNode(tuple(steps)) if steps else None
+    branch = d["branch"]
+    ka = None
+    if branch.get("ka") is not None:
+        raw = branch["ka"]
+        ka = KnowledgeAcquisitionOperator(
+            observe=tuple(
+                (entry["level"], proposition_from_dict(entry["proposition"]))
+                for entry in raw["observe"]
+            ),
+            maps=tuple(sorted((k, v) for k, v in raw["maps"].items())),
         )
-        return SuperPlanNode(ka=ka, alternatives=alternatives)
-    return SuperPlanNode(step=step_from_dict(d["action"]),
-                         next=_node_from_dict(d["next"]))
+    alternatives = tuple(
+        SuperPlanAlternative(
+            subtree=_node_from_dict(alt["subtree"]),
+            worlds=frozenset(alt["worlds"]),
+            weight=None if alt["weight"] is None
+            else EvidentialInterval(*alt["weight"]),
+        )
+        for alt in branch["alternatives"]
+    )
+    return SuperPlanNode(tuple(steps), ka, alternatives)
 
 
 def superplan_to_dict(sp: SuperPlan) -> dict:
@@ -119,7 +133,7 @@ def superplan_to_dict(sp: SuperPlan) -> dict:
 
 
 def superplan_from_dict(d: dict) -> SuperPlan:
-    if d.get("format") != FORMAT:
+    if not isinstance(d, dict) or d.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
     worlds = tuple(sorted(
         ((wid, EvidentialInterval(*pair)) for wid, pair in d["worlds"].items()),
@@ -168,15 +182,11 @@ def dumps_superplan(sp: SuperPlan) -> str:
     return _dumps(superplan_to_dict(sp))
 
 
-def dump_superplan(document: dict, handle) -> None:
-    """Write ``document`` to the text file ``handle`` piece by piece, never
-    holding its text whole in memory.
-
-    ``document`` is the plain dict :func:`superplan_to_dict` returns, not a
-    :class:`SuperPlan`: the caller converts first, so that a super-plan too
-    deep to convert fails before any output is opened. The text is that of
-    :func:`dumps_superplan`."""
-    _dump(document, handle.write)
+def dump_superplan(sp: SuperPlan, handle) -> None:
+    """Write the text of :func:`dumps_superplan` to the text file ``handle``
+    piece by piece, never holding it whole in memory. A partial document may
+    have been written when this raises."""
+    _dump(superplan_to_dict(sp), handle.write)
 
 
 def loads_superplan(text: str) -> SuperPlan:

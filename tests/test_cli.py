@@ -446,7 +446,7 @@ def _fail_after_first_piece(monkeypatch, exc):
             self.handle.flush()
 
     monkeypatch.setattr(cli, "dump_superplan",
-                        lambda document, handle: real(document, Handle(handle)))
+                        lambda superplan, handle: real(superplan, Handle(handle)))
 
 
 def test_plan_out_failing_part_way_leaves_no_file(fixture_paths, tmp_path,

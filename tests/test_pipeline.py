@@ -103,12 +103,9 @@ def _world_path(superplan, world_id):
     followed at every branch point."""
     ops, node = [], superplan.root
     while node is not None:
-        if node.is_branch:
-            node = next(alt.subtree for alt in node.alternatives
-                        if world_id in alt.worlds)
-        else:
-            ops.append(node.step.operator)
-            node = node.next
+        ops.extend(step.operator for step in node.steps)
+        node = next((alt.subtree for alt in node.alternatives
+                     if world_id in alt.worlds), None)
     return ops
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -177,10 +179,9 @@ def test_merge_final_step_differs():
     sp = merge_plans(plans, [world("w1"), world("w2")])
     points = sp.branch_points()
     assert len(points) == 1
-    # The branch sits after the shared a, b prefix.
-    assert sp.root.step == GroundStep("a")
-    assert sp.root.next.step == GroundStep("b")
-    assert sp.root.next.next.is_branch
+    # The branch sits after the shared a, b prefix, in the same node.
+    assert points == [sp.root]
+    assert sp.root.steps == (GroundStep("a"), GroundStep("b"))
 
 
 def test_merge_three_way_divergence_at_step_two():
@@ -282,6 +283,13 @@ def test_flattened_paths_reproduce_inputs(air_combat_spec, air_combat_worlds):
 _END = object()
 
 
+def prepend(step, node):
+    """``node`` with ``step`` put in front of its run."""
+    if node is None:
+        return SuperPlanNode((step,))
+    return replace(node, steps=(step,) + node.steps)
+
+
 def reference_merge_plans(plans, worlds) -> SuperPlan:
     """A plain trie of the sequences, built by one recursive call per step,
     with branch points that carry neither KA operators nor weights."""
@@ -305,7 +313,7 @@ def reference_merge_plans(plans, worlds) -> SuperPlan:
             head = next(iter(heads))
             if head is _END:
                 return None
-            return SuperPlanNode(step=head, next=build(entries, depth + 1))
+            return prepend(head, build(entries, depth + 1))
         buckets: dict = {}
         for seq, ids, order in entries:
             head = seq[depth] if depth < len(seq) else _END
@@ -318,7 +326,7 @@ def reference_merge_plans(plans, worlds) -> SuperPlan:
             if head is _END:
                 subtree = None
             else:
-                subtree = SuperPlanNode(step=head, next=build(group, depth + 1))
+                subtree = prepend(head, build(group, depth + 1))
             alternatives.append(SuperPlanAlternative(subtree, worlds_union))
         return SuperPlanNode(alternatives=tuple(alternatives))
 
@@ -400,20 +408,20 @@ def reference_insert_ka_operators(sp: SuperPlan, worlds) -> SuperPlan:
     def rebuild(node):
         if node is None:
             return None
-        if not node.is_branch:
-            return SuperPlanNode(step=node.step, next=rebuild(node.next))
+        if not node.alternatives:
+            return node
         alternatives = tuple(
             SuperPlanAlternative(rebuild(alt.subtree), alt.worlds, None)
             for alt in node.alternatives
         )
         ka = reference_discriminator([alt.worlds for alt in alternatives], by_id)
         if ka is not None:
-            return SuperPlanNode(ka=ka, alternatives=alternatives)
+            return SuperPlanNode(node.steps, ka, alternatives)
         weighted = tuple(
             SuperPlanAlternative(alt.subtree, alt.worlds, reference_weight(alt.worlds, by_id))
             for alt in alternatives
         )
-        return SuperPlanNode(alternatives=weighted)
+        return SuperPlanNode(node.steps, alternatives=weighted)
 
     return SuperPlan(root=rebuild(sp.root), worlds=sp.worlds)
 
@@ -449,6 +457,7 @@ def test_merge_matches_two_pass_reference(case):
     expected = reference_insert_ka_operators(reference_merge_plans(plans, worlds),
                                              worlds)
     sp = merge_plans(plans, worlds)
+    assert sp == expected
     assert dumps_superplan(sp) == dumps_superplan(expected)
     for point in sp.branch_points():
         assert point.ka is not None or all(alt.weight is not None

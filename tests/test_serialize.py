@@ -2,7 +2,9 @@ import io
 import json
 import math
 import os
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from uplan.model import (
     SuperPlanNode,
 )
 from uplan.serialize import (
+    _dump,
     _dumps,
     dump_superplan,
     dumps_plan,
@@ -23,6 +26,7 @@ from uplan.serialize import (
     loads_superplan,
     step_from_dict,
     step_to_dict,
+    superplan_from_dict,
     superplan_to_dict,
 )
 
@@ -30,12 +34,11 @@ from conftest import prop
 
 
 def weighted_superplan():
-    left = SuperPlanNode(step=GroundStep("x", (("?t", "fighter"),)))
-    branch = SuperPlanNode(alternatives=(
+    left = SuperPlanNode((GroundStep("x", (("?t", "fighter"),)),))
+    root = SuperPlanNode((GroundStep("prelude"),), alternatives=(
         SuperPlanAlternative(left, frozenset({"w1"}), EvidentialInterval(0.6, 1.0)),
         SuperPlanAlternative(None, frozenset({"w2"}), EvidentialInterval(0.0, 0.4)),
     ))
-    root = SuperPlanNode(step=GroundStep("prelude"), next=branch)
     return SuperPlan(root=root, worlds=(
         ("w1", EvidentialInterval(0.6, 1.0)),
         ("w2", EvidentialInterval(0.0, 0.4)),
@@ -48,8 +51,8 @@ def ka_superplan():
         maps=(("F", 1), ("T", 0)),
     )
     branch = SuperPlanNode(ka=ka, alternatives=(
-        SuperPlanAlternative(SuperPlanNode(step=GroundStep("a")), frozenset({"w1"})),
-        SuperPlanAlternative(SuperPlanNode(step=GroundStep("b")), frozenset({"w2"})),
+        SuperPlanAlternative(SuperPlanNode((GroundStep("a"),)), frozenset({"w1"})),
+        SuperPlanAlternative(SuperPlanNode((GroundStep("b"),)), frozenset({"w2"})),
     ))
     return SuperPlan(root=branch, worlds=(
         ("w1", EvidentialInterval(0.5, 1.0)),
@@ -68,8 +71,9 @@ def test_superplan_dump_is_deterministic():
 
 
 def test_rejects_wrong_format():
-    with pytest.raises(ValueError):
-        loads_superplan(json.dumps({"format": "something-else"}))
+    for text in [json.dumps({"format": "something-else"}), "[]", "1", "null", '"x"']:
+        with pytest.raises(ValueError, match="not a uplan-superplan/1 document"):
+            loads_superplan(text)
 
 
 def test_step_bindings_round_trip():
@@ -118,25 +122,41 @@ def test_writer_matches_json_dumps(value):
     assert streamed(value) == expected
 
 
-def streamed(document) -> str:
+def streamed(value) -> str:
     handle = io.StringIO()
-    dump_superplan(document, handle)
+    _dump(value, handle.write)
     return handle.getvalue()
 
 
 def chain_superplan(steps: int) -> SuperPlan:
-    node = None
-    for i in reversed(range(steps)):
-        bindings = (("?x", f"v{i}"),) if i % 2 else ()
-        node = SuperPlanNode(step=GroundStep(f"s{i}", bindings), next=node)
-    return SuperPlan(root=node, worlds=(("w", EvidentialInterval(1.0, 1.0)),))
+    run = tuple(GroundStep(f"s{i}", (("?x", f"v{i}"),) if i % 2 else ())
+                for i in range(steps))
+    return SuperPlan(root=SuperPlanNode(run),
+                     worlds=(("w", EvidentialInterval(1.0, 1.0)),))
 
 
 def test_writer_matches_json_dumps_on_a_900_step_chain():
     sp = chain_superplan(900)
     expected = reference_dumps(superplan_to_dict(sp))
     assert dumps_superplan(sp) == expected
-    assert streamed(superplan_to_dict(sp)) == expected
+    handle = io.StringIO()
+    dump_superplan(sp, handle)
+    assert handle.getvalue() == expected
+
+
+@pytest.mark.parametrize("branch", [False, True])
+def test_a_run_longer_than_the_recursion_limit_converts_both_ways(branch):
+    # Only the conversion is checked: the v1 text nests once per step, and
+    # writing or parsing it recurses once per nesting level.
+    sp = chain_superplan(sys.getrecursionlimit() + 4000)
+    run = sp.root.steps
+    if branch:
+        sp = ka_superplan()
+        sp = replace(sp, root=replace(sp.root, steps=run))
+    assert superplan_from_dict(superplan_to_dict(sp)) == sp
+    assert sp.paths() == ([run + (GroundStep("a"),), run + (GroundStep("b"),)]
+                          if branch else [run])
+    assert [node.steps for node in sp.branch_points()] == ([run] if branch else [])
 
 
 def test_streaming_holds_memory_linear_in_the_plan():
@@ -147,7 +167,7 @@ def test_streaming_holds_memory_linear_in_the_plan():
     with open(os.devnull, "w", encoding="utf-8") as handle:
         tracemalloc.start()
         try:
-            dump_superplan(superplan_to_dict(sp), handle)
+            dump_superplan(sp, handle)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
