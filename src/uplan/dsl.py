@@ -61,7 +61,7 @@ MAX_PROP_DEPTH = 64
 MAX_ERRORS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseError:
     file: str
     line: int
@@ -73,7 +73,7 @@ class ParseError:
         return f"{self.file}:{self.line}:{self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """A lint finding; ``severity`` is 'error' or 'warning'."""
 
@@ -84,7 +84,7 @@ class Diagnostic:
         return f"{self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainSpec:
     """A parsed planning domain."""
 

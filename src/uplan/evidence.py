@@ -29,12 +29,18 @@ from .errors import (
     LevelRangeError,
     NoPossibleWorldError,
 )
-from .model import AbstractionLevel, EvidentialInterval, PState, enforce_compatibility
+from .model import (
+    AbstractionLevel,
+    EvidentialInterval,
+    PState,
+    enforce_compatibility,
+    make_bucket,
+)
 
 MASS_SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """A frame of discernment for one attribute of the world.
 
@@ -68,7 +74,7 @@ class Frame:
                      for pair in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MassFunction:
     """A basic probability assignment over non-empty subsets of a frame."""
 
@@ -146,7 +152,7 @@ def plausibility(m: MassFunction, subset) -> float:
     return min(1.0, sum(mass for s, mass in m.masses if s & target))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceSet:
     """All declared frames with their mass functions."""
 
@@ -174,7 +180,7 @@ class EvidenceSet:
 
 class _Element:
     """One frame element, tabulated once: its belief and plausibility, and
-    its facts per level as predicate buckets, sorted and without repeats.
+    its facts per level as predicate buckets (:func:`uplan.model.make_bucket`).
     ``compat_facts`` keeps only the buckets of compat-named predicates."""
 
     __slots__ = ("support", "plausibility", "facts", "compat_facts")
@@ -190,7 +196,7 @@ class _Element:
                     f"frame {frame.name!r} maps element {element!r} to level {level}, "
                     f"outside 1..{n_levels}")
             grouped.setdefault(level, {}).setdefault(prop.predicate, set()).add(prop)
-        self.facts = {level: {pred: tuple(sorted(facts)) for pred, facts in buckets.items()}
+        self.facts = {level: {pred: make_bucket(facts) for pred, facts in buckets.items()}
                       for level, buckets in grouped.items()}
         self.compat_facts = {
             level: {pred: facts for pred, facts in buckets.items() if pred in compat_predicates}
@@ -201,7 +207,7 @@ def _union(buckets: dict, fragment: dict) -> dict:
     """Predicate buckets holding the facts of both; a shared fact is kept once."""
     out = {**buckets, **fragment}
     for pred in buckets.keys() & fragment.keys():
-        out[pred] = tuple(sorted(set(buckets[pred]).union(fragment[pred])))
+        out[pred] = make_bucket(itertools.chain(*buckets[pred], *fragment[pred]))
     return out
 
 
@@ -321,14 +327,14 @@ def _enforced(buckets, compat, compat_predicates):
         enforced = enforce_compatibility(PState("", levels), compat).levels
     except CompatibilityViolation:
         return None
-    return {level.index: {pred: after.facts_for(pred) for pred in compat_predicates
+    return {level.index: {pred: after.chunks_for(pred) for pred in compat_predicates
                           if after.facts_for(pred) != level.facts_for(pred)}
             for level, after in zip(levels, enforced) if after is not level}
 
 
 def _replaced(buckets: dict, changed: dict) -> dict:
-    """``buckets`` with the ``changed`` predicates' facts in place; a
-    predicate left with none is dropped."""
+    """``buckets`` with the ``changed`` predicates' buckets in place; a
+    predicate left with no facts is dropped."""
     out = {**buckets, **changed}
     for pred, facts in changed.items():
         if not facts:

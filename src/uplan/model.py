@@ -8,24 +8,32 @@ and the search holds the root-to-node path it needs, so a tree holds no
 reference cycle and is freed as soon as it is dropped.
 
 Each level of a P-state (:class:`AbstractionLevel`) is indexed by predicate:
-a dict maps every predicate to a sorted tuple of that predicate's facts, both
+a dict maps every predicate to a bucket of that predicate's facts, both
 polarities together. Facts are checked for groundness and sorted once, when a
-level is built. Matching and lookups touch one predicate's tuple only, and
-since propositions order by predicate first, that tuple lists its facts in the
-same order as the sorted level does. Within one tuple every fact has the same
-predicate, so the key ``(args, polarity)`` orders it as
+level is built. Matching and lookups touch one predicate's bucket only, and
+since propositions order by predicate first, a bucket lists its facts in the
+same order as the sorted level does. Within one bucket every fact has the
+same predicate, so the key ``(args, polarity)`` orders it as
 :class:`Proposition`'s own order does; lookups and edits bisect on that key,
 whose comparisons run in C, and find an asserted fact's complement by the key
-``(args, not polarity)`` without building it. :func:`apply_edits` shares
-structure with the state it edits: untouched levels, and untouched tuples of
-an edited level, are the same objects in both states; only an edited
-predicate's tuple is copied.
+``(args, not polarity)`` without building it.
+
+A bucket is a persistent sorted sequence (Driscoll, Sarnak, Sleator &
+Tarjan, "Making data structures persistent", 1989): a tuple of sorted
+chunks of at most :data:`CHUNK` facts. A lookup bisects the chunks on each
+one's last key, then the chunk. :func:`apply_edits` shares structure with
+the state it edits: untouched levels, untouched buckets of an edited level,
+and untouched chunks of an edited bucket are the same objects in both
+states. An edit copies one chunk, split in half when it grows past
+``CHUNK``, and the bucket's short tuple of chunks, so a state after step n
+of a plan costs O(n / CHUNK + CHUNK) new slots, not O(n).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 from .errors import CompatibilityViolation, LevelRangeError
@@ -49,7 +57,7 @@ def _variables(props) -> set:
     return {a for p in props for a in p.args if is_variable(a)}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Proposition:
     """A ground or pattern literal: predicate, arguments, polarity.
 
@@ -138,10 +146,12 @@ def patterns_unify(a: Proposition, b: Proposition) -> bool:
 class AbstractionLevel:
     """One layer of a P-state. Index 1 is the most abstract description.
 
-    A value, never modified once built. The facts are held by predicate:
-    :meth:`facts_for` returns one predicate's facts as a sorted tuple. Two
-    levels are equal when their indices and facts are. Setting an attribute
-    raises, since :func:`apply_edits` shares levels, and the tuples inside
+    A value, never modified once built. The facts are held by predicate, each
+    predicate's in a bucket: a tuple of sorted chunks (:data:`CHUNK`).
+    :meth:`facts_for` returns one predicate's facts as one sorted tuple, and
+    :meth:`chunks_for` its bucket. Two levels are equal when their indices and
+    facts are, however their buckets are chunked. Setting an attribute raises,
+    since :func:`apply_edits` shares levels, and the buckets and chunks inside
     them, between states; the bucket dict is never changed after it is built.
     """
 
@@ -156,7 +166,7 @@ class AbstractionLevel:
                 raise ValueError(f"non-ground proposition {p} in abstraction level")
             grouped.setdefault(p.predicate, []).append(p)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_buckets", {pred: tuple(sorted(facts, key=_ORDER))
+        object.__setattr__(self, "_buckets", {pred: _chunked(sorted(facts, key=_ORDER))
                                               for pred, facts in grouped.items()})
 
     def __setattr__(self, name, value):
@@ -168,27 +178,37 @@ class AbstractionLevel:
     @property
     def propositions(self) -> frozenset:
         """All facts of the level, as a set built on each call."""
-        return frozenset(p for bucket in self._buckets.values() for p in bucket)
+        return frozenset(chain.from_iterable(chain.from_iterable(self._buckets.values())))
 
     def facts_for(self, predicate: str) -> tuple:
-        """The facts of one predicate, sorted; empty if there are none."""
+        """The facts of one predicate, sorted; empty if there are none. A
+        predicate whose facts span more than one chunk gets a new tuple."""
+        return _flat(self._buckets.get(predicate, ()))
+
+    def chunks_for(self, predicate: str) -> tuple:
+        """The bucket of one predicate: its facts in sorted chunks, which
+        joined in order are :meth:`facts_for`; empty if there are none."""
         return self._buckets.get(predicate, ())
 
     def __contains__(self, p: Proposition) -> bool:
         bucket = self._buckets.get(p.predicate, ())
         key = (p.args, p.polarity)
-        i = bisect_left(bucket, key, key=_ORDER)
-        return i < len(bucket) and _ORDER(bucket[i]) == key
+        c = bisect_left(bucket, key, key=_last)
+        if c == len(bucket):
+            return False
+        chunk = bucket[c]
+        return _ORDER(chunk[bisect_left(chunk, key, key=_ORDER)]) == key
 
     def sorted_facts(self) -> list:
         """All facts in sorted order: the buckets joined in predicate order."""
-        return [p for pred in sorted(self._buckets) for p in self._buckets[pred]]
+        return [p for pred in sorted(self._buckets) for chunk in self._buckets[pred]
+                for p in chunk]
 
     def _edited(self, op: str, p: Proposition) -> "AbstractionLevel":
         """This level after one assert or retract of a ground proposition.
 
         Asserting removes the complement. Only ``p``'s predicate gets a new
-        tuple; the level itself is returned when nothing changes.
+        bucket; the level itself is returned when nothing changes.
         """
         bucket = self._buckets.get(p.predicate, ())
         if op == "assert":
@@ -208,8 +228,9 @@ class AbstractionLevel:
 
     @staticmethod
     def _of(index: int, buckets: dict) -> "AbstractionLevel":
-        """A level over ``buckets``, taken as built: each a non-empty sorted
-        tuple of one predicate's ground facts, without repeats."""
+        """A level over ``buckets``, taken as built: each a non-empty tuple of
+        non-empty sorted chunks of one predicate's ground facts, without
+        repeats, as :func:`make_bucket` builds them."""
         level = AbstractionLevel.__new__(AbstractionLevel)
         object.__setattr__(level, "index", index)
         object.__setattr__(level, "_buckets", buckets)
@@ -218,10 +239,15 @@ class AbstractionLevel:
     def __eq__(self, other):
         if not isinstance(other, AbstractionLevel):
             return NotImplemented
-        return self.index == other.index and self._buckets == other._buckets
+        if self.index != other.index or self._buckets.keys() != other._buckets.keys():
+            return False
+        return all(bucket is other._buckets[pred]
+                   or _flat(bucket) == _flat(other._buckets[pred])
+                   for pred, bucket in self._buckets.items())
 
     def __hash__(self):
-        return hash((self.index, frozenset(self._buckets.items())))
+        return hash((self.index, frozenset((pred, _flat(bucket))
+                                           for pred, bucket in self._buckets.items())))
 
     def __repr__(self):
         return f"AbstractionLevel({self.index}, {self.sorted_facts()!r})"
@@ -231,26 +257,70 @@ class AbstractionLevel:
 # the predicate that every fact of the bucket shares.
 _ORDER = attrgetter("args", "polarity")
 
+# The most facts a chunk of a bucket holds; a chunk that grows past it
+# splits in half, and a chunk left empty is dropped.
+CHUNK = 64
+
+
+def _last(chunk: tuple) -> tuple:
+    """The key of a chunk's last fact: chunks are bisected on it."""
+    return _ORDER(chunk[-1])
+
+
+def _chunked(facts: list) -> tuple:
+    """The bucket of ``facts``, sorted and without repeats: full chunks."""
+    return tuple(tuple(facts[i:i + CHUNK]) for i in range(0, len(facts), CHUNK))
+
+
+def _flat(bucket: tuple) -> tuple:
+    """A bucket's facts as one sorted tuple: its only chunk, if it has one."""
+    return bucket[0] if len(bucket) == 1 else tuple(chain.from_iterable(bucket))
+
+
+def make_bucket(facts) -> tuple:
+    """The bucket of ``facts``, ground facts of one predicate: sorted,
+    without repeats, in chunks."""
+    return _chunked(sorted(set(facts), key=_ORDER))
+
 
 def _with(bucket: tuple, p: Proposition) -> tuple:
-    """``bucket`` with ``p`` inserted in order; the same tuple if present."""
+    """``bucket`` with ``p`` inserted in order; the same bucket if present.
+
+    Only the chunk that takes ``p`` is copied, and split in half when it
+    grows past :data:`CHUNK`; the new bucket shares every other chunk.
+    """
     key = (p.args, p.polarity)
-    i = bisect_left(bucket, key, key=_ORDER)
-    if i < len(bucket) and _ORDER(bucket[i]) == key:
+    if not bucket:
+        return ((p,),)
+    c = min(bisect_left(bucket, key, key=_last), len(bucket) - 1)
+    chunk = bucket[c]
+    i = bisect_left(chunk, key, key=_ORDER)
+    if i < len(chunk) and _ORDER(chunk[i]) == key:
         return bucket
-    return bucket[:i] + (p,) + bucket[i:]
+    chunk = chunk[:i] + (p,) + chunk[i:]
+    if len(chunk) > CHUNK:
+        half = len(chunk) // 2
+        return bucket[:c] + (chunk[:half], chunk[half:]) + bucket[c + 1:]
+    return bucket[:c] + (chunk,) + bucket[c + 1:]
 
 
 def _without(bucket: tuple, key: tuple) -> tuple:
     """``bucket`` without the fact whose ``(args, polarity)`` is ``key``;
-    the same tuple if absent."""
-    i = bisect_left(bucket, key, key=_ORDER)
-    if i < len(bucket) and _ORDER(bucket[i]) == key:
-        return bucket[:i] + bucket[i + 1:]
-    return bucket
+    the same bucket if absent. Only the chunk that held it is copied, or
+    dropped when that leaves it empty."""
+    c = bisect_left(bucket, key, key=_last)
+    if c == len(bucket):
+        return bucket
+    chunk = bucket[c]
+    i = bisect_left(chunk, key, key=_ORDER)
+    if _ORDER(chunk[i]) != key:
+        return bucket
+    if len(chunk) == 1:
+        return bucket[:c] + bucket[c + 1:]
+    return bucket[:c] + (chunk[:i] + chunk[i + 1:],) + bucket[c + 1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidentialInterval:
     """A (support, plausibility) pair bounding belief in a P-state."""
 
@@ -272,7 +342,7 @@ class EvidentialInterval:
 VACUOUS_INTERVAL = EvidentialInterval(0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PState:
     """A complete possible world described at n abstraction levels."""
 
@@ -342,7 +412,7 @@ def apply_edits(ps: PState, edits) -> PState:
     return PState(ps.id, tuple(levels), ps.interval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompatibilityRelation:
     """A directional cross-level implication used to keep levels consistent."""
 
@@ -377,8 +447,8 @@ def enforce_compatibility(ps: PState, rels) -> PState:
     while changed:
         changed = False
         for rel in rels:
-            antecedents = current.level(rel.if_at_level).facts_for(rel.if_pattern.predicate)
-            for fact in antecedents:
+            antecedents = current.level(rel.if_at_level).chunks_for(rel.if_pattern.predicate)
+            for fact in chain.from_iterable(antecedents):
                 bindings = match(rel.if_pattern, fact)
                 if bindings is None:
                     continue
@@ -398,7 +468,7 @@ def enforce_compatibility(ps: PState, rels) -> PState:
     return current
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlotEntry:
     """One step of an operator's plot: a subgoal or a batch of state edits."""
 
@@ -426,7 +496,7 @@ def state_edit(*edits) -> PlotEntry:
     return PlotEntry("state-edit", edits=tuple(edits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbabilityRule:
     """One conditional clause of an operator's probability table.
 
@@ -442,7 +512,7 @@ class ProbabilityRule:
             raise ValueError(f"probability {self.value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionOperator:
     """A goal-reduction action schema.
 
@@ -484,7 +554,7 @@ class ReductionOperator:
         return [e for e in self.plot if e.kind == "subgoal"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CausalRule:
     """A trigger-fired deduction: when a matching change happens and the
     condition holds, apply the effects.
@@ -592,7 +662,7 @@ class PlanNode:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundStep:
     """One executable action: a lowest-level operator with its bindings."""
 
@@ -621,7 +691,7 @@ class Plan:
 
 # --- super-plans ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnowledgeAcquisitionOperator:
     """An observation step that picks a branch of the super-plan at run time.
 
@@ -640,14 +710,14 @@ class KnowledgeAcquisitionOperator:
         return dict(self.maps).get(outcome)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperPlanAlternative:
     subtree: "SuperPlanNode | None"   # None = this alternative ends here
     worlds: frozenset
     weight: EvidentialInterval | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperPlanNode:
     """A run of action steps and the branch point after it.
 
@@ -664,7 +734,7 @@ class SuperPlanNode:
     alternatives: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperPlan:
     root: SuperPlanNode | None
     worlds: tuple  # sorted (world id, EvidentialInterval) pairs

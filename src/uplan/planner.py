@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import BudgetExceededError, CompatibilityViolation, PlanFailure, UplanError
 from .model import (
@@ -57,7 +57,7 @@ DEFAULT_NODE_BUDGET = 100_000
 HELPER_DEPTH = 3  # how deep helpers may nest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewPolicy:
     """Offset policy for reviewing earlier operator selections.
 
@@ -73,7 +73,7 @@ class ReviewPolicy:
             raise ValueError("offset fraction must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     seq: int
     kind: str  # expand select update review-switch planfail satisfy-precondition
@@ -151,7 +151,7 @@ def _match_from(ps: PState, pairs: tuple, i: int, current: dict):
         return current
     pattern, level = pairs[i]
     p = pattern.substitute(current)
-    facts = ps.level(level).facts_for(p.predicate)
+    facts = chain.from_iterable(ps.level(level).chunks_for(p.predicate))
     if p.polarity:
         for fact in facts:
             extended = match(p, fact, current)

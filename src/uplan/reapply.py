@@ -205,7 +205,20 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
                 masks[id(level)] = level_mask
             mask |= level_mask
         present[wid] = mask
-    candidates = sorted(bits)
+    # A candidate whose positive form (the bit ``refine`` reads) every world
+    # holds, or none does, puts every entry in one block: it has gain 0 in
+    # every round, so the greedy rule never picks it.
+    held_by_all, held_by_any = -1, 0
+    for mask in present.values():
+        held_by_all &= mask
+        held_by_any |= mask
+    varies = held_by_any & ~held_by_all
+    candidates = []
+    for level, prop in bits:
+        bit = bits.get((level, prop.positive()))
+        if bit is not None and varies >> bit & 1:
+            candidates.append((level, prop))
+    candidates.sort()
 
     def confused(block):
         """Pairs of ``block``'s entries from different alternatives."""

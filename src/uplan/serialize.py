@@ -135,11 +135,15 @@ def superplan_to_dict(sp: SuperPlan) -> dict:
 def superplan_from_dict(d: dict) -> SuperPlan:
     if not isinstance(d, dict) or d.get("format") != FORMAT:
         raise ValueError(f"not a {FORMAT} document")
-    worlds = tuple(sorted(
-        ((wid, EvidentialInterval(*pair)) for wid, pair in d["worlds"].items()),
-        key=lambda pair: pair[0],
-    ))
-    return SuperPlan(root=_node_from_dict(d["root"]), worlds=worlds)
+    try:
+        worlds = tuple(sorted(
+            ((wid, EvidentialInterval(*pair)) for wid, pair in d["worlds"].items()),
+            key=lambda pair: pair[0],
+        ))
+        return SuperPlan(root=_node_from_dict(d["root"]), worlds=worlds)
+    except (KeyError, AttributeError, TypeError) as exc:
+        raise ValueError(f"not a {FORMAT} document: a part is missing or mistyped "
+                         f"({type(exc).__name__}: {exc})") from exc
 
 
 def _dumps(value) -> str:

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplan import model
 from uplan.errors import CompatibilityViolation, LevelRangeError
 from uplan.model import (
+    CHUNK,
     AbstractionLevel,
     CausalRule,
     CompatibilityRelation,
@@ -359,6 +362,41 @@ def _edited_state(contents, batches):
     return ps, ref
 
 
+def _assert_matches_reference(before, ps, ref, edits, universe, predicates):
+    """``ps``, which is ``before`` after the batch ``edits``, against the
+    reference's level sets ``ref``: its facts, membership and ``holds`` over
+    ``universe``, equality and hash by facts, each bucket's chunks, and the
+    sharing of what the batch left alone."""
+    edited_levels = {level for _, _, level in edits}
+    for level in range(1, N_LEVELS + 1):
+        facts = ref[level - 1]
+        indexed = ps.level(level)
+        assert indexed.propositions == facts
+        assert ps.facts(level) == sorted(facts)
+        for fact in universe:
+            assert (fact in indexed) == (fact in facts)
+            expected = fact.positive() in facts
+            assert holds(ps, level, fact) == (expected if fact.polarity else not expected)
+        # Each bucket, kept in its key order, is in Proposition's own order,
+        # and its chunks, none empty or over CHUNK facts, join to it.
+        for pred in predicates:
+            expected = sorted(fact for fact in facts if fact.predicate == pred)
+            assert list(indexed.facts_for(pred)) == expected
+            chunks = indexed.chunks_for(pred)
+            assert all(0 < len(chunk) <= CHUNK for chunk in chunks)
+            assert [fact for chunk in chunks for fact in chunk] == expected
+        rebuilt = AbstractionLevel(level, facts)
+        assert indexed == rebuilt and rebuilt == indexed
+        assert hash(indexed) == hash(rebuilt)
+        if level not in edited_levels:
+            assert indexed is before.level(level)
+            continue
+        edited_predicates = {p.predicate for _, p, lvl in edits if lvl == level}
+        for pred in predicates:
+            if pred not in edited_predicates:
+                assert indexed.chunks_for(pred) is before.level(level).chunks_for(pred)
+
+
 @settings(max_examples=200, deadline=None)
 @given(edited_st())
 def test_indexed_levels_match_set_reference(edited):
@@ -368,30 +406,103 @@ def test_indexed_levels_match_set_reference(edited):
     for edits in batches:
         before = ps
         ps, ref = apply_edits(ps, edits), reference_apply_edits(ref, edits)
-        edited_levels = {level for _, _, level in edits}
-        for level in range(1, N_LEVELS + 1):
-            facts = ref[level - 1]
-            assert ps.level(level).propositions == facts
-            assert ps.facts(level) == sorted(facts)
-            for fact in UNIVERSE + ABSENT:
-                assert (fact in ps.level(level)) == (fact in facts)
-                expected = fact.positive() in facts
-                assert holds(ps, level, fact) == (expected if fact.polarity else not expected)
-            # Each bucket, kept in its key order, is in Proposition's own order.
-            for pred in [*ARITY, "s"]:
-                assert list(ps.level(level).facts_for(pred)) == sorted(
-                    fact for fact in facts if fact.predicate == pred)
-            rebuilt = AbstractionLevel(level, facts)
-            assert ps.level(level) == rebuilt
-            assert hash(ps.level(level)) == hash(rebuilt)
-            if level not in edited_levels:
-                assert ps.level(level) is before.level(level)
-                continue
-            edited_predicates = {p.predicate for _, p, lvl in edits if lvl == level}
-            for pred in ARITY:
-                if pred not in edited_predicates:
-                    assert (ps.level(level).facts_for(pred)
-                            is before.level(level).facts_for(pred))
+        _assert_matches_reference(before, ps, ref, edits, UNIVERSE + ABSENT, [*ARITY, "s"])
+
+
+# One predicate with room for three full chunks, in both polarities.
+LONG = [Proposition("d", (f"{k:03d}",)) for k in range(3 * CHUNK)]
+LONG_UNIVERSE = LONG + [fact.negated() for fact in LONG]
+
+
+@st.composite
+def grow_and_shrink_st(draw):
+    """(contents, batches of edits) that assert every fact of ``d`` at one
+    level, each in a drawn polarity and order, so that its bucket splits
+    chunk after chunk; then assert the complements of some of them; then
+    retract both polarities of every one in a drawn order, back to empty.
+    Now and then a batch also edits another predicate."""
+    contents = draw(contents_st)
+    level = draw(st.integers(1, N_LEVELS))
+    negative = draw(st.lists(st.booleans(), min_size=len(LONG), max_size=len(LONG)))
+    grown = [fact.negated() if negative[k] else fact
+             for k, fact in zip(draw(st.permutations(range(len(LONG)))), LONG)]
+    flipped = draw(st.lists(st.sampled_from(grown), max_size=CHUNK, unique=True))
+    edits = ([("assert", fact, level) for fact in grown]
+             + [("assert", fact.negated(), level) for fact in flipped]
+             + [("retract", fact, level) for fact in draw(st.permutations(LONG_UNIVERSE))])
+    other = st.tuples(st.sampled_from(["assert", "retract"]), facts_st,
+                      st.integers(1, N_LEVELS))
+    batches = []
+    while edits:
+        size = draw(st.integers(1, 2 * CHUNK))
+        batches.append(edits[:size] + draw(st.lists(other, max_size=1)))
+        edits = edits[size:]
+    return contents, batches
+
+
+@settings(max_examples=10, deadline=None)
+@given(grow_and_shrink_st())
+def test_chunked_buckets_match_set_reference_past_splits(edited):
+    contents, batches = edited
+    ps = make_pstate("w", N_LEVELS, contents=contents)
+    ref = [frozenset(contents[level]) for level in range(1, N_LEVELS + 1)]
+    for edits in batches:
+        before = ps
+        ps, ref = apply_edits(ps, edits), reference_apply_edits(ref, edits)
+        _assert_matches_reference(before, ps, ref, edits, UNIVERSE + ABSENT + LONG_UNIVERSE,
+                                  [*ARITY, "s", "d"])
+    assert not any(ps.level(level).chunks_for("d") for level in range(1, N_LEVELS + 1))
+
+
+def test_levels_compare_by_facts_not_chunk_layout():
+    # Asserted one by one, CHUNK + 1 facts split into two halves; built at
+    # once, the same facts fill one chunk and start another.
+    facts = LONG[:CHUNK + 1]
+    ps = make_pstate("w", 1)
+    for fact in facts:
+        ps = apply_edits(ps, [("assert", fact, 1)])
+    edited, built = ps.level(1), AbstractionLevel(1, facts)
+    assert list(map(len, edited.chunks_for("d"))) == [CHUNK // 2, CHUNK // 2 + 1]
+    assert list(map(len, built.chunks_for("d"))) == [CHUNK, 1]
+    assert edited == built and hash(edited) == hash(built)
+    assert edited.facts_for("d") == built.facts_for("d") == tuple(facts)
+    assert edited != AbstractionLevel(1, facts[1:])
+
+
+def _slots_allocated_by_asserts(monkeypatch, n):
+    """Tuple slots that bucket edits newly allocate while ``n`` random
+    ``done`` facts are asserted, one edit at a time, into one predicate:
+    each new bucket's tuple of chunks, and each chunk it does not share
+    with the bucket it edits."""
+    slots = 0
+    original = model._with
+
+    def counting(bucket, p):
+        nonlocal slots
+        new = original(bucket, p)
+        if new is not bucket:
+            shared = set(map(id, bucket))
+            fresh = [chunk for chunk in new if id(chunk) not in shared]
+            # One new chunk, or the two halves of the one that split.
+            assert len(fresh) <= (2 if len(new) > len(bucket) else 1)
+            slots += len(new) + sum(map(len, fresh))
+        return new
+
+    monkeypatch.setattr(model, "_with", counting)
+    facts = [Proposition("done", (f"s{k}",)) for k in random.Random(n).sample(range(10 * n), n)]
+    ps = make_pstate("w", 1)
+    for fact in facts:
+        ps = apply_edits(ps, [("assert", fact, 1)])
+    assert ps.level(1).facts_for("done") == tuple(sorted(facts))
+    return slots
+
+
+def test_bucket_edits_allocate_near_linearly_in_the_plan(monkeypatch):
+    # A flat sorted tuple per predicate copies the whole bucket per edit:
+    # 125,250 slots at 500 facts and 500,500 at 1000, 4.0x per doubling.
+    small = _slots_allocated_by_asserts(monkeypatch, 500)
+    large = _slots_allocated_by_asserts(monkeypatch, 1000)
+    assert large <= 2.5 * small, (small, large)
 
 
 # Four in five patterns positive, so that a fair share of conjunctions bind.

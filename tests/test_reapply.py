@@ -496,6 +496,9 @@ def disjoint_world_sets(draw):
 @example(([frozenset({"w00"}), frozenset({"w01"})],  # indistinguishable
           [world("w00", contents={1: [prop("(p)")]}),
            world("w01", contents={1: [prop("(p)")]})]))
+@example(([frozenset({"w00"}), frozenset({"w01"})],  # both (r) and (not r) on one level:
+          [world("w00", contents={1: [prop("(r)"), prop("not (r)")]}),  # (not r) splits,
+           world("w01", contents={1: [prop("not (r)")]})]))  # read as the absence of (r)
 @example(([frozenset({"w00", "w01"}), frozenset({"w02", "w03"})],  # needs two observations
           [world("w00", contents={1: [prop("(p)"), prop("(r)")]}),
            world("w01"),

@@ -74,6 +74,14 @@ def test_rejects_wrong_format():
     for text in [json.dumps({"format": "something-else"}), "[]", "1", "null", '"x"']:
         with pytest.raises(ValueError, match="not a uplan-superplan/1 document"):
             loads_superplan(text)
+    # The right format with a part missing or of the wrong type: the error
+    # is a ValueError too, chained from the one that found the fault.
+    for doc in [{"format": "uplan-superplan/1"},
+                {"format": "uplan-superplan/1", "worlds": [], "root": None},
+                {"format": "uplan-superplan/1", "worlds": {}, "root": {"next": None}}]:
+        with pytest.raises(ValueError, match="not a uplan-superplan/1 document") as info:
+            loads_superplan(json.dumps(doc))
+        assert isinstance(info.value.__cause__, (KeyError, AttributeError))
 
 
 def test_step_bindings_round_trip():
