@@ -161,12 +161,12 @@ class AbstractionLevel:
         if index < 1:
             raise ValueError("abstraction level indices start at 1")
         grouped = {}
-        for p in set(propositions):
+        for p in propositions:
             if not p.is_ground:
                 raise ValueError(f"non-ground proposition {p} in abstraction level")
             grouped.setdefault(p.predicate, []).append(p)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_buckets", {pred: _chunked(sorted(facts, key=_ORDER))
+        object.__setattr__(self, "_buckets", {pred: make_bucket(facts)
                                               for pred, facts in grouped.items()})
 
     def __setattr__(self, name, value):
@@ -192,12 +192,12 @@ class AbstractionLevel:
 
     def __contains__(self, p: Proposition) -> bool:
         bucket = self._buckets.get(p.predicate, ())
-        key = (p.args, p.polarity)
-        c = bisect_left(bucket, key, key=_last)
-        if c == len(bucket):
+        if not bucket:
             return False
-        chunk = bucket[c]
-        return _ORDER(chunk[bisect_left(chunk, key, key=_ORDER)]) == key
+        key = (p.args, p.polarity)
+        chunk = bucket[bisect_left(bucket, key, 0, len(bucket) - 1, key=_last)]
+        i = bisect_left(chunk, key, key=_ORDER)
+        return i < len(chunk) and _ORDER(chunk[i]) == key
 
     def sorted_facts(self) -> list:
         """All facts in sorted order: the buckets joined in predicate order."""
@@ -263,13 +263,11 @@ CHUNK = 64
 
 
 def _last(chunk: tuple) -> tuple:
-    """The key of a chunk's last fact: chunks are bisected on it."""
+    """The key of a chunk's last fact. Bisecting a non-empty bucket on it,
+    over every chunk but the last, finds the chunk that holds a key or would
+    take it: the first whose last key is not below the key, else the last
+    chunk. On a bucket of one chunk, that bisection reads no key at all."""
     return _ORDER(chunk[-1])
-
-
-def _chunked(facts: list) -> tuple:
-    """The bucket of ``facts``, sorted and without repeats: full chunks."""
-    return tuple(tuple(facts[i:i + CHUNK]) for i in range(0, len(facts), CHUNK))
 
 
 def _flat(bucket: tuple) -> tuple:
@@ -279,8 +277,9 @@ def _flat(bucket: tuple) -> tuple:
 
 def make_bucket(facts) -> tuple:
     """The bucket of ``facts``, ground facts of one predicate: sorted,
-    without repeats, in chunks."""
-    return _chunked(sorted(set(facts), key=_ORDER))
+    without repeats, in full chunks."""
+    facts = sorted(set(facts), key=_ORDER)
+    return tuple(tuple(facts[i:i + CHUNK]) for i in range(0, len(facts), CHUNK))
 
 
 def _with(bucket: tuple, p: Proposition) -> tuple:
@@ -289,10 +288,10 @@ def _with(bucket: tuple, p: Proposition) -> tuple:
     Only the chunk that takes ``p`` is copied, and split in half when it
     grows past :data:`CHUNK`; the new bucket shares every other chunk.
     """
-    key = (p.args, p.polarity)
     if not bucket:
         return ((p,),)
-    c = min(bisect_left(bucket, key, key=_last), len(bucket) - 1)
+    key = (p.args, p.polarity)
+    c = bisect_left(bucket, key, 0, len(bucket) - 1, key=_last)
     chunk = bucket[c]
     i = bisect_left(chunk, key, key=_ORDER)
     if i < len(chunk) and _ORDER(chunk[i]) == key:
@@ -308,12 +307,12 @@ def _without(bucket: tuple, key: tuple) -> tuple:
     """``bucket`` without the fact whose ``(args, polarity)`` is ``key``;
     the same bucket if absent. Only the chunk that held it is copied, or
     dropped when that leaves it empty."""
-    c = bisect_left(bucket, key, key=_last)
-    if c == len(bucket):
+    if not bucket:
         return bucket
+    c = bisect_left(bucket, key, 0, len(bucket) - 1, key=_last)
     chunk = bucket[c]
     i = bisect_left(chunk, key, key=_ORDER)
-    if _ORDER(chunk[i]) != key:
+    if i == len(chunk) or _ORDER(chunk[i]) != key:
         return bucket
     if len(chunk) == 1:
         return bucket[:c] + bucket[c + 1:]
