@@ -183,7 +183,8 @@ class AbstractionLevel:
     def facts_for(self, predicate: str) -> tuple:
         """The facts of one predicate, sorted; empty if there are none. A
         predicate whose facts span more than one chunk gets a new tuple."""
-        return _flat(self._buckets.get(predicate, ()))
+        bucket = self._buckets.get(predicate, ((),))  # absent: one empty chunk
+        return bucket[0] if len(bucket) == 1 else tuple(chain.from_iterable(bucket))
 
     def chunks_for(self, predicate: str) -> tuple:
         """The bucket of one predicate: its facts in sorted chunks, which
@@ -242,12 +243,12 @@ class AbstractionLevel:
         if self.index != other.index or self._buckets.keys() != other._buckets.keys():
             return False
         return all(bucket is other._buckets[pred]
-                   or _flat(bucket) == _flat(other._buckets[pred])
+                   or self.facts_for(pred) == other.facts_for(pred)
                    for pred, bucket in self._buckets.items())
 
     def __hash__(self):
-        return hash((self.index, frozenset((pred, _flat(bucket))
-                                           for pred, bucket in self._buckets.items())))
+        return hash((self.index, frozenset((pred, self.facts_for(pred))
+                                           for pred in self._buckets)))
 
     def __repr__(self):
         return f"AbstractionLevel({self.index}, {self.sorted_facts()!r})"
@@ -268,11 +269,6 @@ def _last(chunk: tuple) -> tuple:
     take it: the first whose last key is not below the key, else the last
     chunk. On a bucket of one chunk, that bisection reads no key at all."""
     return _ORDER(chunk[-1])
-
-
-def _flat(bucket: tuple) -> tuple:
-    """A bucket's facts as one sorted tuple: its only chunk, if it has one."""
-    return bucket[0] if len(bucket) == 1 else tuple(chain.from_iterable(bucket))
 
 
 def make_bucket(facts) -> tuple:

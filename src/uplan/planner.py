@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import BudgetExceededError, CompatibilityViolation, PlanFailure, UplanError
 from .model import (
@@ -151,19 +151,21 @@ def _match_from(ps: PState, pairs: tuple, i: int, current: dict):
         return current
     pattern, level = pairs[i]
     p = pattern.substitute(current)
-    facts = chain.from_iterable(ps.level(level).chunks_for(p.predicate))
+    chunks = ps.level(level).chunks_for(p.predicate)
     if p.polarity:
-        for fact in facts:
-            extended = match(p, fact, current)
-            if extended is not None:
-                result = _match_from(ps, pairs, i + 1, extended)
-                if result is not None:
-                    return result
+        for chunk in chunks:
+            for fact in chunk:
+                extended = match(p, fact, current)
+                if extended is not None:
+                    result = _match_from(ps, pairs, i + 1, extended)
+                    if result is not None:
+                        return result
         return None
     positive = p.positive()
-    for fact in facts:
-        if match(positive, fact) is not None:
-            return None
+    for chunk in chunks:
+        for fact in chunk:
+            if match(positive, fact) is not None:
+                return None
     return _match_from(ps, pairs, i + 1, current)
 
 
