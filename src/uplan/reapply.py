@@ -205,9 +205,9 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
                 masks[id(level)] = level_mask
             mask |= level_mask
         present[wid] = mask
-    # A candidate whose positive form (the bit ``refine`` reads) every world
-    # holds, or none does, puts every entry in one block: it has gain 0 in
-    # every round, so the greedy rule never picks it.
+    # A candidate whose positive form (the bit ``refine`` reads) every
+    # entry's world holds, or none does, puts every entry in one block: it
+    # has gain 0 in every round, so the greedy rule never picks it.
     held_by_all, held_by_any = -1, 0
     for mask in present.values():
         held_by_all &= mask
