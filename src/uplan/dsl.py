@@ -776,6 +776,7 @@ def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
     else:
         p.error("expected '}' closing frame elements")
     mappings = []
+    held = {}  # element -> the (fact, level) pairs its mappings so far give it
     while p.at_name() and p.kind(1) == "arrow":
         element_tok = p.pos
         element = p.advance()
@@ -783,9 +784,21 @@ def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
         pairs = p.parse_prop_list("frame element propositions need an explicit '@ level'")
         outside = [level for _, level in pairs if n_levels is not None
                    and level is not None and not 1 <= level <= n_levels]
+        facts = held.setdefault(element, set())
+        clash = None
+        for prop, level in pairs:
+            if clash is None and (prop.negated(), level) in facts:
+                clash = (prop.negated(), prop, level)
+            facts.add((prop, level))
         if outside:
             p.error(f"frame {name!r} maps element {element!r} to level {outside[0]}, "
                     f"outside 1..{n_levels}", element_tok)
+        elif clash is not None:
+            # A level holding a fact and its negation reads as if neither held.
+            first, second, level = clash
+            p.error(f"frame {name!r} maps element {element!r} to both "
+                    f"{_format_prop_level(first, level)} and "
+                    f"{_format_prop_level(second, level)}", element_tok)
         mappings.append((element, tuple(pairs)))
     frame = None if p.reported > reported else p.build(
         tok, Frame, name, tuple(elements), tuple(mappings))

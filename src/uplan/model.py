@@ -35,6 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import CompatibilityViolation, LevelRangeError
 
@@ -588,6 +589,8 @@ STATUS_COMPLETE = "complete"
 STATUS_FAILED = "failed"
 STATUS_REDUNDANT = "redundant"
 
+NO_BINDINGS = MappingProxyType({})  # the bindings of every node that has none
+
 
 @dataclass(eq=False, slots=True)
 class PlanNode:
@@ -600,7 +603,11 @@ class PlanNode:
     by identity: a tree belongs to exactly one search, which also keeps the
     P-states threaded through it.
     A node owns its ``children`` and holds no link to its parent; a child's
-    ``plot_index`` is its position in its parent's ``children``.
+    ``plot_index`` is its position in its parent's ``children``. Empty fields
+    are shared, not allocated per node: ``children`` is ``()`` until the
+    search gives the node a list of children, ``helpers`` is a tuple, ``()``
+    when there are none, and a node without bindings holds the read-only
+    :data:`NO_BINDINGS`. A finished leaf without bindings is one object.
     ``deepest_level`` is the deepest operator abstraction level in the
     subtree (helpers excluded), computed from the children given at
     construction, then refreshed with the values on the search's main tree.
@@ -609,13 +616,13 @@ class PlanNode:
     """
 
     operator: ReductionOperator
-    bindings: dict = field(default_factory=dict)
+    bindings: dict = field(default_factory=lambda: NO_BINDINGS)
     base_fulfilment: float = 0.0
     fulfilment: float = 0.0
     probability: float = 1.0
-    children: list = field(default_factory=list)
+    children: list | tuple = ()
     expansion: str = EXPANSION_UNEXPANDED
-    helpers: list = field(default_factory=list)
+    helpers: tuple = ()
     status: str = STATUS_NEW
     selected_index: int | None = None
     node_id: int = -1

@@ -23,7 +23,10 @@ that replay's halted search, so its prefix is not searched twice
 (:func:`continue_from`); a replay stored from an earlier world of the class
 keeps no search, so such a world runs one replay of the donor that never
 halts. Either way the plan, trace lines and errors are those of that
-replay.
+replay. Only one halted search per world is held at a time: the best
+partial replay so far, under :func:`select_best_partial`'s order, which is
+strict, so the best so far ends as that choice. A replay that ranks lower
+gives its search up as soon as it returns.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .reapply import (
     continue_from,
     merge_plans,
     reapply_plan,
+    reuse_rank,
     select_best_partial,
 )
 
@@ -94,30 +98,28 @@ def _plan_world(world, replays, library, spec, policy, budget, trace):
 
     ``replays`` holds the outcomes of replaying the library's plans against
     the world's relevance class, in library order; the plans added since the
-    class last ran are replayed here, since the library only grows.
+    class last ran are replayed here, since the library only grows. The
+    best partial replay is kept as the replays run, so only its halted
+    search stays alive, not one per partial replay.
     """
-    halted = {}  # library position -> this world's partial replay, search kept
+    partials = [r for r in replays if r.kind == "partial"]
+    best = select_best_partial(partials) if partials else None
     for order in range(len(replays), len(library)):
         result = reapply_plan(library[order], world, spec, order=order, budget=budget,
                               policy=policy, trace=PlanTrace() if trace else None)
-        if result.kind == "partial":
-            halted[order] = result
+        if result.kind == "partial" and (best is None or reuse_rank(result) < reuse_rank(best)):
+            best = result
         # Only what the choice below reads: the rebuilt plan, the resume point
         # and the halted search would keep a whole replay tree alive per class.
         replays.append(ReapplyResult(result.kind, result.donor,
                                      prefix_length=result.prefix_length, order=order))
+        del result  # a replay that is not the best so far is never resumed
     fulls = [r for r in replays if r.kind == "full"]
     if fulls:
         select_best_partial(fulls).donor.worlds.add(world.id)
         if trace:
             trace(f"; world {world.id}: reusing existing plan in full")
         return None
-    partials = [r for r in replays if r.kind == "partial"]
-    best = None
-    if partials:
-        best = select_best_partial(partials)
-        best = halted.get(best.order, best)
-    halted = result = None  # the other replays' searches are not resumed
     if best is not None and best.search is not None:
         plan_trace = best.search.trace  # a resumed search records on into it
     else:

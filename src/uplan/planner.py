@@ -34,6 +34,7 @@ from .model import (
     EXPANSION_AND,
     EXPANSION_LEAF,
     EXPANSION_OR,
+    NO_BINDINGS,
     PLANFAIL_BACKTRACK,
     PLANFAIL_REJECT_BRANCH,
     STATUS_COMPLETE,
@@ -458,9 +459,17 @@ class Search:
 
     Plan trees link parent to child only: each step that needs a node's
     ancestors takes the root-to-node ``path`` the search descended along.
-    The search owns the states it threads, keyed by node identity: after a
-    node's helpers in ``states_after_helpers``, after the completed node in
-    ``states_after``. A finished plan's tree holds no state. It also owns
+    The search owns the states it threads, keyed by node identity, and holds
+    only those that it can still read: the state after a reduced node's
+    helpers, which its children thread from, in ``states_after_helpers``,
+    and the state after a completed or skipped node in ``states_after``. A
+    node's entries are released (:meth:`_done`) when it is done, and the
+    state after a done child when its next sibling in an AND, or its parent,
+    is done. So a finished search holds the state after the root, and those
+    of branches that were suspended or failed; a halted one holds those of
+    every pending node, and a review's switch back, a recovery and
+    :meth:`resume` read only entries it holds. A helper's states are passed
+    along, never held. A finished plan's tree holds no state. It also owns
     each AND node's fold cursor in ``folds``: the index of its first
     incomplete child and the fold of the children before it (see
     :func:`pending_child`). :meth:`_next_point` finds the pending child from
@@ -587,7 +596,7 @@ class Search:
         self._count_expansion()
         state = self._thread_state(path)
 
-        if node.donor is not None and self._redundant(node, state):
+        if node.donor is not None and self._redundant(path, state):
             return
 
         before = _triple(node)
@@ -595,17 +604,19 @@ class Search:
         if self.trace is not None:
             self.trace.record("expand", node, before=before, after=_triple(node))
 
-        reason = self._preconditions(node, state, HELPER_DEPTH)
+        state, reason = self._preconditions(node, state, HELPER_DEPTH)
         if reason is not None:
             self._planfail(path, reason)
             return
-        state = self.states_after_helpers[node]
 
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
             self._fail_expansion(path, "choose-one plot is empty")
         elif node.operator.is_leaf:
-            if not self._apply_leaf(node, state):
+            after = self._apply_leaf(node, state)
+            if after is None:
                 self._fail_expansion(path, "effects violate compatibility or postconditions")
+            else:
+                self._done(path, after)
         else:
             self._apply_reduction(node, state)
         self._finish_expansion(path)
@@ -627,13 +638,14 @@ class Search:
         propagate_updates(path, self.trace, self.folds)
         review_decisions(path, self.policy, self.trace, self.folds)
 
-    def _redundant(self, node: PlanNode, state: PState) -> bool:
+    def _redundant(self, path: list, state: PState) -> bool:
         """During replay, an operator whose postconditions already hold is skipped."""
+        node = path[-1]
         post = node.operator.postconditions
         if not post or match_conjunction(state, post) is None:
             return False
         node.status = STATUS_REDUNDANT
-        self.states_after[node] = state
+        self._done(path, state)
         if self.trace is not None:
             self.trace.record("expand", node, before=_triple(node),
                               after=_triple(node), detail="redundant")
@@ -647,36 +659,35 @@ class Search:
             return self.states_after[parent.children[index - 1]]
         return self.states_after_helpers[parent]
 
-    def _preconditions(self, node: PlanNode, state: PState, depth: int) -> str | None:
+    def _preconditions(self, node: PlanNode, state: PState, depth: int) -> tuple:
         """Bind ``node``'s preconditions in ``state``, planning a helper for
         each satisfiable one that does not hold.
 
-        On success sets the node's bindings, its helpers and the state they
-        leave (in ``states_after_helpers``) and returns None; otherwise returns
-        why the operator does not apply. Only the main tree, whose nodes get
-        the full ``depth``, records ``satisfy-precondition`` events.
+        On success sets the node's bindings and its helpers and returns
+        (the state the helpers leave, None); otherwise returns (None, why the
+        operator does not apply). Only the main tree, whose nodes get the
+        full ``depth``, records ``satisfy-precondition`` events.
         """
         op = node.operator
         bindings = match_conjunction(state, op.necessary)
         if bindings is None:
-            return "necessary preconditions do not hold"
+            return None, "necessary preconditions do not hold"
         helpers = []
         for pattern, level in op.satisfiable:
             extended = match_conjunction(state, [(pattern, level)], bindings)
             if extended is None:
                 achieved = self._satisfy(node, pattern, level, bindings, state, depth)
                 if achieved is None:
-                    return f"satisfiable precondition {pattern}@{level} unachievable"
+                    return None, f"satisfiable precondition {pattern}@{level} unachievable"
                 helper, state, extended = achieved
                 helpers.append(helper)
                 if self.trace is not None and depth == HELPER_DEPTH:
                     self.trace.record("satisfy-precondition", node,
                                       detail=f"{pattern}@{level} via {helper.name}")
             bindings = extended
-        node.bindings = bindings
-        node.helpers = helpers
-        self.states_after_helpers[node] = state
-        return None
+        node.bindings = bindings or NO_BINDINGS
+        node.helpers = tuple(helpers)
+        return state, None
 
     def _satisfy(self, node: PlanNode, pattern: Proposition, level: int,
                  bindings: dict, state: PState, depth: int):
@@ -702,14 +713,14 @@ class Search:
         """Greedy depth-first completion of a helper subplan, with no review;
         returns the state after it, or None when it cannot complete."""
         self._count_expansion()
-        if self._preconditions(helper, state, depth) is not None:
+        state, reason = self._preconditions(helper, state, depth)
+        if reason is not None:
             return None
-        state = self.states_after_helpers[helper]
         op = helper.operator
         if op.plot_mode == CHOOSE_ONE and not op.plot:
             return None
         if op.is_leaf:
-            return self.states_after[helper] if self._apply_leaf(helper, state) else None
+            return self._apply_leaf(helper, state)
         if depth <= 0:
             return None
         if op.plot_mode == CHOOSE_ONE:
@@ -723,6 +734,7 @@ class Search:
                     return outcome
             return None
         helper.expansion = EXPANSION_AND
+        helper.children = []
         for entry in op.subgoal_entries():
             child = self._instantiate(self.spec.operator(entry.subgoal_name),
                                       entry.fulfilment, state)
@@ -733,9 +745,10 @@ class Search:
                 return None
         return state if self._complete(helper, state) else None
 
-    def _apply_leaf(self, node: PlanNode, state: PState) -> bool:
+    def _apply_leaf(self, node: PlanNode, state: PState) -> PState | None:
         """Apply a leaf's edits, deduce side effects and re-enforce
-        compatibility; the leaf completes if its postconditions then hold."""
+        compatibility; the leaf completes if its postconditions then hold.
+        Returns the state after it, or None when it does not complete."""
         edits = [(op, prop.substitute(node.bindings), level)
                  for entry in node.operator.plot for op, prop, level in entry.edits]
         after = apply_edits(state, edits)
@@ -743,16 +756,17 @@ class Search:
         try:
             after = enforce_compatibility(after, self.spec.compat)
         except CompatibilityViolation:
-            return False
+            return None
         if not self._complete(node, after):
-            return False
+            return None
         node.expansion = EXPANSION_LEAF
         self.executed_steps += 1
-        return True
+        return after
 
     def _apply_reduction(self, node: PlanNode, state: PState):
         op = node.operator
         node.status = STATUS_EXPANDED
+        self.states_after_helpers[node] = state  # what its children thread from
         choose_one = op.plot_mode == CHOOSE_ONE
         if choose_one:
             # Instantiated best EF first, which fixes the node ids; kept in plot order.
@@ -793,17 +807,42 @@ class Search:
     # -- completion and failure --
 
     def _complete(self, node: PlanNode, state: PState) -> bool:
-        """Mark ``node`` complete, leaving ``state``, if its postconditions hold there."""
+        """Mark ``node`` complete if its postconditions hold in ``state``."""
         if match_conjunction(state, node.operator.postconditions, node.bindings) is None:
             return False
-        self.states_after[node] = state
         node.status = STATUS_COMPLETE
         return True
+
+    def _done(self, path: list, state: PState):
+        """Keep ``state`` as the one after ``path[-1]``, a main-tree node
+        just completed or skipped, and release the states that only the
+        node's own expansion read: the one its children threaded from, the
+        one its last (AND) or selected (OR) child left, and, in an AND, the
+        one its previous sibling left. A suspended branch keeps its states,
+        since no node in it is done before a review switches back to it."""
+        node = path[-1]
+        self.states_after[node] = state
+        if node.expansion in (EXPANSION_AND, EXPANSION_OR):
+            self._release(self.states_after_helpers, node)
+            self._release(self.states_after, node.children[-1]
+                          if node.expansion == EXPANSION_AND else node.selected_child)
+        if node.plot_index > 0 and path[-2].expansion == EXPANSION_AND:
+            self._release(self.states_after, path[-2].children[node.plot_index - 1])
+
+    @staticmethod
+    def _release(states: dict, node: PlanNode):
+        """Drop ``node``'s entry from ``states``, one of the search's two
+        state maps. Reads index the maps, so a read of a released entry
+        raises ``KeyError`` rather than change a plan."""
+        del states[node]
 
     def _finalize(self, path: list):
         node = path[-1]
         last = node.children[-1] if node.expansion == EXPANSION_AND else node.selected_child
-        if not self._complete(node, self.states_after[last]):
+        state = self.states_after[last]
+        if self._complete(node, state):
+            self._done(path, state)
+        else:
             self._planfail(path, "postconditions do not hold after reduction")
 
     def _reselect(self, path: list):

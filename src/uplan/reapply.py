@@ -93,15 +93,18 @@ def continue_from(result: ReapplyResult, ps: PState, spec,
                   donor=result.donor).run()
 
 
+def reuse_rank(result: ReapplyResult) -> tuple:
+    """:func:`select_best_partial`'s key, lowest best. Library positions are
+    unique, so no two results of one world rank equal."""
+    return (-result.prefix_length, -result.donor.root_ef, result.order)
+
+
 def select_best_partial(candidates) -> ReapplyResult:
     """Longest reusable prefix wins; ties go to the donor with the higher
     root EF, then to the earlier donor."""
     if not candidates:
         raise ValueError("no reapplication candidates to choose from")
-    return sorted(
-        candidates,
-        key=lambda r: (-r.prefix_length, -r.donor.root_ef, r.order),
-    )[0]
+    return sorted(candidates, key=reuse_rank)[0]
 
 
 # --- merging ----------------------------------------------------------------

@@ -546,6 +546,18 @@ def test_plan_evidence_level_outside_the_domain_exits_one(fixture_paths, capsys,
         "outside 1..3\n")
 
 
+def test_plan_evidence_mapping_a_fact_and_its_negation_exits_one(fixture_paths, capsys):
+    domain, evidence = fixture_paths
+    text = Path(evidence).read_text()
+    Path(evidence).write_text(text.replace(
+        "(type aggressor fighter)@2",
+        "(type aggressor fighter)@2 (not (type aggressor fighter))@2"))
+    assert main(["plan", domain, evidence]) == 1
+    assert capsys.readouterr().err == (
+        f"{evidence}:8:3: frame 'aggressor_type' maps element 'fighter' to both "
+        "(type aggressor fighter)@2 and (not (type aggressor fighter))@2\n")
+
+
 def test_plan_totally_conflicting_evidence_exits_one(fixture_paths, capsys):
     domain, evidence = fixture_paths
     Path(evidence).write_text(Path(evidence).read_text().replace(

@@ -148,6 +148,22 @@ def test_evidence_levels_outside_the_domain_are_reported_at_their_mapping():
     assert [f.name for f in parse_evidence(text).frames] == ["f"]
 
 
+def test_evidence_mapping_a_fact_and_its_negation_is_reported_at_the_element():
+    # A level holding both reads as if neither held. Once per mapping, at its
+    # element, also when the two come from different lines of one element.
+    text = ("frame f {a b c}\n  a -> (r)@1 (not (r))@1 (not (s))@1 (s)@1\n"
+            "  b -> (r)@1 (not (r))@2\n  c -> (not (q x))@2\n  b -> (q x)@2\n"
+            "  c -> (q x)@2 (r)@1\n")
+    assert [(e.line, e.column, e.message) for e in errors_of(
+        text, lambda t: parse_evidence(t, "e"))] == [
+        (2, 3, "frame 'f' maps element 'a' to both (r)@1 and (not (r))@1"),
+        (6, 3, "frame 'f' maps element 'c' to both (not (q x))@2 and (q x)@2")]
+    # A level outside the domain is the one error of its mapping.
+    assert [e.message for e in errors_of("frame f {a}\n  a -> (r)@3 (not (r))@3\n",
+                                         lambda t: parse_evidence(t, "e", n_levels=2))] == [
+        "frame 'f' maps element 'a' to level 3, outside 1..2"]
+
+
 @pytest.mark.parametrize("text, parser, message", [
     # Rejected by its constructor, referenced by a plot and a recovery.
     ("levels 1\ngoal A 1.0\noperator A\n  level 1\n  plot do-all\n    B 1.0\n"

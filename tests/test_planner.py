@@ -472,7 +472,7 @@ def test_leaf_with_edits_changes_state():
     plan = search.run()
     assert search.states_after[plan.root].level(1).propositions == \
         frozenset([prop("(done)")])
-    assert plan.root.children == []
+    assert plan.root.children == ()
 
 
 # --- whole searches ---------------------------------------------------------------
