@@ -786,19 +786,20 @@ def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
                    and level is not None and not 1 <= level <= n_levels]
         facts = held.setdefault(element, set())
         clash = None
-        for prop, level in pairs:
+        for pair in pairs:
+            prop, level = pair
             if clash is None and (prop.negated(), level) in facts:
-                clash = (prop.negated(), prop, level)
-            facts.add((prop, level))
+                clash = pair
+            facts.add(pair)
         if outside:
             p.error(f"frame {name!r} maps element {element!r} to level {outside[0]}, "
                     f"outside 1..{n_levels}", element_tok)
         elif clash is not None:
             # A level holding a fact and its negation reads as if neither held.
-            first, second, level = clash
+            prop, level = clash
             p.error(f"frame {name!r} maps element {element!r} to both "
-                    f"{_format_prop_level(first, level)} and "
-                    f"{_format_prop_level(second, level)}", element_tok)
+                    f"{_format_prop_level(prop.negated(), level)} and "
+                    f"{_format_prop_level(prop, level)}", element_tok)
         mappings.append((element, tuple(pairs)))
     frame = None if p.reported > reported else p.build(
         tok, Frame, name, tuple(elements), tuple(mappings))

@@ -616,7 +616,7 @@ class PlanNode:
     """
 
     operator: ReductionOperator
-    bindings: dict = field(default_factory=lambda: NO_BINDINGS)
+    bindings: dict | MappingProxyType = field(default_factory=lambda: NO_BINDINGS)
     base_fulfilment: float = 0.0
     fulfilment: float = 0.0
     probability: float = 1.0

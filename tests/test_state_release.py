@@ -7,16 +7,19 @@ error must be the same. A read of a released entry raises ``KeyError``,
 which no comparison below catches.
 """
 
+import gc
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
+import uplan.pipeline
 from uplan import plan_superplan
-from uplan.dsl import parse_domain
+from uplan.dsl import parse_domain, parse_evidence
 from uplan.errors import UplanError
 from uplan.evidence import EvidenceSet, Frame, generate_pstates, mass_function, rank_pstates
 from uplan.model import make_pstate
@@ -266,6 +269,68 @@ def test_a_resumed_replay_reads_only_states_its_halt_kept(
     for spec, evidence in ((air_combat_spec, air_combat_evidence), chain_mission()):
         lines = assert_pipeline_unchanged(spec, evidence)
         assert any(": resumed after" in line for line in lines)
+
+
+FOUR_ROUTES = """
+levels 1
+goal Mission 100.0
+operator Mission
+  level 1
+  plot do-all
+    Prep 100.0
+    Pick 100.0
+operator Prep
+  level 1
+  plot do-all
+    assert (ready)@1
+operator Pick
+  level 1
+  plot choose-one
+    N 100.0
+    S 90.0
+    E 80.0
+    W 70.0
+""" + "".join(f"operator {name}\n  level 1\n  necessary (route {name.lower()})@1\n"
+              f"  plot do-all\n    assert (went {name.lower()})@1\n" for name in "NSEW")
+
+
+def test_a_world_keeps_one_halted_replay_alive():
+    # Four worlds that each need their own plan, planned in the order n, s,
+    # e, w: the last one replays three library plans, and each replay halts
+    # at Pick. Only the best partial replay so far keeps its halted search,
+    # so at most one is alive when a replay starts or a search is resumed.
+    spec = parse_domain(FOUR_ROUTES)
+    evidence = parse_evidence("frame route {n s e w}\n" + "".join(
+        f"  {r} -> (route {r})@1\n" for r in "nsew") + "mass route {n}=0.4 {s}=0.3 "
+        "{e}=0.2 {w}=0.1\n")
+    halted, most = [], Counter()
+    replay, resume = uplan.pipeline.reapply_plan, uplan.pipeline.continue_from
+
+    def alive(world):
+        gc.collect()
+        most[world.id] = max(most[world.id], sum(
+            ref() is not None for wid, ref in halted if wid == world.id))
+
+    def recorded_replay(plan, world, spec, **kwargs):
+        alive(world)
+        result = replay(plan, world, spec, **kwargs)
+        if result.search is not None:
+            halted.append((world.id, weakref.ref(result.search)))
+        return result
+
+    def recorded_resume(result, world, spec, **kwargs):
+        alive(world)
+        return resume(result, world, spec, **kwargs)
+
+    uplan.pipeline.reapply_plan = recorded_replay
+    uplan.pipeline.continue_from = recorded_resume
+    try:
+        _, library = plan_superplan(spec, evidence)
+    finally:
+        uplan.pipeline.reapply_plan, uplan.pipeline.continue_from = replay, resume
+    assert [p.execution_sequence[-1].operator for p in library] == ["N", "S", "E", "W"]
+    assert len(halted) == 6  # 1 + 2 + 3 partial replays
+    assert most == {"s": 1, "e": 1, "w": 1}
 
 
 def test_held_states_and_peak_memory_stay_linear_in_the_plan_length():
