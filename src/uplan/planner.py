@@ -462,13 +462,14 @@ class Search:
     The search owns the states it threads, keyed by node identity, and holds
     only those that it can still read: the state after a reduced node's
     helpers, which its children thread from, in ``states_after_helpers``,
-    and the state after a completed or skipped node in ``states_after``. A
-    node's entries are released (:meth:`_done`) when it is done, and the
-    state after a done child when its next sibling in an AND, or its parent,
-    is done. So a finished search holds the state after the root, and those
-    of branches that were suspended or failed; a halted one holds those of
-    every pending node, and a review's switch back, a recovery and
-    :meth:`resume` read only entries it holds. A helper's states are passed
+    and the state after a completed or skipped node in ``states_after``.
+    When a node is done, :meth:`_done` releases the state after its helpers
+    and the state after its last (AND) or selected (OR) child, and in an
+    AND the state after its previous sibling. A pending node's state to
+    thread from is thus held until the node or its parent is done, so a
+    review's switch back, a recovery and :meth:`resume` read only entries
+    still held; a finished search holds the state after the root and those
+    of branches that were suspended or failed. A helper's states are passed
     along, never held. A finished plan's tree holds no state. It also owns
     each AND node's fold cursor in ``folds``: the index of its first
     incomplete child and the fold of the children before it (see
@@ -818,8 +819,8 @@ class Search:
         just completed or skipped, and release the states that only the
         node's own expansion read: the one its children threaded from, the
         one its last (AND) or selected (OR) child left, and, in an AND, the
-        one its previous sibling left. A suspended branch keeps its states,
-        since no node in it is done before a review switches back to it."""
+        one its previous sibling left. No pending node threads from any of
+        them, so a suspended branch keeps what a switch back to it reads."""
         node = path[-1]
         self.states_after[node] = state
         if node.expansion in (EXPANSION_AND, EXPANSION_OR):
