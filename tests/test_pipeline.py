@@ -44,6 +44,7 @@ from uplan.serialize import dumps_superplan
 
 from conftest import fixture_text
 from test_helper_corpus import FACTS as HELPER_FACTS, LEVELS, PATTERNS, random_domain
+from test_search_robustness import PROPS as LAYERED_FACTS, layered_domain
 
 
 def test_pipeline_matches_cli_bytes(air_combat_spec, air_combat_evidence, tmp_path):
@@ -269,12 +270,12 @@ def recorded_replays(module, calls):
         module.reapply_plan = original
 
 
-def _run(pipeline, module, spec, evidence, budget, threshold):
+def _run(pipeline, module, spec, evidence, budget, threshold, policy):
     """(super-plan bytes and library worlds, or the error), trace lines, replays."""
     lines, calls = [], []
     with recorded_replays(module, calls):
         try:
-            superplan, library = pipeline(spec, evidence, budget=budget,
+            superplan, library = pipeline(spec, evidence, policy=policy, budget=budget,
                                           threshold=threshold, trace=lines.append)
             outcome = ("plan", dumps_superplan(superplan),
                        [sorted(p.worlds) for p in library])
@@ -284,15 +285,16 @@ def _run(pipeline, module, spec, evidence, budget, threshold):
     return outcome, lines, calls
 
 
-def compare_with_reference(spec, evidence, budget=DEFAULT_NODE_BUDGET, threshold=None):
+def compare_with_reference(spec, evidence, budget=DEFAULT_NODE_BUDGET, threshold=None,
+                           policy=None):
     """Check the pipeline against the reference on one input; returns the
     reference's outcome and the worlds of each relevance class it replayed."""
     predicates = reference_relevant_predicates(spec)
     assert spec.relevant_predicates == predicates
     got, got_lines, got_calls = _run(plan_superplan, uplan.pipeline,
-                                     spec, evidence, budget, threshold)
+                                     spec, evidence, budget, threshold, policy)
     want, want_lines, want_calls = _run(reference_plan_superplan, sys.modules[__name__],
-                                        spec, evidence, budget, threshold)
+                                        spec, evidence, budget, threshold, policy)
     assert got == want
     assert got_lines == want_lines
     # One replay per (class, plan) pair that the reference replays at all.
@@ -358,6 +360,79 @@ def test_one_replay_per_relevance_class_matches_a_replay_per_world():
     # The random inputs must share classes often, and both plan and fail.
     assert stats["shared a class"] >= 40, stats
     assert stats["error"] >= 10 and stats["plan"] >= 10, stats
+
+
+def layered_input(rng) -> tuple:
+    """A layered domain of about a hundred nodes
+    (:func:`test_search_robustness.layered_domain`) and two frames of two
+    elements, each element giving some of the domain's facts at level 3, so
+    that leaves' needs hold in some worlds and not others: replays halt
+    part-way, and worlds of one relevance class share their replays."""
+    spec = layered_domain(rng)
+    frames, masses = [], []
+    for i in range(2):
+        elements = (f"f{i}a", f"f{i}b")
+        frame = Frame(f"f{i}", elements, tuple(
+            (element, tuple((fact, 3) for fact in LAYERED_FACTS if rng.random() < 0.5))
+            for element in elements))
+        weight = rng.uniform(0.2, 0.8)
+        frames.append(frame)
+        masses.append(mass_function(frame, {(elements[0],): weight,
+                                            (elements[1],): 1 - weight}))
+    return spec, EvidenceSet(tuple(frames), tuple(masses))
+
+
+@st.composite
+def layered_cases(draw):
+    """A layered input, with a review offset of zero in some, so review
+    switches are frequent."""
+    spec, evidence = layered_input(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+    return spec, evidence, draw(st.sampled_from([None, ReviewPolicy(0.0)]))
+
+
+@contextmanager
+def counted_continuations():
+    """Count the worlds the pipeline plans on from a partial replay: by
+    resuming the halted search of a replay made for the world itself
+    ("own"), or, for a replay stored by an earlier world of its class, by
+    replaying the donor from the start ("stored"). Yields the counter."""
+    counts = Counter()
+    resume, plan = uplan.pipeline.continue_from, uplan.pipeline.plan_for_pstate
+
+    def resumed(result, *args, **kwargs):
+        counts["own" if result.search is not None else "stored"] += 1
+        return resume(result, *args, **kwargs)
+
+    def planned(*args, **kwargs):
+        counts["stored"] += kwargs.get("donor") is not None
+        return plan(*args, **kwargs)
+
+    uplan.pipeline.continue_from, uplan.pipeline.plan_for_pstate = resumed, planned
+    try:
+        yield counts
+    finally:
+        uplan.pipeline.continue_from, uplan.pipeline.plan_for_pstate = resume, plan
+
+
+def test_continued_worlds_match_a_replay_per_world():
+    stats = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(layered_cases())
+    def check(case):
+        spec, evidence, policy = case
+        with counted_continuations() as counts:
+            want, _ = compare_with_reference(spec, evidence, policy=policy)
+        stats.update(counts)
+        stats["inputs with a stored replay"] += counts["stored"] > 0
+        stats[want[0]] += 1
+
+    check()
+    # Both ways of planning on from a partial replay must be compared: about
+    # 2.7 worlds an input resume their own replay, and about 3 inputs in 10
+    # plan a world on from a replay stored by an earlier world of its class.
+    assert stats["own"] >= 250 and stats["plan"] >= 100, stats
+    assert stats["inputs with a stored replay"] >= 25, stats
 
 
 # Each domain names one predicate, ``x``, in a single place: a compatibility

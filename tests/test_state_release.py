@@ -21,14 +21,14 @@ import uplan.pipeline
 from uplan import plan_superplan
 from uplan.dsl import parse_domain, parse_evidence
 from uplan.errors import UplanError
-from uplan.evidence import EvidenceSet, Frame, generate_pstates, mass_function, rank_pstates
+from uplan.evidence import generate_pstates, rank_pstates
 from uplan.model import make_pstate
 from uplan.planner import DEFAULT_NODE_BUDGET, PlanTrace, ReviewPolicy, Search
 from uplan.reapply import continue_from, reapply_plan
 from uplan.serialize import dumps_superplan
 
-from test_pipeline import multi_world_cases
-from test_search_robustness import PROPS, chain_mission, layered_domain
+from test_pipeline import layered_input, multi_world_cases
+from test_search_robustness import chain_mission
 
 
 @contextmanager
@@ -149,18 +149,7 @@ def release_cases(draw):
         if draw(st.booleans()):
             spec = with_recoveries(spec, rng)
     else:
-        spec, budget, threshold = layered_domain(rng), DEFAULT_NODE_BUDGET, None
-        frames, masses = [], []
-        for i in range(2):
-            elements = (f"f{i}a", f"f{i}b")
-            frame = Frame(f"f{i}", elements, tuple(
-                (element, tuple((fact, 3) for fact in PROPS if rng.random() < 0.5))
-                for element in elements))
-            weight = rng.uniform(0.2, 0.8)
-            frames.append(frame)
-            masses.append(mass_function(frame, {(elements[0],): weight,
-                                                (elements[1],): 1 - weight}))
-        evidence = EvidenceSet(tuple(frames), tuple(masses))
+        (spec, evidence), budget, threshold = layered_input(rng), DEFAULT_NODE_BUDGET, None
     policy = draw(st.sampled_from([None, ReviewPolicy(0.0)]))
     return spec, evidence, dict(budget=budget, threshold=threshold, policy=policy)
 
@@ -168,7 +157,9 @@ def release_cases(draw):
 def test_released_states_change_no_plan_value_or_trace_line():
     stats = Counter()
 
-    @settings(max_examples=200, deadline=None)
+    # Hypothesis draws the kind of input unevenly: at 200 examples one run
+    # in about seven released states in fewer than 60 inputs.
+    @settings(max_examples=300, deadline=None)
     @given(release_cases())
     def check(case):
         spec, evidence, kwargs = case
