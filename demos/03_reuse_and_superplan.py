@@ -45,7 +45,7 @@ print(f"  outcome: {result.kind}, reusable prefix of {result.prefix_length} "
 print("  (the beyond-visual-range attack needs a positively identified"
       " fighter, which this world cannot supply)")
 
-bomber_plan = continue_from(result, bomber, spec)
+bomber_plan = continue_from(result)
 print("  resumed plan:", ", ".join(str(s) for s in bomber_plan.execution_sequence))
 
 print("\nthe whole pipeline in one call: rank the worlds, reuse or plan each,"

@@ -90,7 +90,7 @@ from .reapply import (
     insert_ka_operators,
     merge_plans,
     reapply_plan,
-    select_best_partial,
+    reuse_rank,
 )
 from .sensitivity import (
     EFRange,

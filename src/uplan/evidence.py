@@ -236,7 +236,8 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
     """Construct every possible initial world from the declared evidence.
 
     One candidate per element of the Cartesian product of frame elements, in
-    product order; candidates that violate a compatibility relation are
+    product order; candidates that hold a fact and its negation at one level
+    (two frames may map them), or that violate a compatibility relation, are
     dropped. A world's support is the product of per-frame beliefs in its
     chosen elements and its plausibility the product of per-frame
     plausibilities (frames are treated as independent), each multiplied from
@@ -249,7 +250,9 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
     and writes only predicates that compat relations name, so it runs once
     per projection onto the frames that map such facts, and what it asserts
     holds for every world of that projection; a level it edits is built once
-    per pair of projections.
+    per pair of projections. Contradictions are checked on each level built
+    per projection, before enforcement, whose assertions would remove the
+    complement of a fact they assert.
 
     Raises :class:`LevelRangeError` for a compatibility relation or a fact
     at a level outside 1..``n_levels``, and :class:`NoPossibleWorldError`
@@ -281,6 +284,11 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
         ranks.append(_ranks(tables, frames))
         projections.append(_projections(tables, frames, {}, lambda acc, e, i=index:
                                         _union(acc, e.facts.get(i, {}))))
+    keep = [True] * len(supports)
+    for buckets, level_ranks in zip(projections, ranks):
+        consistent = [not _contradictory(b) for b in buckets]
+        if not all(consistent):
+            keep = [k and consistent[rank] for k, rank in zip(keep, level_ranks)]
     outcomes = []  # per compat projection: None on a violation, else what changes
     if compat:
         frames = [k for k, table in enumerate(tables)
@@ -290,6 +298,7 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
                                      _union(acc, e.compat_facts.get(i, {})))
                         for index in range(1, n_levels + 1)))
         outcomes = [_enforced(buckets, compat, compat_predicates) for buckets in reduced]
+        keep = [k and outcomes[rank] is not None for k, rank in zip(keep, compat_ranks)]
 
     columns = []  # per level: each world's level
     for index, buckets, level_ranks in zip(range(1, n_levels + 1), projections, ranks):
@@ -305,15 +314,24 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
                                          AbstractionLevel._of(index, _replaced(buckets[rank],
                                                                                changed)))
         columns.append(list(map(edited.__getitem__, pairs)))
-    survives = ([outcomes[rank] is not None for rank in compat_ranks] if compat
-                else itertools.repeat(True))
     ids = map("+".join, itertools.product(*(f.elements for f in ev.frames)))
     worlds = [PState(wid, world_levels, EvidentialInterval(support, plaus))
-              for wid, support, plaus, world_levels, keep
-              in zip(ids, supports, plausibilities, zip(*columns), survives) if keep]
+              for wid, support, plaus, world_levels, kept
+              in zip(ids, supports, plausibilities, zip(*columns), keep) if kept]
     if not worlds:
-        raise NoPossibleWorldError("no possible world survives the compatibility relations")
+        raise NoPossibleWorldError("no possible world survives: each holds a fact and its "
+                                   "negation, or violates a compatibility relation")
     return worlds
+
+
+def _contradictory(buckets: dict) -> bool:
+    """Whether predicate buckets hold a fact and its negation. A bucket
+    sorts by arguments, then polarity, so the two sit side by side."""
+    for bucket in buckets.values():
+        facts = list(itertools.chain.from_iterable(bucket))
+        if any(a.args == b.args for a, b in zip(facts, facts[1:])):
+            return True
+    return False
 
 
 def _enforced(buckets, compat, compat_predicates):

@@ -18,15 +18,16 @@ replay's outcome leaves out, and its interval is never read. So a replay
 gives the same outcome for every world of a class, and an error it raises
 is raised at the first world of the class, as a replay per world would.
 
-A world resumed from a partial replay made while planning it goes on from
-that replay's halted search, so its prefix is not searched twice
-(:func:`continue_from`); a replay stored from an earlier world of the class
-keeps no search, so such a world runs one replay of the donor that never
-halts. Either way the plan, trace lines and errors are those of that
-replay. Only one halted search per world is held at a time: the best
-partial replay so far, under :func:`select_best_partial`'s order, which is
-strict, so the best so far ends as that choice. A replay that ranks lower
-gives its search up as soon as it returns.
+A world planned on from a partial replay made while planning it resumes
+that replay's halted search (:func:`continue_from`), so its prefix is not
+searched twice. A replay stored from an earlier world of the class keeps no
+search, so such a world is planned from the start with the donor scripted
+(:func:`plan_for_pstate` with ``donor``): the search the halted replay would
+have gone on as, which never halts. Either way the plan, trace lines and
+errors are those of that search. Only one halted search per world is held at
+a time: the best partial replay so far under :func:`reuse_rank`, whose order
+is strict, so the best so far ends as the best of all. A replay that ranks
+lower gives its search up as soon as it returns.
 """
 
 from __future__ import annotations
@@ -34,14 +35,7 @@ from __future__ import annotations
 from .errors import BudgetExceededError, PlanFailure
 from .evidence import generate_pstates, rank_pstates
 from .planner import DEFAULT_NODE_BUDGET, PlanTrace, plan_for_pstate
-from .reapply import (
-    ReapplyResult,
-    continue_from,
-    merge_plans,
-    reapply_plan,
-    reuse_rank,
-    select_best_partial,
-)
+from .reapply import ReapplyResult, continue_from, merge_plans, reapply_plan, reuse_rank
 
 
 def plan_superplan(spec, evidence, *, policy=None, budget=DEFAULT_NODE_BUDGET,
@@ -102,8 +96,7 @@ def _plan_world(world, replays, library, spec, policy, budget, trace):
     best partial replay is kept as the replays run, so only its halted
     search stays alive, not one per partial replay.
     """
-    partials = [r for r in replays if r.kind == "partial"]
-    best = select_best_partial(partials) if partials else None
+    best = min((r for r in replays if r.kind == "partial"), key=reuse_rank, default=None)
     for order in range(len(replays), len(library)):
         result = reapply_plan(library[order], world, spec, order=order, budget=budget,
                               policy=policy, trace=PlanTrace() if trace else None)
@@ -114,26 +107,23 @@ def _plan_world(world, replays, library, spec, policy, budget, trace):
         replays.append(ReapplyResult(result.kind, result.donor,
                                      prefix_length=result.prefix_length, order=order))
         del result  # a replay that is not the best so far is never resumed
-    fulls = [r for r in replays if r.kind == "full"]
-    if fulls:
-        select_best_partial(fulls).donor.worlds.add(world.id)
+    full = min((r for r in replays if r.kind == "full"), key=reuse_rank, default=None)
+    if full is not None:
+        full.donor.worlds.add(world.id)
         if trace:
             trace(f"; world {world.id}: reusing existing plan in full")
         return None
-    if best is not None and best.search is not None:
-        plan_trace = best.search.trace  # a resumed search records on into it
-    else:
-        plan_trace = PlanTrace() if trace else None
+    resumes = best is not None and best.search is not None
+    plan_trace = best.search.trace if resumes else PlanTrace() if trace else None
     try:
-        if best is not None:
-            plan = continue_from(best, world, spec, budget=budget, trace=plan_trace,
-                                 policy=policy)
-            if trace:
-                trace(f"; world {world.id}: resumed after a reusable prefix "
-                      f"of {best.prefix_length} step(s)")
+        if resumes:
+            plan = continue_from(best)  # its search records on into its trace
         else:
             plan = plan_for_pstate(world, spec, policy=policy, budget=budget,
-                                   trace=plan_trace)
+                                   trace=plan_trace, donor=best.donor if best else None)
+        if trace and best is not None:
+            trace(f"; world {world.id}: resumed after a reusable prefix "
+                  f"of {best.prefix_length} step(s)")
     finally:
         # Also on failure, so a world that fails shows how far its search got.
         if trace:

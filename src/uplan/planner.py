@@ -98,7 +98,8 @@ class TraceEvent:
 
 
 class PlanTrace:
-    """Ordered event log of one search; replaying it reproduces the values."""
+    """Ordered event log of one search: the ``after`` values of a node's
+    last event are its final values."""
 
     def __init__(self):
         self.events: list = []
@@ -112,14 +113,6 @@ class PlanTrace:
 
     def to_lines(self) -> list:
         return [e.to_line() for e in self.events]
-
-    def replay_values(self) -> dict:
-        """Final (fulfilment, probability, ef) per node id, from the log alone."""
-        values = {}
-        for event in self.events:
-            if event.after is not None:
-                values[event.node_id] = event.after
-        return values
 
     def __iter__(self):
         return iter(self.events)
@@ -959,10 +952,11 @@ class ReplayHalt(UplanError):
 
 def plan_for_pstate(ps: PState, spec, policy: ReviewPolicy | None = None,
                     budget: int = DEFAULT_NODE_BUDGET,
-                    trace: PlanTrace | None = None) -> Plan:
-    """Construct a plan for one possible world.
+                    trace: PlanTrace | None = None, donor: Plan | None = None) -> Plan:
+    """Construct a plan for one possible world, replaying ``donor``'s
+    choices where they still work (see :class:`Search`) if one is given.
 
     Raises :class:`PlanFailure` when the goal cannot be reduced and
     :class:`BudgetExceededError` when the node budget runs out.
     """
-    return Search(ps, spec, policy=policy, budget=budget, trace=trace).run()
+    return Search(ps, spec, policy=policy, budget=budget, trace=trace, donor=donor).run()

@@ -5,14 +5,16 @@ world: the search follows the donor's plan tree node by node, and every
 choice it meets there is forced and pinned, so the replay succeeds exactly
 when each non-redundant operator's preconditions hold and the postconditions
 still come out. A failed replay reports the longest executed prefix and keeps
-its halted search; planning then continues from the failure point with the
-donor's surviving choices kept, by resuming that search rather than replaying
+its halted search; :func:`continue_from` then resumes that search from the
+failure point with the donor's surviving choices kept, rather than replaying
 the prefix again. This is exact: a replay and a search that does not halt
 differ only in ``halt_on_failure``, so they take the same steps up to the
 replay's first planfail of a scripted node, which the replay records before
-it halts. Once every world has a plan, the execution sequences are merged
-into a trie that branches where the plans differ, and each branch point gets
-either a knowledge-acquisition operator or evidence weights.
+it halts. A result kept without its search is planned on from the start
+instead, by :func:`uplan.planner.plan_for_pstate` with the donor scripted.
+Once every world has a plan, the execution sequences are merged into a trie
+that branches where the plans differ, and each branch point gets either a
+knowledge-acquisition operator or evidence weights.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import CoverageError, PlanFailure
+from .errors import CoverageError, PlanFailure, UplanError
 from .model import (
     EvidentialInterval,
     KnowledgeAcquisitionOperator,
@@ -72,39 +74,29 @@ def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
                          prefix_length=len(rebuilt.execution_sequence), order=order)
 
 
-def continue_from(result: ReapplyResult, ps: PState, spec,
-                  budget: int = DEFAULT_NODE_BUDGET, trace: PlanTrace | None = None,
-                  policy: ReviewPolicy | None = None) -> Plan:
+def continue_from(result: ReapplyResult) -> Plan:
     """Resume planning for a world whose donor replay failed part-way.
 
-    The donor's choices stay scripted; when one fails, its planfail directive
-    applies and the search continues freely from there. The result's halted
-    search is resumed, at most once, when the arguments are those its replay
-    ran with; otherwise, as for a result stored without its search, one
-    replay of the donor that never halts runs here. Either way the plan, the
-    trace events and any error are those of that replay.
+    The result's halted search goes on, with the world, domain, budget,
+    review policy and trace its replay ran with: the failed node's planfail
+    directive applies, the donor's other choices stay scripted, and the
+    search continues freely from there. A result is resumed at most once;
+    :class:`UplanError` is raised for one that holds no halted search. To
+    replay a donor from the start without halting, pass it to
+    :func:`uplan.planner.plan_for_pstate` as ``donor``.
     """
     search, result.search = result.search, None  # a result is resumed at most once
-    if search is not None and (
-            (search.initial, search.spec, search.budget, search.policy, search.trace)
-            == (ps, spec, budget, policy or spec.review, trace)):
-        return search.resume()
-    return Search(ps, spec, policy=policy, budget=budget, trace=trace,
-                  donor=result.donor).run()
+    if search is None:
+        raise UplanError("the replay result holds no halted search to resume")
+    return search.resume()
 
 
 def reuse_rank(result: ReapplyResult) -> tuple:
-    """:func:`select_best_partial`'s key, lowest best. Library positions are
-    unique, so no two results of one world rank equal."""
+    """The order in which replay results are reused, lowest first: the
+    longest reusable prefix, then the donor with the higher root EF, then
+    the earlier donor. Library positions are unique, so no two results of
+    one world rank equal."""
     return (-result.prefix_length, -result.donor.root_ef, result.order)
-
-
-def select_best_partial(candidates) -> ReapplyResult:
-    """Longest reusable prefix wins; ties go to the donor with the higher
-    root EF, then to the earlier donor."""
-    if not candidates:
-        raise ValueError("no reapplication candidates to choose from")
-    return sorted(candidates, key=reuse_rank)[0]
 
 
 # --- merging ----------------------------------------------------------------

@@ -236,6 +236,8 @@ def reference_generate_pstates(ev, compat, n_levels):
             plaus *= plausibility(m, {element})
             for p, level in frame.propositions_for(element):
                 contents.setdefault(level, []).append(p)
+        if any(p.negated() in facts for facts in contents.values() for p in facts):
+            continue  # a fact and its negation at one level: not a possible world
         ps = make_pstate(
             "+".join(picks), n_levels,
             EvidentialInterval(support, plaus), contents,
@@ -246,7 +248,8 @@ def reference_generate_pstates(ev, compat, n_levels):
             continue  # incompatible combination: not a possible world
         worlds.append(ps)
     if not worlds:
-        raise NoPossibleWorldError("no possible world survives the compatibility relations")
+        raise NoPossibleWorldError("no possible world survives: each holds a fact and its "
+                                   "negation, or violates a compatibility relation")
     return worlds
 
 
@@ -398,3 +401,24 @@ def test_generate_rejects_a_level_outside_the_domain():
                 f"frame 'aggressor_type' maps element 'fighter' to level {level}, "
                 r"outside 1\.\.3")):
             generate_pstates(EvidenceSet((frame,)), [], 3)
+
+
+def test_a_world_holding_a_fact_and_its_negation_is_dropped():
+    # Each frame is consistent; only the world that combines them is not.
+    text = ("frame f {a}\n  a -> (r)@1\nmass f {a}=1.0\n"
+            "frame g {b}\n  b -> (not (r))@1\nmass g {b}=1.0\n")
+    with pytest.raises(NoPossibleWorldError, match="a fact and its negation"):
+        generate_pstates(parse_evidence(text), [], 1)
+    # In a 2x2 product only a1+b1 holds both; the other worlds keep their
+    # intervals and levels, those of the same evidence without the negation.
+    text = ("frame f {a1 a2}\n  a1 -> (r)@1\nmass f {a1}=0.6 {a1 a2}=0.4\n"
+            "frame g {b1 b2}\n  b1 -> (not (r))@1 (q)@2\nmass g {b1}=0.3 {b2}=0.7\n")
+    worlds = generate_pstates(parse_evidence(text), [], 2)
+    plain = generate_pstates(parse_evidence(text.replace("(not (r))@1 ", "")), [], 2)
+    assert [w.id for w in worlds] == ["a1+b2", "a2+b1", "a2+b2"]
+    assert [(w.id, w.interval) for w in worlds] == [
+        (w.id, w.interval) for w in plain if w.id != "a1+b1"]
+    by_id = {w.id: w for w in worlds}
+    assert [by_id[w].levels == next(p for p in plain if p.id == w).levels
+            for w in ("a1+b2", "a2+b2")] == [True, True]
+    assert by_id["a2+b1"].facts(1) == [prop("not (r)")]

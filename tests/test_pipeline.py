@@ -38,7 +38,7 @@ from uplan.reapply import (
     continue_from,
     merge_plans,
     reapply_plan,
-    select_best_partial,
+    reuse_rank,
 )
 from uplan.serialize import dumps_superplan
 
@@ -154,7 +154,7 @@ def _reference_plan_world(world, library, spec, policy, budget, trace):
                for i, plan in enumerate(library)]
     fulls = [r for r in results if r.kind == "full"]
     if fulls:
-        select_best_partial(fulls).donor.worlds.add(world.id)
+        min(fulls, key=reuse_rank).donor.worlds.add(world.id)
         if trace:
             trace(f"; world {world.id}: reusing existing plan in full")
         return None
@@ -162,7 +162,7 @@ def _reference_plan_world(world, library, spec, policy, budget, trace):
     plan_trace = PlanTrace() if trace else None
     try:
         if partials:
-            best = select_best_partial(partials)
+            best = min(partials, key=reuse_rank)
             plan = reference_continue_from(best, world, spec, budget=budget,
                                            trace=plan_trace, policy=policy)
             if trace:
@@ -667,13 +667,17 @@ def test_resumed_replay_matches_one_search_that_never_halts():
                                    halted_at.operator.planfail not in (
                                        PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH))
         else:
-            # A failure outside the script ended the replay: continue_from
-            # replays the donor itself, into a trace of its own.
+            # A failure outside the script ended the replay, which keeps no
+            # search: the donor is replayed from the start, into a trace of
+            # its own.
             assert want[:2] == ("error", "PlanFailure")
+            with pytest.raises(UplanError, match="no halted search"):
+                continue_from(result)
             trace = PlanTrace() if traced else None
         with counted_expansions() as after:
-            got = _outcome(lambda: continue_from(result, world, spec, budget=budget,
-                                                 trace=trace))
+            got = _outcome(lambda: continue_from(result) if resumes else
+                           plan_for_pstate(world, spec, budget=budget, trace=trace,
+                                           donor=donor))
         assert got == want
         assert _lines(trace) == _lines(want_trace)
         if resumes:
@@ -698,17 +702,22 @@ def test_continue_from_a_result_without_its_search(air_combat_spec, air_combat_w
     result = reapply_plan(donor, bomber, air_combat_spec)
     assert result.kind == "partial"
     # ``stripped`` is kept as the per-class outcome lists keep a replay, and
-    # ``result`` ran without the trace given below: either way continue_from
-    # runs one replay of the donor that never halts.
+    # a full replay keeps no search either: neither can be resumed.
     stripped = ReapplyResult(result.kind, donor, prefix_length=result.prefix_length)
-    for candidate in (stripped, result):
-        trace = PlanTrace()
-        with counted_expansions() as count:
-            plan = continue_from(candidate, bomber, air_combat_spec, trace=trace)
-        assert plan.execution_sequence == want.execution_sequence
-        assert plan.worlds == want.worlds
-        assert trace.to_lines() == want_trace.to_lines()
-        assert count == want_count
+    full = reapply_plan(donor, fighter, air_combat_spec)
+    assert full.kind == "full"
+    for candidate in (stripped, full):
+        with pytest.raises(UplanError, match="no halted search"):
+            continue_from(candidate)
+    # Planning from the start with the donor scripted is the search the
+    # halted replay would have gone on as.
+    trace = PlanTrace()
+    with counted_expansions() as count:
+        plan = plan_for_pstate(bomber, air_combat_spec, trace=trace, donor=stripped.donor)
+    assert plan.execution_sequence == want.execution_sequence
+    assert plan.worlds == want.worlds
+    assert trace.to_lines() == want_trace.to_lines()
+    assert count == want_count
 
 
 def test_continue_from_resumes_a_result_once(air_combat_spec, air_combat_worlds):
@@ -720,15 +729,14 @@ def test_continue_from_resumes_a_result_once(air_combat_spec, air_combat_worlds)
     trace = PlanTrace()
     result = reapply_plan(donor, bomber, air_combat_spec, trace=trace)
     search = result.search
-    first = continue_from(result, bomber, air_combat_spec, trace=trace)
+    plan = continue_from(result)
+    assert plan.execution_sequence == want.execution_sequence
+    assert trace.to_lines() == want_trace.to_lines()
     assert result.search is None
     with pytest.raises(UplanError, match="only a halted search"):
         search.resume()
-    again = PlanTrace()
-    second = continue_from(result, bomber, air_combat_spec, trace=again)
-    for plan, lines in ((first, trace.to_lines()), (second, again.to_lines())):
-        assert plan.execution_sequence == want.execution_sequence
-        assert lines == want_trace.to_lines()
+    with pytest.raises(UplanError, match="no halted search"):
+        continue_from(result)
 
 
 def test_resume_finishes_the_expansion_its_halt_interrupted():
@@ -780,7 +788,7 @@ operator Slow
     trace, want_trace = PlanTrace(), PlanTrace()
     result = reapply_plan(donor, world, spec, trace=trace)
     assert result.kind == "partial" and result.resume.operator.name == "Fast"
-    plan = continue_from(result, world, spec, trace=trace)
+    plan = continue_from(result)
     want = reference_continue_from(result, world, spec, trace=want_trace)
     assert [s.operator for s in plan.execution_sequence] == ["Slow"]
     assert plan.execution_sequence == want.execution_sequence

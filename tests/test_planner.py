@@ -639,7 +639,8 @@ def test_trace_replay_reproduces_final_values(air_combat_spec, air_combat_worlds
     trace = PlanTrace()
     plan = plan_for_pstate(air_combat_worlds[1], air_combat_spec,
                            policy=ReviewPolicy(0.0), trace=trace)
-    replayed = trace.replay_values()
+    # Each node's final values, from the log alone: its last event's ``after``.
+    replayed = {event.node_id: event.after for event in trace if event.after is not None}
     for n in plan.root.walk():
         if n.node_id in replayed:
             f, p, ef = replayed[n.node_id]

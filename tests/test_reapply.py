@@ -25,7 +25,7 @@ from uplan.reapply import (
     continue_from,
     merge_plans,
     reapply_plan,
-    select_best_partial,
+    reuse_rank,
 )
 from uplan.serialize import dumps_superplan
 
@@ -125,7 +125,7 @@ def test_continue_from_failure_point():
     # alternative, so continuation must fail the same way fresh planning does.
     result = reapply_plan(donor, full_state(missing=4), spec)
     with pytest.raises(PlanFailure):
-        continue_from(result, full_state(missing=4), spec)
+        continue_from(result)
 
 
 def test_continue_resumes_with_donor_strategy(air_combat_spec, air_combat_worlds):
@@ -134,29 +134,28 @@ def test_continue_resumes_with_donor_strategy(air_combat_spec, air_combat_worlds
     result = reapply_plan(donor, bomber, air_combat_spec)
     assert result.kind == "partial"
     assert result.resume.operator.name == "BVR_Attack"
-    resumed = continue_from(result, bomber, air_combat_spec)
+    resumed = continue_from(result)
     fresh = plan_for_pstate(bomber, air_combat_spec, policy=ReviewPolicy(0.0))
     assert resumed.execution_sequence == fresh.execution_sequence
 
 
-def test_select_best_partial_ordering():
+def test_reuse_rank_ordering():
     donor_low = fake_plan(["a"], {"w1"}, root_ef=700.0)
     donor_high = fake_plan(["a"], {"w2"}, root_ef=810.0)
     five = ReapplyResult("partial", donor_low, prefix_length=5, order=0)
     two = ReapplyResult("partial", donor_high, prefix_length=2, order=1)
-    assert select_best_partial([two, five]) is five
+    assert min([two, five], key=reuse_rank) is five
 
     equal_low = ReapplyResult("partial", donor_low, prefix_length=2, order=0)
     equal_high = ReapplyResult("partial", donor_high, prefix_length=2, order=1)
-    assert select_best_partial([equal_low, equal_high]) is equal_high
+    assert min([equal_low, equal_high], key=reuse_rank) is equal_high
 
-    assert select_best_partial([five]) is five
     # Final tiebreak: earlier donor wins.
     twin_a = ReapplyResult("partial", fake_plan(["a"], {"w"}, 100.0),
                            prefix_length=1, order=0)
     twin_b = ReapplyResult("partial", fake_plan(["b"], {"w"}, 100.0),
                            prefix_length=1, order=1)
-    assert select_best_partial([twin_b, twin_a]) is twin_a
+    assert min([twin_b, twin_a], key=reuse_rank) is twin_a
 
 
 def world(id, s=0.5, p=0.5, contents=None):

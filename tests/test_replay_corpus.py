@@ -4,8 +4,10 @@ Each case is a helper-rich random domain in which some operators recover
 through another, a donor plan made for one world, a second world in which
 each fact is flipped with probability 0.5, and a node budget. The donor is
 replayed against the second world (:func:`reapply_plan`); a partial replay
-is then continued (:func:`continue_from`) twice, once from its halted
-search and once from a copy of the result stripped of its search. Each
+is then continued twice, once by resuming its halted search
+(:func:`continue_from`) and once from the start with the donor scripted
+(:func:`plan_for_pstate` with ``donor``), as a replay stored without its
+search is. Each
 case's line records the replay's kind and prefix length, each
 continuation's steps and root EF or its error, and the sha256 of every
 trace; all must match ``golden/replay_corpus.txt``.
@@ -22,7 +24,7 @@ from pathlib import Path
 from uplan.errors import UplanError
 from uplan.model import PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH, make_pstate
 from uplan.planner import PlanTrace, plan_for_pstate
-from uplan.reapply import ReapplyResult, continue_from, reapply_plan
+from uplan.reapply import continue_from, reapply_plan
 
 from test_helper_corpus import FACTS, LEVELS, random_domain
 
@@ -86,14 +88,12 @@ def run_case(spec, donor, world, budget, stats) -> str:
     stats["recoveries"] += (not halted.recovery_attempted and halted.operator.planfail
                             not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH))
     replay_digest = _digest(trace)
-    stripped = ReapplyResult(result.kind, donor, prefix_length=result.prefix_length)
-    stats["resumed"] += result.search is not None
-    resumed = _outcome(lambda: continue_from(result, world, spec, budget=budget,
-                                             trace=trace))
+    stats["resumed"] += 1
+    resumed = _outcome(lambda: continue_from(result))
     fresh = PlanTrace()
-    stats["replayed"] += stripped.search is None
-    replayed = _outcome(lambda: continue_from(stripped, world, spec, budget=budget,
-                                              trace=fresh))
+    stats["replayed"] += 1
+    replayed = _outcome(lambda: plan_for_pstate(world, spec, budget=budget, trace=fresh,
+                                                donor=donor))
     return (f"{head} | {replay_digest} | resumed {resumed} | {_digest(trace)}"
             f" | replayed {replayed} | {_digest(fresh)}")
 

@@ -416,7 +416,7 @@ def test_stored_values_equal_recompute_after_every_tree_change():
                 result = reapply_plan(donor, world, spec, budget=budget)
                 if result.kind == "partial":
                     stats["resumed"] += 1
-                    continue_from(result, world, spec, budget=budget)
+                    continue_from(result)
             except UplanError:
                 pass
     assert stats["checks"] > 3_000, stats

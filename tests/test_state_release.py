@@ -251,7 +251,7 @@ def test_a_resumed_replay_reads_only_states_its_halt_kept(
         result = reapply_plan(donor, bomber, air_combat_spec, trace=trace)
         assert result.kind == "partial"
         search = result.search
-        return search, continue_from(result, bomber, air_combat_spec, trace=trace)
+        return search, continue_from(result)
 
     lines, holds, kept = assert_search_unchanged(resumed)
     assert any(" planfail " in line for line in lines)
@@ -309,9 +309,9 @@ def test_a_world_keeps_one_halted_replay_alive():
             halted.append((world.id, weakref.ref(result.search)))
         return result
 
-    def recorded_resume(result, world, spec, **kwargs):
-        alive(world)
-        return resume(result, world, spec, **kwargs)
+    def recorded_resume(result):
+        alive(result.search.initial)
+        return resume(result)
 
     uplan.pipeline.reapply_plan = recorded_replay
     uplan.pipeline.continue_from = recorded_resume
