@@ -399,9 +399,9 @@ def counted_continuations():
     counts = Counter()
     resume, plan = uplan.pipeline.continue_from, uplan.pipeline.plan_for_pstate
 
-    def resumed(result, *args, **kwargs):
-        counts["own" if result.search is not None else "stored"] += 1
-        return resume(result, *args, **kwargs)
+    def resumed(result):
+        counts["own"] += 1
+        return resume(result)
 
     def planned(*args, **kwargs):
         counts["stored"] += kwargs.get("donor") is not None
