@@ -1,24 +1,30 @@
 """Parser, linter and pretty-printer for the domain and evidence file formats.
 
 Both formats are keyword-block UTF-8 text with s-expression proposition
-literals and ``;`` comments. One ``findall`` of one regular expression splits
-the text into two parallel lists, token kinds and token texts, with no object
-per token: a word is a run of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that
-``->`` ends. Whether a word is a number is asked only where the parser needs
-to know (a number, a name, a predicate head, a frame element mapped with
-``->``), and ``float()`` is tried only on a word that starts with ``+``, ``-``,
-``.`` or a decimal digit (any ``str.isdecimal`` character), or that is
-``inf``, ``nan`` or ``infinity`` in any case: every spelling ``float()``
-accepts is one of these, so other words are identifiers without a raised
-``ValueError``. Offsets are not kept: the first error of a parse works them
-out with one ``finditer`` pass of the same expression, and line and column
-from them, so clean input pays for neither. The parser recovers from
-errors and reports everything it finds, each mistake once and at its place:
-a rejected number at its own token, a rule a constructor owns (a
+literals and ``;`` comments. ``findall`` of one regular expression splits the
+text into one list of token texts, with no object per token: a word is a run
+of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that ``->`` ends, and any other
+token's kind is looked up from its text. The text is split in slices of about
+32 KiB, each ending right after a newline, which no token or comment crosses,
+so that a list of fresh strings for the whole text never exists. Each parse
+has one symbol table, through which every token text, proposition and
+(proposition, level) pair is built: the token list holds one string per
+distinct token, and equal positive propositions are one object. The table
+belongs to the parse, so nothing outlives it. Whether a word is a number is
+asked only where the parser needs to know (a number, a name, a predicate head,
+a frame element mapped with ``->``), and ``float()`` is tried only on a word
+that starts with ``+``, ``-``, ``.`` or a decimal digit (any ``str.isdecimal``
+character), or that is ``inf``, ``nan`` or ``infinity`` in any case: every
+spelling ``float()`` accepts is one of these, so other words are identifiers
+without a raised ``ValueError``. Offsets are not kept: the first error of a
+parse works them out with one ``finditer`` pass of the same expression, and
+line and column from them, so clean input pays for neither. The parser
+recovers from errors and reports everything it finds, each mistake once and at
+its place: a rejected number at its own token, a rule a constructor owns (a
 probability range, a mass subset) by that constructor. A statement with an
-error is dropped whole and keeps its name declared, so references to it add
-no error. It must survive arbitrary byte soup, so every failure path records
-a diagnostic instead of raising.
+error is dropped whole and keeps its name declared, so references to it add no
+error. It must survive arbitrary byte soup, so every failure path records a
+diagnostic instead of raising.
 ``docs/grammar.md`` carries the full grammar.
 """
 
@@ -27,7 +33,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .errors import ParseFailure
 from .evidence import EvidenceSet, Frame, MassFunction
@@ -138,16 +143,24 @@ class DomainSpec:
 # --- tokenizer -------------------------------------------------------------
 
 # One match per token, whose single group is the token: whitespace and
-# comments before it are skipped inside the match. The fifth alternative is a
-# run of bad characters, which start no token; ``\Z`` gives the empty eof
-# token and stops a trailing comment from being backtracked into.
+# comments before it are skipped inside the match. A word is a run of word
+# characters in which a ``-`` may stand anywhere but before ``>``; it has a
+# branch of its own for a word that starts with ``-``, so that the common
+# word is one run of the class. The fifth alternative is a run of bad
+# characters, which start no token; ``\Z`` gives the empty eof token and
+# stops a trailing comment from being backtracked into.
 _TOKEN_RE = re.compile(r"""
     (?: \s+ | ;[^\n]* )*
     ( => | -> | [(){}@=]
-    | (?: [\w?.+/'*<!&%$#~^|\\]+ | -(?!>) )+
+    | [\w?.+/'*<!&%$#~^|\\]+ (?: -(?!>) [\w?.+/'*<!&%$#~^|\\]* )*
+    | (?: -(?!>) [\w?.+/'*<!&%$#~^|\\]* )+
     | [^\s;(){}@=\w?.+/'*<!&%$#~^|\\-]+
     | \Z )
     """, re.VERBOSE)
+
+# The text is tokenized in slices of at least this many characters, each
+# ending right after a newline, which no token, comment or ``->`` crosses.
+_SLICE_CHARS = 1 << 15
 
 # Every token that is not a word has a kind of its own.
 _KINDS = {"=>": "darrow", "->": "arrow", "(": "lparen", ")": "rparen",
@@ -182,35 +195,50 @@ def _where(text: str, pos: int) -> tuple:
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
-def _tokenize(text: str, filename: str, errors: list) -> tuple:
-    """The (kinds, texts) of the tokens of ``text``, two parallel lists that
-    end in two eof tokens. A word's kind is ``word``; runs of bad
-    characters are reported to ``errors`` and dropped."""
-    texts = _TOKEN_RE.findall(text)
+def _tokenize(text: str, filename: str, errors: list, symbols: dict) -> list:
+    """The texts of the tokens of ``text``, each interned in ``symbols``,
+    ending in two eof tokens. Runs of bad characters are reported to
+    ``errors`` and dropped."""
+    intern = symbols.setdefault
+    texts = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _SLICE_CHARS - 1) + 1 or len(text)
+        found = _TOKEN_RE.findall(text, start, end)
+        while found and not found[-1]:  # the eof of the slice
+            found.pop()
+        texts += map(intern, found, found)
+        start = end
     # A bad run's first character starts no other token, so the distinct
     # tokens show whether the text has one.
-    if any(map(_bad, set(texts))):
+    if any(map(_bad, symbols)):
         texts = []
         for m in _TOKEN_RE.finditer(text):
             token = m.group(1)
             if not _bad(token):
-                texts.append(token)
+                texts.append(intern(token, token))
             elif len(errors) < MAX_ERRORS:
                 errors.append(ParseError(filename, *_where(text, m.start(1)),
                                          "unexpected characters", token[0]))
-    # Two eof tokens, so that ``kind(1)`` at the end needs no bounds check:
-    # findall gives one after the last token, and a second one when
-    # whitespace or a comment ends the text.
-    if texts[-2:] != ["", ""]:
-        texts.append("")
-    return list(map(_KINDS.get, texts, repeat("word"))), texts
+        while texts and not texts[-1]:
+            texts.pop()
+    # Two eof tokens, so that ``kind(1)`` at the end needs no bounds check.
+    texts += ("", "")
+    return texts
 
 
 # --- parser core ------------------------------------------------------------
 
 class _Parser:
-    """A cursor over the token lists. A token is named by its index, and
-    its offset is worked out only when an error is reported."""
+    """A cursor over the token list. A token is named by its index, and
+    its offset is worked out only when an error is reported.
+
+    Every token text, proposition and (proposition, level) pair of a parse
+    is built through ``symbols``, so that equal values are one object
+    (a negation excepted: it wraps the shared proposition). Its keys cannot
+    meet: a token is a string, a proposition is keyed by the tuple of its
+    words, and a pair by itself, a tuple that starts with a proposition.
+    The table is the parser's, and goes when the parse does."""
 
     def __init__(self, text: str, filename: str):
         self.source = text
@@ -219,7 +247,8 @@ class _Parser:
         # Names of statements reported and dropped: a later reference to one
         # is not reported again.
         self.rejected: set = set()
-        self.kinds, self.texts = _tokenize(text, filename, self.errors)
+        self.symbols: dict = {}
+        self.texts = _tokenize(text, filename, self.errors, self.symbols)
         # How many errors were reported, also past the ``MAX_ERRORS`` cap: a
         # statement whose parse reported one is dropped.
         self.reported = len(self.errors)
@@ -228,7 +257,7 @@ class _Parser:
 
     def kind(self, ahead: int = 0) -> str:
         """The kind of the token ``ahead`` (0 or 1) places on; eof past the end."""
-        return self.kinds[self.pos + ahead]
+        return _KINDS.get(self.texts[self.pos + ahead], "word")
 
     def token(self) -> str:
         """The text of the next token."""
@@ -237,7 +266,7 @@ class _Parser:
     def advance(self) -> str:
         """Consume the next token and return its text; at eof, stay there."""
         i = self.pos
-        if self.kinds[i] != "eof":
+        if self.texts[i]:  # not eof
             self.pos = i + 1
         return self.texts[i]
 
@@ -247,8 +276,7 @@ class _Parser:
     def at_name(self) -> bool:
         """Whether the next token is a word that is neither reserved nor a number."""
         word = self.texts[self.pos]
-        return (self.kinds[self.pos] == "word" and word not in RESERVED
-                and _number(word) is None)
+        return word not in _KINDS and word not in RESERVED and _number(word) is None
 
     def offset(self, index: int) -> int:
         """The offset in the text of token ``index``."""
@@ -291,7 +319,8 @@ class _Parser:
 
     def number(self) -> float | None:
         """The value of the next token if it is a number, else None."""
-        return _number(self.texts[self.pos]) if self.kinds[self.pos] == "word" else None
+        word = self.texts[self.pos]
+        return None if word in _KINDS else _number(word)
 
     def expect_number(self, what: str, rule: str | None = None, low: float = -math.inf,
                       high: float = math.inf, integer: bool = False):
@@ -351,7 +380,11 @@ class _Parser:
         else:
             self.error("expected ')' closing proposition")
             return None
-        return Proposition(head, tuple(args))
+        key = (head, *args)
+        prop = self.symbols.get(key)
+        if prop is None:
+            prop = self.symbols[key] = Proposition(head, tuple(args))
+        return prop
 
     def parse_level_suffix(self, missing: str | None = None) -> int | None:
         """An optional '@ <int>' after a proposition; if there is none,
@@ -656,7 +689,8 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         prob_rules = [((), 1.0, name_tok)]
 
     def fill(pairs):
-        return tuple((prop, level if lvl is None else lvl) for prop, lvl in pairs)
+        filled = [(prop, level if lvl is None else lvl) for prop, lvl in pairs]
+        return tuple(map(p.symbols.setdefault, filled, filled))
 
     # Each table row is checked by its constructor, at its value.
     rules = tuple(p.build(index, ProbabilityRule, fill(conds), value)

@@ -3,13 +3,16 @@ import re
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uplan import dsl
 from uplan.dsl import (
     MAX_ERRORS,
     ParseError,
+    _KINDS,
     _Parser,
     _number,
     _where,
@@ -704,10 +707,11 @@ def _lexed(text: str) -> tuple:
     value, (line, column)), ident and number split by ``_number``; and the
     errors of tokenizing."""
     p = _Parser(text, "f")
-    # Two eof tokens end the lists, so that ``kind(1)`` needs no bounds check.
-    assert p.kinds[-2:] == ["eof", "eof"]
+    # Two eof tokens end the list, so that ``kind(1)`` needs no bounds check.
+    assert p.texts[-2:] == ["", ""]
     tokens = []
-    for i, (kind, word) in enumerate(zip(p.kinds[:-1], p.texts[:-1])):
+    for i, word in enumerate(p.texts[:-1]):
+        kind = _KINDS.get(word, "word")
         value = _number(word) if kind == "word" else None
         if kind == "word":
             kind = "ident" if value is None else "number"
@@ -739,6 +743,43 @@ def test_tokenizer_error_cap_matches_reference():
     with pytest.raises(ParseFailure) as info:
         parse_domain(text, "f")
     assert info.value.errors == ref_errors
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+def test_tokenizer_matches_reference_in_one_line_slices(text):
+    # Every line is a slice of its own, so every newline is a cut.
+    with mock.patch.object(dsl, "_SLICE_CHARS", 1):
+        test_tokenizer_matches_reference.hypothesis.inner_test(text)
+
+
+def _text_with_features_at_cuts() -> str:
+    """A text of several full-size slices, each of which starts with one
+    feature of the lexer and ends with another just before the cut."""
+    size = dsl._SLICE_CHARS
+    starts = ["", "->b ; c", "\r\x85\r a", "[ a-", "(x)->y"]
+    ends = ["; note -> (x\n", "a->b\n", "a [\n", "x\r\x85\r\n", "y\n\n"]
+    text = ""
+    for start, end in zip(starts, ends):
+        # A newline before the last is no cut: the cut is at the first
+        # newline at least ``size`` characters into the slice.
+        pad = ("w x\n" * size)[:size - len(start) - len(end) - 1] + " "
+        text += start + pad + end
+    return text + "last (z)\n\n"
+
+
+def test_tokenizer_matches_reference_at_slice_cuts():
+    text = _text_with_features_at_cuts()
+    size = dsl._SLICE_CHARS
+    assert all(text[k * size - 1] == "\n" for k in range(1, 6))
+    for slice_chars in (size, 1):
+        with mock.patch.object(dsl, "_SLICE_CHARS", slice_chars):
+            tokens, errors = _lexed(text)
+        ref_errors = []
+        expected = reference_tokenize(text, "f", ref_errors)
+        assert errors == ref_errors and len(errors) == 2
+        assert [(t[0], t[1], t[3]) for t in tokens] == \
+            [(t.kind, t.text, (t.line, t.column)) for t in expected]
 
 
 def test_statements_past_the_error_cap_are_still_dropped():
@@ -828,8 +869,10 @@ def test_errors_deep_in_a_large_domain_have_their_line_and_column():
 
 
 def test_parse_peak_memory_per_input_character():
-    # The token stream is two lists of strings, with no object per token
-    # and no stored offsets; about 13 bytes per input character today.
+    # The token stream is one list that holds one string per distinct token,
+    # tokenized a slice at a time, with no object per token and no stored
+    # offsets; equal propositions and (proposition, level) pairs are one
+    # object. About 7.4 bytes per input character today.
     text = _tree_domain()
     tracemalloc.start()
     try:
@@ -837,7 +880,38 @@ def test_parse_peak_memory_per_input_character():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * len(text), (peak, len(text))
+    assert peak < 9 * len(text), (peak, len(text))
+
+
+def _slot_pairs(spec) -> list:
+    """The (proposition, level) pairs of every operator slot of ``spec``,
+    whose levels the operator fills in."""
+    pairs = []
+    for op in spec.operators:
+        pairs += op.necessary + op.satisfiable + op.postconditions
+        pairs += [pair for rule in op.probability_rules for pair in rule.conditions]
+    return pairs
+
+
+def test_a_parse_builds_one_object_per_distinct_proposition():
+    spec = parse_domain(_tree_domain())
+    pairs = _slot_pairs(spec)
+    props = [prop for prop, _ in pairs]
+    for values in (pairs, props):
+        assert len(set(map(id, values))) == len(set(values)) < len(values)
+    # Every leaf reads the same (hazard h1)@2, and asserts the (done X) its
+    # postcondition names.
+    hazards = [rule.conditions[0] for op in spec.operators
+               for rule in op.probability_rules if rule.conditions]
+    assert len(hazards) == 729 and all(pair is hazards[0] for pair in hazards)
+    for op in spec.operators:
+        for entry in op.plot:
+            for _, prop, _ in entry.edits:
+                assert prop is op.postconditions[0][0]
+    assert parse_domain(format_domain(spec)) == spec
+    # The table goes with its parse: a second parse shares no proposition.
+    again = {id(prop) for prop, _ in _slot_pairs(parse_domain(_tree_domain()))}
+    assert again.isdisjoint(map(id, props))
 
 
 def test_regex_classes_match_str_predicates():
