@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 import sys
@@ -709,13 +710,17 @@ def _lexed(text: str) -> tuple:
     p = _Parser(text, "f")
     # Two eof tokens end the list, so that ``kind(1)`` needs no bounds check.
     assert p.texts[-2:] == ["", ""]
+    # The offset of each line's start: ``_where`` counts from the start of
+    # the text, which is quadratic over a long one.
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     tokens = []
     for i, word in enumerate(p.texts[:-1]):
         kind = _KINDS.get(word, "word")
         value = _number(word) if kind == "word" else None
         if kind == "word":
             kind = "ident" if value is None else "number"
-        tokens.append((kind, word, value, _where(text, p.offset(i))))
+        line = bisect.bisect_right(line_starts, p.offset(i))
+        tokens.append((kind, word, value, (line, p.offset(i) - line_starts[line - 1] + 1)))
     return tokens, p.errors
 
 
@@ -753,31 +758,39 @@ def test_tokenizer_matches_reference_in_one_line_slices(text):
         test_tokenizer_matches_reference.hypothesis.inner_test(text)
 
 
-def _text_with_features_at_cuts() -> str:
-    """A text of several full-size slices, each of which starts with one
-    feature of the lexer and ends with another just before the cut."""
+def _text_with_features_at_cuts(bad: str) -> tuple:
+    """A text of several slices, each of which starts with one feature of
+    the lexer and ends with another, whose line holds the slice's
+    ``_SLICE_CHARS``-th character; and the offsets of the cuts. ``bad``
+    stands where a bad run may."""
     size = dsl._SLICE_CHARS
-    starts = ["", "->b ; c", "\r\x85\r a", "[ a-", "(x)->y"]
-    ends = ["; note -> (x\n", "a->b\n", "a [\n", "x\r\x85\r\n", "y\n\n"]
-    text = ""
+    starts = ["", "->b ; c", "\r\x85\r a", f"{bad} a-", "(x)->y"]
+    ends = ["; note -> (x\n", "a->b\n", f"a {bad}\n", "x\r\x85\r\n", "y z\n"]
+    text, cuts = "", []
     for start, end in zip(starts, ends):
-        # A newline before the last is no cut: the cut is at the first
-        # newline at least ``size`` characters into the slice.
-        pad = ("w x\n" * size)[:size - len(start) - len(end) - 1] + " "
+        # The pad's newlines come before the slice's ``size``-th character,
+        # so the cut is the one after ``end``.
+        pad = ("w x\n" * size)[:size - len(start) - len(end) // 2 - 1] + " "
         text += start + pad + end
-    return text + "last (z)\n\n"
+        cuts.append(len(text))
+    # A blank line after the last cut, and one that ends the text.
+    return text + "\nlast (z)\n\n", cuts
 
 
-def test_tokenizer_matches_reference_at_slice_cuts():
-    text = _text_with_features_at_cuts()
+# A text without a bad run is tokenized by the slices alone; one with a bad
+# run is tokenized again in one pass, which reports the runs.
+@pytest.mark.parametrize("bad", ["b", "["])
+def test_tokenizer_matches_reference_at_slice_cuts(bad):
+    text, cuts = _text_with_features_at_cuts(bad)
     size = dsl._SLICE_CHARS
-    assert all(text[k * size - 1] == "\n" for k in range(1, 6))
+    for start, cut in zip([0] + cuts, cuts):
+        assert text.find("\n", start + size - 1) + 1 == cut
     for slice_chars in (size, 1):
         with mock.patch.object(dsl, "_SLICE_CHARS", slice_chars):
             tokens, errors = _lexed(text)
         ref_errors = []
         expected = reference_tokenize(text, "f", ref_errors)
-        assert errors == ref_errors and len(errors) == 2
+        assert errors == ref_errors and len(errors) == 2 * (bad == "[")
         assert [(t[0], t[1], t[3]) for t in tokens] == \
             [(t.kind, t.text, (t.line, t.column)) for t in expected]
 
