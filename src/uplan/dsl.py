@@ -233,12 +233,14 @@ class _Parser:
     """A cursor over the token list. A token is named by its index, and
     its offset is worked out only when an error is reported.
 
-    Every token text, proposition and (proposition, level) pair of a parse
-    is built through ``symbols``, so that equal values are one object
-    (a negation excepted: it wraps the shared proposition). Its keys cannot
-    meet: a token is a string, a proposition is keyed by the tuple of its
-    words, and a pair by itself, a tuple that starts with a proposition.
-    The table is the parser's, and goes when the parse does."""
+    Every token text, proposition, (proposition, level) pair and
+    probability rule of a parse is built through ``symbols``, so that equal
+    values are one object (a negation excepted: it wraps the shared
+    proposition). Its keys cannot meet: a token is a string, a proposition
+    is keyed by the tuple of its words, a pair by itself, a tuple that
+    starts with a proposition, and a rule by its conditions and its value's
+    repr, a tuple that starts with a tuple. The table is the parser's, and
+    goes when the parse does."""
 
     def __init__(self, text: str, filename: str):
         self.source = text
@@ -692,9 +694,20 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         filled = [(prop, level if lvl is None else lvl) for prop, lvl in pairs]
         return tuple(map(p.symbols.setdefault, filled, filled))
 
-    # Each table row is checked by its constructor, at its value.
-    rules = tuple(p.build(index, ProbabilityRule, fill(conds), value)
-                  for conds, value, index in prob_rules)
+    def rule(conds, value, index):
+        """The shared row, keyed by its value's repr: ``-0.0`` equals ``0.0``
+        but prints apart. A new row is checked by its constructor, at its
+        value."""
+        conditions = fill(conds)
+        key = (conditions, repr(value))
+        shared = p.symbols.get(key)
+        if shared is None:
+            shared = p.build(index, ProbabilityRule, conditions, value)
+            if shared is not None:
+                p.symbols[key] = shared
+        return shared
+
+    rules = tuple(rule(*entry) for entry in prob_rules)
     op = None if p.reported > reported else p.build(
         name_tok,
         ReductionOperator,

@@ -19,7 +19,6 @@ knowledge-acquisition operator or evidence weights.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CoverageError, PlanFailure, UplanError
@@ -174,81 +173,64 @@ def _discriminator(world_sets, by_id) -> KnowledgeAcquisitionOperator | None:
     """Observations whose truth values tell the world sets apart, or None
     when none can.
 
-    The worlds are partitioned into blocks, one per outcome of the
-    observations chosen so far, and two worlds of different alternatives are
-    still confused exactly when they share a block. Each round greedily adds
-    the first candidate, in sorted order, that splits the most confused pairs
+    Each listed world is one entry, numbered alternative by alternative; a
+    world listed under two alternatives stays confused with itself, and gets
+    no KA operator. Every set of entries is an integer bitset over them: one
+    per alternative; one per block of the partition, keyed by its outcome of
+    the observations chosen so far; and one per candidate (level, fact),
+    holding the entries in which it reads true, closed-world as
+    :func:`uplan.model.holds` reads it. Two entries of different alternatives
+    are still confused exactly when they share a block, so a block's count is
+    ``(|block|² − Σ |block & alt|²) // 2``. Each round greedily adds the first
+    candidate, in sorted order, that leaves the fewest confused pairs
     (Quinlan's test selection over a refined partition), until no block
     mixes alternatives.
     """
-    # One (world, alternative) entry each: a world listed under two
-    # alternatives stays confused with itself, and gets no KA operator.
-    entries = [(wid, index) for index, ws in enumerate(world_sets) for wid in ws]
-    # Each world's facts as a bitset over the distinct (level, fact) pairs,
-    # so that a test is a shift, not a bisection of the level's facts. Worlds
-    # share level objects, so each distinct level's mask is built once, when
-    # it is first seen; bits are numbered in order of first appearance.
-    bits, present, masks = {}, {}, {}
-    for wid, _ in entries:
-        mask = 0
-        for level in by_id[wid].levels:
-            level_mask = masks.get(id(level))
-            if level_mask is None:
-                level_mask = 0
-                for prop in level.sorted_facts():
-                    level_mask |= 1 << bits.setdefault((level.index, prop), len(bits))
-                masks[id(level)] = level_mask
-            mask |= level_mask
-        present[wid] = mask
-    # A candidate whose positive form (the bit ``refine`` reads) every
-    # entry's world holds, or none does, puts every entry in one block: it
-    # has gain 0 in every round, so the greedy rule never picks it.
-    held_by_all, held_by_any = -1, 0
-    for mask in present.values():
-        held_by_all &= mask
-        held_by_any |= mask
-    varies = held_by_any & ~held_by_all
-    candidates = []
-    for level, prop in bits:
-        bit = bits.get((level, prop.positive()))
-        if bit is not None and varies >> bit & 1:
-            candidates.append((level, prop))
-    candidates.sort()
+    alts, on_level, n = [], {}, 0
+    for ws in world_sets:
+        alts.append(((1 << len(ws)) - 1) << n)
+        for wid in ws:
+            # Worlds share level objects: read each distinct one's facts once.
+            for level in by_id[wid].levels:
+                on_level.setdefault(id(level), [level, 0])[1] |= 1 << n
+            n += 1
+    everything = (1 << n) - 1
+    held = {}
+    for level, entries in on_level.values():
+        for prop in level.sorted_facts():
+            held[level.index, prop] = held.get((level.index, prop), 0) | entries
+    # A candidate whose positive form every entry holds, or none does, splits
+    # no block, so the greedy rule never picks it.
+    candidates = {}
+    for level, prop in sorted(held):
+        positive = held.get((level, prop.positive()), 0)
+        if positive not in (0, everything):
+            candidates[level, prop] = positive if prop.polarity else everything & ~positive
 
     def confused(block):
         """Pairs of ``block``'s entries from different alternatives."""
-        counts = Counter(index for _, index in block)
-        return (len(block) ** 2 - sum(n * n for n in counts.values())) // 2
+        return (block.bit_count() ** 2
+                - sum((block & alt).bit_count() ** 2 for alt in alts)) // 2
 
-    def refine(blocks, level, prop):
-        """Split every block by the truth of ``prop`` at ``level``: closed-world,
-        as :func:`uplan.model.holds` reads it."""
-        bit = bits.get((level, prop.positive()))  # None: no world has it
-        refined = {}
-        for outcome, block in blocks.items():
-            for entry in block:
-                held = bit is not None and present[entry[0]] >> bit & 1
-                truth = "T" if held == prop.polarity else "F"
-                refined.setdefault(outcome + truth, []).append(entry)
-        return refined
-
-    if not confused(entries):
+    if not confused(everything):
         return None  # a single alternative: nothing to tell apart
-    blocks, chosen = {"": entries}, []
-    while mixed := {o: block for o, block in blocks.items() if confused(block)}:
-        remaining = sum(map(confused, mixed.values()))
-        best, best_gain = None, 0
-        for candidate in candidates:
-            gain = remaining - sum(map(confused, refine(mixed, *candidate).values()))
-            if gain > best_gain:
-                best, best_gain = candidate, gain
+    blocks, chosen = {"": everything}, []
+    while mixed := [block for block in blocks.values() if confused(block)]:
+        best, fewest = None, sum(map(confused, mixed))
+        for candidate, true in candidates.items():
+            left = sum(confused(block & true) + confused(block & ~true) for block in mixed)
+            if left < fewest:
+                best, fewest = candidate, left
         if best is None:
             return None  # some pair is observationally indistinguishable
         chosen.append(best)
-        blocks = refine(blocks, *best)
+        true = candidates[best]
+        blocks = {outcome + truth: part for outcome, block in blocks.items()
+                  for truth, part in (("T", block & true), ("F", block & ~true)) if part}
     return KnowledgeAcquisitionOperator(
         observe=tuple(chosen),
-        maps=tuple(sorted((outcome, block[0][1]) for outcome, block in blocks.items())),
+        maps=tuple(sorted((outcome, next(i for i, alt in enumerate(alts) if block & alt))
+                          for outcome, block in blocks.items())),
     )
 
 

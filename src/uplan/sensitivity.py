@@ -104,12 +104,19 @@ def _spread(lo: float, hi: float, step: float) -> list:
     return [v for v in values if v <= hi + 1e-12]
 
 
-def sensitivity_grid(gamma_range: tuple, delta_range: tuple, step: float) -> list:
-    """Dense (gamma, delta, threshold) table over the requested ranges."""
+def _axes(gamma_range: tuple, delta_range: tuple, step: float) -> tuple:
+    """The gamma and delta values of a table over the requested ranges;
+    raises ``ValueError`` for a range that either table rejects."""
     gammas = _spread(gamma_range[0], gamma_range[1], step)
     deltas = _spread(delta_range[0], delta_range[1], step)
     if not gammas or not deltas:
         raise ValueError("empty sensitivity range")
+    return gammas, deltas
+
+
+def sensitivity_grid(gamma_range: tuple, delta_range: tuple, step: float) -> list:
+    """Dense (gamma, delta, threshold) table over the requested ranges."""
+    gammas, deltas = _axes(gamma_range, delta_range, step)
     return [
         (g, d, ratio_threshold(g, d))
         for g in gammas
@@ -125,9 +132,7 @@ def contour_rows(gamma_range: tuple, delta_range: tuple, step: float) -> list:
     delta = (r - 1 - 2*gamma) / (2 + 2*gamma); gammas outside the delta range
     are skipped. The extreme contours degenerate to single points.
     """
-    gammas = _spread(gamma_range[0], gamma_range[1], step)
-    if not gammas:
-        raise ValueError("empty sensitivity range")
+    gammas, _ = _axes(gamma_range, delta_range, step)
     lo = ratio_threshold(gamma_range[0], delta_range[0])
     hi = ratio_threshold(gamma_range[1], delta_range[1])
     rows = []

@@ -921,7 +921,20 @@ def test_a_parse_builds_one_object_per_distinct_proposition():
         for entry in op.plot:
             for _, prop, _ in entry.edits:
                 assert prop is op.postconditions[0][0]
+    # Equal probability rules are one object too: the leaves' two rows and
+    # every other operator's implicit default 1.0.
+    rules = [rule for op in spec.operators for rule in op.probability_rules]
+    assert len(set(map(id, rules))) == len(set(rules)) == 3 < len(rules)
     assert parse_domain(format_domain(spec)) == spec
+    # -0.0 equals 0.0 but prints apart, so those two rows stay two objects.
+    signed = parse_domain("levels 1\ngoal A 1.0\n" + "".join(
+        f"operator {name}\n  level 1\n  probability\n    default {value}\n"
+        for name, value in (("A", "-0.0"), ("B", "0.0"), ("C", "-0.0"))))
+    a, b, c = (op.probability_rules[0] for op in signed.operators)
+    assert a is c and a is not b
+    text = format_domain(signed)
+    assert "default -0.0" in text and "default 0.0" in text
+    assert format_domain(parse_domain(text)) == text
     # The table goes with its parse: a second parse shares no proposition.
     again = {id(prop) for prop, _ in _slot_pairs(parse_domain(_tree_domain()))}
     assert again.isdisjoint(map(id, props))

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from uplan.errors import CoverageError, PlanFailure
 from uplan.model import (
+    AbstractionLevel,
     EvidentialInterval,
     GroundStep,
     KnowledgeAcquisitionOperator,
     Plan,
     PlanNode,
+    PState,
     SuperPlan,
     SuperPlanAlternative,
     SuperPlanNode,
@@ -472,19 +474,23 @@ _KA_POOL = [prop("(p)"), prop("(q a)"), prop("(r)"), prop("not (r)")]
 def disjoint_world_sets(draw):
     """2 to 4 disjoint world sets, some possibly empty, over 2 to 12 worlds
     of 1 or 2 levels. The small fact pool makes worlds of different
-    alternatives that no observation tells apart common."""
+    alternatives that no observation tells apart common. A world may take
+    an earlier world's level object at an index instead of new facts, as
+    the worlds of :func:`uplan.evidence.generate_pstates` share theirs."""
     n_sets = draw(st.integers(2, 4))
     n_worlds = draw(st.integers(2, 12))
     n_levels = draw(st.integers(1, 2))
     owners = draw(st.lists(st.integers(0, n_sets - 1),
                            min_size=n_worlds, max_size=n_worlds))
-    worlds = [
-        make_pstate(f"w{k:02d}", n_levels, EvidentialInterval(0.5, 0.5), {
-            level: draw(st.lists(st.sampled_from(_KA_POOL), unique=True))
-            for level in range(1, n_levels + 1)
-        })
-        for k in range(n_worlds)
-    ]
+    worlds = []
+    for k in range(n_worlds):
+        levels = tuple(
+            draw(st.sampled_from(worlds)).levels[index - 1]
+            if worlds and draw(st.booleans())
+            else AbstractionLevel(index, draw(st.lists(st.sampled_from(_KA_POOL),
+                                                       unique=True)))
+            for index in range(1, n_levels + 1))
+        worlds.append(PState(f"w{k:02d}", levels, EvidentialInterval(0.5, 0.5)))
     world_sets = [frozenset(w.id for w, owner in zip(worlds, owners) if owner == i)
                   for i in range(n_sets)]
     return world_sets, worlds
@@ -503,6 +509,9 @@ def disjoint_world_sets(draw):
            world("w01"),
            world("w02", contents={1: [prop("(p)")]}),
            world("w03", contents={1: [prop("(r)")]})]))
+@example(([frozenset({"w00"}), frozenset({"w00", "w01"})],  # w00 under both: None
+          [world("w00", contents={1: [prop("(p)")]}),
+           world("w01")]))
 def test_discriminator_matches_greedy_pair_cover(case):
     world_sets, worlds = case
     by_id = {w.id: w for w in worlds}

@@ -101,6 +101,20 @@ def test_grid_rejects_bad_ranges():
         sensitivity_grid((0.0, 1.5), (0.0, 0.5), 0.1)
 
 
+@pytest.mark.parametrize("gammas, deltas", [
+    ((0.0, 1.0), (0.0, 3.0)),   # the contours would run to delta 3.0
+    ((0.0, 1.0), (0.5, 0.2)),   # and would be empty
+    ((0.5, 0.1), (0.0, 0.5)),
+    ((0.0, 1.5), (0.0, 0.5)),
+])
+def test_contours_reject_the_ranges_the_grid_rejects(gammas, deltas):
+    with pytest.raises(ValueError) as grid:
+        sensitivity_grid(gammas, deltas, 0.1)
+    with pytest.raises(ValueError) as contour:
+        contour_rows(gammas, deltas, 0.1)
+    assert str(contour.value) == str(grid.value)
+
+
 def test_spread_caps_the_values_per_axis():
     # A 0.001 step over [0, 1] is the finest allowed; anything finer, down to
     # a step whose count of values overflows a float, is refused up front.
