@@ -313,6 +313,15 @@ class _Parser:
         while self.kind() != "eof" and not self.at_keyword(keywords):
             self.advance()
 
+    def skip_group(self):
+        """Drop tokens up to the ')' that closes the '(' at the cursor, or EOF."""
+        opened = 0
+        while self.kind() != "eof":
+            opened += {"lparen": 1, "rparen": -1}.get(self.kind(), 0)
+            self.advance()
+            if not opened:
+                return
+
     def expect_ident(self, what: str) -> str | None:
         if self.at_name():
             return self.advance()
@@ -355,7 +364,7 @@ class _Parser:
             return None
         if depth > MAX_PROP_DEPTH:
             self.error("proposition nested too deeply")
-            self.advance()
+            self.skip_group()
             return None
         self.advance()
         if self.token() == "not":
@@ -363,7 +372,7 @@ class _Parser:
             inner = self.parse_proposition(depth + 1)
             if self.kind() == "rparen":
                 self.advance()
-            else:
+            elif inner is not None:  # a rejected inner one was reported already
                 self.error("expected ')' closing (not ...)")
             return inner.negated() if inner else None
         if not self.at_name():
@@ -914,16 +923,17 @@ def lint_domain(spec: DomainSpec) -> list:
                     edges[i].add(j)
     state = {}  # 0 visiting, 1 done
 
-    def has_cycle(start):
+    def cycle_from(start):
         """Depth-first from ``start``, with an explicit stack so that a
-        long trigger chain cannot reach the recursion limit."""
+        long trigger chain cannot reach the recursion limit; returns the
+        rule a back edge reaches, which is on a cycle, or None."""
         state[start] = 0
         stack = [(start, iter(edges[start]))]
         while stack:
             i, successors = stack[-1]
             for j in successors:
                 if state.get(j) == 0:
-                    return True
+                    return j
                 if j not in state:
                     state[j] = 0
                     stack.append((j, iter(edges[j])))
@@ -931,11 +941,11 @@ def lint_domain(spec: DomainSpec) -> list:
             else:
                 stack.pop()
                 state[i] = 1
-        return False
+        return None
 
     for i in range(len(rules)):
-        if i not in state and has_cycle(i):
-            label = rules[i].name or f"rule #{i + 1}"
+        if i not in state and (j := cycle_from(i)) is not None:
+            label = rules[j].name or f"rule #{j + 1}"
             out.append(Diagnostic(
                 "error",
                 f"causal rules are not stratifiable: {label} can re-trigger itself",

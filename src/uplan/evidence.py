@@ -48,7 +48,8 @@ class Frame:
     contributes to a world built around that element; elements may contribute
     nothing, in which case the attribute is only visible through the absence
     of the other elements' propositions. An element may be mapped more than
-    once, and every mapped proposition is ground.
+    once, and every mapped proposition is ground. No element name holds a
+    ``+``, which joins the elements of a world's id.
     """
 
     name: str
@@ -60,6 +61,10 @@ class Frame:
             raise ValueError(f"frame {self.name!r} has no elements")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"frame {self.name!r} repeats an element")
+        for element in self.elements:
+            if "+" in element:
+                raise ValueError(f"frame {self.name!r}: element {element!r} contains '+', "
+                                 "which joins the elements of a world's id")
         for element, pairs in self.to_propositions:
             if element not in self.elements:
                 raise ValueError(f"frame {self.name!r}: mapping for unknown element {element!r}")

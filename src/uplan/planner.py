@@ -344,27 +344,26 @@ def review_decisions(path: list, policy: ReviewPolicy,
                 current.donor is not None
                 and current.selected_index == current.donor.selected_index):
             selected = current.selected_child
-            if selected is not None and selected.status != STATUS_FAILED:
-                best, best_ef = None, selected.ef
-                for sibling in current.applicable_children():
-                    if sibling is selected:
-                        continue
-                    gap = selected.deepest_level - sibling.operator.abstraction_level
-                    offset = review_offset(policy, gap, sibling.ef)
-                    if sibling.ef > selected.ef + offset and sibling.ef > best_ef:
-                        best, best_ef = sibling, sibling.ef
-                if best is not None:
-                    before = _triple(current)
-                    current.select(best)
-                    current.fulfilment, current.probability = best.fulfilment, best.probability
-                    if trace is not None:
-                        trace.record(
-                            "review-switch", current, before=before,
-                            after=_triple(current),
-                            detail=f"{selected.name}->{best.name}",
-                        )
-                    propagate_updates(path[:i + 1], trace, folds)
-                    switched.append(current)
+            best, best_ef = None, selected.ef
+            for sibling in current.applicable_children():
+                if sibling is selected:
+                    continue
+                gap = selected.deepest_level - sibling.operator.abstraction_level
+                offset = review_offset(policy, gap, sibling.ef)
+                if sibling.ef > selected.ef + offset and sibling.ef > best_ef:
+                    best, best_ef = sibling, sibling.ef
+            if best is not None:
+                before = _triple(current)
+                current.select(best)
+                current.fulfilment, current.probability = best.fulfilment, best.probability
+                if trace is not None:
+                    trace.record(
+                        "review-switch", current, before=before,
+                        after=_triple(current),
+                        detail=f"{selected.name}->{best.name}",
+                    )
+                propagate_updates(path[:i + 1], trace, folds)
+                switched.append(current)
     return switched
 
 
@@ -449,6 +448,15 @@ class Search:
     a planfail backtracks instead, so a recovery operator that reduces back
     to the failing one ends the chain rather than deepening the tree until
     the budget runs out.
+
+    A planfail is resolved in the call that raises it: it recovers the
+    node, reselects its OR ancestor, fails its AND parent in turn, or
+    raises :class:`PlanFailure` at the root. :meth:`_next_point` is thus a
+    pure descent, to an AND's pending child and an OR's selection, that
+    meets no failed node and no OR without a selection:
+    :meth:`_apply_reduction` gives every new OR node one, and a halted
+    replay holds a failed node only until :meth:`resume` applies the
+    planfail it halted at.
 
     Plan trees link parent to child only: each step that needs a node's
     ancestors takes the root-to-node ``path`` the search descended along.
@@ -543,37 +551,20 @@ class Search:
 
     def _next_point(self) -> list | None:
         """Root-to-node path to the leftmost incomplete node of the active
-        subtree, finalizing on the way."""
-        while True:
-            node, path = self.root, []
-            while True:
-                path.append(node)
-                if node.status == STATUS_NEW:
-                    return path
-                if node.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
-                    return None  # only reachable for the root
-                if node.status == STATUS_FAILED:
-                    raise PlanFailure(f"goal {self.root.name!r} cannot be reduced to a plan")
-                if node.expansion == EXPANSION_AND:
-                    pending = pending_child(node, self.folds)
-                    if pending is None:
-                        self._finalize(path)
-                        break
-                    if pending.status == STATUS_FAILED:
-                        self._planfail(path, f"child {pending.name} failed")
-                        break
-                    node = pending
-                    continue
-                selected = node.selected_child
-                if selected is None:
-                    raise UplanError(f"OR node {node.name} has no selection")
-                if selected.status == STATUS_FAILED:
-                    self._reselect(path)
-                    break
-                if selected.status in (STATUS_COMPLETE, STATUS_REDUNDANT):
+        subtree, finalizing on the way; None once the root is done."""
+        while self.root.status not in _DONE:
+            node, path = self.root, [self.root]
+            while node.status != STATUS_NEW:
+                child = (pending_child(node, self.folds) if node.expansion == EXPANSION_AND
+                         else node.selected_child)
+                if child is None or child.status in _DONE:
                     self._finalize(path)
                     break
-                node = selected
+                node = child
+                path.append(node)
+            else:
+                return path
+        return None
 
     # -- expansion --
 

@@ -45,6 +45,38 @@ def test_validate_broken_domain(tmp_path, capsys):
     assert "Warp" in err and ":6:" in err
 
 
+_LOOP_RULE = "rule loop when (loop) then assert (loop)@1\n"
+_LOOP_ERROR = "error: causal rules are not stratifiable: loop can re-trigger itself"
+
+
+def test_validate_prints_a_lint_error_and_exits_one(tmp_path, capsys):
+    domain = tmp_path / "loop.domain"
+    domain.write_text(fixture_text("air_combat.domain") + _LOOP_RULE)
+    assert main(["validate", str(domain)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"{domain}: {_LOOP_ERROR}\n")
+
+
+def test_validate_prints_a_lint_warning_and_passes(tmp_path, capsys):
+    domain = tmp_path / "orphan.domain"
+    domain.write_text(fixture_text("air_combat.domain")
+                      + "operator Orphan\n  level 1\n  plot do-all\n    Attack 1.0\n")
+    assert main(["validate", str(domain)]) == 0
+    out = capsys.readouterr()
+    assert out.err == f"{domain}: warning: operator 'Orphan' is unreachable from the goal\n"
+    assert out.out == f"{domain}: ok (16 operators, 3 levels)\n"
+
+
+def test_plan_prints_a_lint_error_and_exits_one(fixture_paths, tmp_path, capsys):
+    _, evidence = fixture_paths
+    domain = tmp_path / "loop.domain"
+    domain.write_text(fixture_text("air_combat.domain") + _LOOP_RULE)
+    out = tmp_path / "superplan.json"
+    assert main(["plan", str(domain), evidence, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{domain}: {_LOOP_ERROR}\n"
+    assert not out.exists()
+
+
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.domain")]) == 2
 

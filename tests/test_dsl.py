@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from uplan import dsl
 from uplan.dsl import (
     MAX_ERRORS,
+    MAX_PROP_DEPTH,
     ParseError,
     _KINDS,
     _Parser,
@@ -24,7 +25,7 @@ from uplan.dsl import (
     parse_evidence,
 )
 from uplan.errors import ParseFailure
-from uplan.model import patterns_unify
+from uplan.model import PLANFAIL_REJECT_BRANCH, patterns_unify
 
 
 EXPECTED_OPERATORS = {
@@ -188,8 +189,13 @@ def test_evidence_mapping_a_fact_and_its_negation_is_reported_at_the_element():
      "expected level index after '@'"),
     ("frame t {a}\n  a -> (p)@nan\nmass t {a}=1.0\n", parse_evidence,
      "level index after '@' must be an integer"),
+    # An unclosed proposition under a negation, so no second error says the
+    # negation is unclosed too.
+    ("levels 1\ngoal A\noperator A level 1 necessary (not (p q@1)\n", parse_domain,
+     "expected ')' closing proposition"),
 ], ids=["operator", "operator-without-level", "frame", "frame-without-brace", "empty-mass-subset",
-        "repeated-mass-subset", "compat-level", "rule-level", "mapping-level"])
+        "repeated-mass-subset", "compat-level", "rule-level", "mapping-level",
+        "negated-proposition"])
 def test_a_rejected_statement_is_reported_once(text, parser, message):
     # The statement's name stays declared, so references to it add no error.
     assert [e.message for e in errors_of(text, parser)] == [message]
@@ -285,10 +291,18 @@ def test_lint_long_trigger_ring_is_not_stratifiable():
         "causal rules are not stratifiable: r0 can re-trigger itself"]
 
 
+def test_lint_names_a_rule_on_the_cycle():
+    # r0 triggers r1, but only r1 and r2 re-trigger each other.
+    rules = ["rule r0 when (a) then assert (b)@1\n", "rule r1 when (b) then assert (c)@1\n",
+             "rule r2 when (c) then assert (b)@1\n"]
+    assert _stratification_errors(_rule_domain(rules)) == [
+        "causal rules are not stratifiable: r1 can re-trigger itself"]
+
+
 def reference_unstratified_rule(rules):
     """The stratification check as it was: every pair of rules compared,
-    and a recursive depth-first search. The label of the rule it names, or
-    None."""
+    and a recursive depth-first search. The label of the rule its first
+    back edge reaches, or None."""
     edges = {i: set() for i in range(len(rules))}
     for i, ri in enumerate(rules):
         for op, p, _level in ri.effects:
@@ -298,19 +312,19 @@ def reference_unstratified_rule(rules):
                     edges[i].add(j)
     state = {}
 
-    def has_cycle(i):
+    def cycle_from(i):
         state[i] = 0
         for j in edges[i]:
             if state.get(j) == 0:
-                return True
-            if j not in state and has_cycle(j):
-                return True
+                return j
+            if j not in state and (k := cycle_from(j)) is not None:
+                return k
         state[i] = 1
-        return False
+        return None
 
     for i in range(len(rules)):
-        if i not in state and has_cycle(i):
-            return rules[i].name
+        if i not in state and (j := cycle_from(i)) is not None:
+            return rules[j].name
     return None
 
 
@@ -445,6 +459,105 @@ operator A
     diags = lint_domain(parse_domain(text))
     assert any(d.severity == "error" and "lowest abstraction" in d.message
                for d in diags)
+
+
+_ONE_OP = "levels 1\ngoal A 1.0\noperator A\n  level 1\n  plot do-all\n    assert (x)@1\n"
+
+
+@pytest.mark.parametrize("text, parser, where, message", [
+    (_ONE_OP + "goal A 2.0\n", parse_domain, "7:6", "duplicate goal declaration"),
+    (_ONE_OP + "  planfail recover Nowhere\n", parse_domain, "7:12",
+     "planfail of 'A' names undeclared operator 'Nowhere'"),
+    (_ONE_OP + "  probability\n    default 0.5\n    when (y)@1 => 0.2\n", parse_domain,
+     "9:5", "probability 'when' clause after 'default'"),
+    ("frame f {a}\nmass g {a}=1.0\n", parse_evidence, "2:6",
+     "mass references undeclared frame 'g'"),
+], ids=["duplicate-goal", "undeclared-recovery", "when-after-default", "undeclared-frame"])
+def test_declaration_errors_at_their_place(text, parser, where, message):
+    assert [(f"{e.line}:{e.column}", e.message) for e in errors_of(text, parser)] == [
+        (where, message)]
+
+
+def test_planfail_reject_branch_parses():
+    spec = parse_domain(_ONE_OP + "  planfail reject-branch\n")
+    assert spec.operator("A").planfail == PLANFAIL_REJECT_BRANCH
+
+
+@pytest.mark.parametrize("plot, message", [
+    ("do-all\n    B 1.0\n    assert (x)@1\noperator B\n  level 1\n  plot do-all\n"
+     "    assert (y)@1", "operator 'A' mixes subgoals and state edits in one plot"),
+    ("choose-one\n    assert (x)@1\n    retract (y)@1",
+     "operator 'A' has state edits in a choose-one plot"),
+], ids=["mixed", "choose-one-edits"])
+def test_lint_plot_shape_errors(plot, message):
+    text = f"levels 1\ngoal A 1.0\noperator A\n  level 1\n  plot {plot}\n"
+    assert [str(d) for d in lint_domain(parse_domain(text))] == [f"error: {message}"]
+
+
+def test_lint_plot_referencing_a_more_abstract_level():
+    text = """
+levels 2
+goal A 1.0
+operator A
+  level 1
+  plot do-all
+    B 1.0
+operator B
+  level 2
+  plot do-all
+    C 1.0
+operator C
+  level 1
+  plot do-all
+    D 1.0
+operator D
+  level 2
+  plot do-all
+    assert (y)@2
+"""
+    assert [str(d) for d in lint_domain(parse_domain(text))] == [
+        "error: plot of 'B' (level 2) references 'C' at the more abstract level 1"]
+
+
+@pytest.mark.parametrize("planfail, findings", [
+    ("recover R", []),
+    ("backtrack", ["warning: operator 'R' is unreachable from the goal"]),
+])
+def test_lint_a_recovery_target_is_reachable(planfail, findings):
+    text = (_ONE_OP + f"  planfail {planfail}\n"
+            "operator R\n  level 1\n  plot do-all\n    assert (y)@1\n")
+    assert [str(d) for d in lint_domain(parse_domain(text))] == findings
+
+
+def test_an_over_deep_negation_is_one_error():
+    deep = "(not " * (MAX_PROP_DEPTH + 1) + "(p)" + ")" * (MAX_PROP_DEPTH + 1)
+    unclosed = "(not " * (MAX_PROP_DEPTH + 1) + "(p)"
+    for prop in (deep, unclosed):
+        assert [e.message for e in errors_of(_ONE_OP + f"  necessary {prop}@1\n")] == [
+            "proposition nested too deeply"]
+        assert [e.message for e in errors_of(f"frame f {{a}}\n  a -> {prop}@1\n",
+                                             parse_evidence)] == [
+            "proposition nested too deeply"]
+    # The statements after it are still read: one error for each mistake.
+    assert [e.message for e in errors_of(
+        _ONE_OP + f"  necessary {deep}@1 (q)@x\noperator B\n  level y\n")] == [
+        "proposition nested too deeply", "expected level index after '@'",
+        "expected abstraction level"]
+    # The deepest negation the parser accepts.
+    ok = "(not " * MAX_PROP_DEPTH + "(p)" + ")" * MAX_PROP_DEPTH
+    assert parse_domain(_ONE_OP + f"  necessary {ok}@1\n").operator("A").necessary
+
+
+def test_a_frame_element_may_not_contain_plus():
+    # World ids join elements with '+': "a+b" of f with "c" of g and "a" of f
+    # with "b+c" of g would both be "a+b+c".
+    text = ("frame f {a+b a}\n  a+b -> (p)@1\nmass f {a+b}=0.5 {a}=0.5\n"
+            "frame g {c b+c}\n  c -> (q)@1\nmass g {c}=0.5 {b+c}=0.5\n")
+    assert [(e.line, e.column, e.message) for e in errors_of(text, parse_evidence)] == [
+        (1, 7, "frame 'f': element 'a+b' contains '+', which joins the elements of "
+               "a world's id"),
+        (4, 7, "frame 'g': element 'b+c' contains '+', which joins the elements of "
+               "a world's id")]
 
 
 def test_lint_bundled_domain_clean(air_combat_spec):

@@ -18,6 +18,9 @@ from uplan.model import (
     EXPANSION_OR,
     PLANFAIL_BACKTRACK,
     PLANFAIL_REJECT_BRANCH,
+    STATUS_COMPLETE,
+    STATUS_FAILED,
+    STATUS_REDUNDANT,
     CausalRule,
     CompatibilityRelation,
     Plan,
@@ -44,7 +47,14 @@ from uplan.serialize import dumps_superplan
 
 from conftest import fixture_text
 from test_helper_corpus import FACTS as HELPER_FACTS, LEVELS, PATTERNS, random_domain
-from test_search_robustness import PROPS as LAYERED_FACTS, layered_domain
+from test_search_robustness import (
+    PROPS as LAYERED_FACTS,
+    deepest_leaf_recovers_to_a_lower_level,
+    layered_domain,
+    random_domain as random_search_domain,
+    recovery_drops_deepest_subtree,
+    recovery_under_a_selecting_or,
+)
 
 
 def test_pipeline_matches_cli_bytes(air_combat_spec, air_combat_evidence, tmp_path):
@@ -433,6 +443,85 @@ def test_continued_worlds_match_a_replay_per_world():
     # plan a world on from a replay stored by an earlier world of its class.
     assert stats["own"] >= 250 and stats["plan"] >= 100, stats
     assert stats["inputs with a stored replay"] >= 25, stats
+
+
+def assert_descent_is_clear(root: PlanNode):
+    """Descend from ``root`` as the search does, taking an AND's first child
+    that is not done and an OR's selection: no node on the way has failed,
+    and every OR node has a selection."""
+    node = root
+    while node is not None:
+        assert node.status != STATUS_FAILED, node.name
+        if node.expansion == EXPANSION_OR:
+            assert node.selected_child is not None, node.name
+            node = node.selected_child
+        elif node.expansion == EXPANSION_AND:
+            node = next((child for child in node.children if child.status not in (
+                STATUS_COMPLETE, STATUS_REDUNDANT)), None)
+        else:
+            node = None
+
+
+@contextmanager
+def planfails_resolved():
+    """Inside the block, every search checks its tree with
+    :func:`assert_descent_is_clear` after each planfail it applies and each
+    resume that returns. Yields a counter of the planfails checked, by
+    outcome, and of the resumed halts."""
+    stats = Counter()
+    apply_planfail, resume = Search._apply_planfail, Search.resume
+
+    def applied(self, path, reason):
+        node = path[-1]
+        apply_planfail(self, path, reason)
+        if path[-1] is not node:  # a recovery put its replacement in the path
+            stats["recoveries"] += 1
+        elif node.operator.planfail == PLANFAIL_REJECT_BRANCH:
+            stats["reject-branches"] += 1
+        else:
+            stats["backtracks"] += 1
+        assert_descent_is_clear(self.root)
+
+    def resumed(self):
+        plan = resume(self)
+        stats["resumed halts"] += 1
+        assert_descent_is_clear(self.root)
+        return plan
+
+    Search._apply_planfail, Search.resume = applied, resumed
+    try:
+        yield stats
+    finally:
+        Search._apply_planfail, Search.resume = apply_planfail, resume
+
+
+def test_a_planfail_is_resolved_where_it_is_raised():
+    # The search's descent has no branch for a failed node or an OR node
+    # without a selection, so no planfail may leave either on its way.
+    # Layered inputs halt and resume replays and recover; random domains
+    # backtrack and reject branches.
+    rng = random.Random(28)
+    layered = [layered_input(rng) for _ in range(40)]
+    searches = [(random_search_domain(rng), make_pstate("w", 3, contents={
+        level: [fact for fact in LAYERED_FACTS if rng.random() < 0.4]
+        for level in (1, 2, 3)})) for _ in range(1000)]
+    searches += [recovery_drops_deepest_subtree(), deepest_leaf_recovers_to_a_lower_level(),
+                 recovery_under_a_selecting_or()]
+    with planfails_resolved() as stats:
+        for i, (spec, evidence) in enumerate(layered):
+            try:
+                plan_superplan(spec, evidence, policy=ReviewPolicy(0.0) if i % 2 else None)
+            except UplanError:
+                pass
+        for spec, ps in searches:
+            try:
+                Search(ps, spec, budget=300).run()
+            except UplanError:
+                pass
+    # About 1,400 recoveries, 70 backtracks, 50 reject-branches and 110
+    # resumed halts.
+    assert stats["recoveries"] >= 500 and stats["resumed halts"] >= 50, stats
+    assert stats["backtracks"] >= 30 and stats["reject-branches"] >= 20, stats
 
 
 # Each domain names one predicate, ``x``, in a single place: a compatibility
