@@ -2,11 +2,13 @@
 
 Super-plan files round-trip: reading one back reconstructs an equal
 :class:`SuperPlan`. Output is deterministic so golden files diff cleanly. Its
-layout is exactly ``json.dumps(value, indent=2, sort_keys=True) + "\\n"``:
-two-space indent, sorted keys, ``": "`` and ``","`` separators, ``{}`` and
-``[]`` when empty, ASCII escapes and a final newline. ``_write`` writes it
-itself because, with ``indent`` set, ``json`` drops to a pure-Python encoder
-whose per-container generators make deeply nested documents slow.
+layout is exactly ``json.dumps(value, indent=0, sort_keys=True) + "\\n"``:
+one item per line with no indentation, sorted keys, ``": "`` and ``","``
+separators, ``{}`` and ``[]`` when empty, ASCII escapes and a final newline.
+With no indentation the text grows linearly in the plan, although format v1
+nests once per step. ``_write`` writes it itself because, with ``indent``
+set, ``json`` drops to a pure-Python encoder whose per-container generators
+make deeply nested documents slow.
 
 In memory a super-plan node holds a whole run of steps; format v1 nests one
 action object per step. Converting between the two loops over each run, so
@@ -14,9 +16,10 @@ it recurses once per branch point, but ``_write`` (like ``json``) still
 recurses once per nesting level, and so once per step of a v1 document.
 
 ``_write`` hands each piece of text to an ``emit`` callable as it makes it.
-:func:`dump_superplan` streams the pieces to a file, so writing holds memory
-linear in the plan, not in its text; :func:`dumps_superplan` joins them into
-one string. ``docs/superplan-schema.md`` documents the schema.
+:func:`dump_superplan` streams the pieces to a file, joined in batches of a
+fixed count, so writing holds memory linear in the plan, not in its text;
+:func:`dumps_superplan` joins them into one string.
+``docs/superplan-schema.md`` documents the schema.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ def proposition_to_dict(p: Proposition) -> dict:
 
 
 def proposition_from_dict(d: dict) -> Proposition:
-    return Proposition(d["predicate"], tuple(d["args"]), d["polarity"])
+    return Proposition(d["predicate"], _strings(d["args"], "a proposition's args"),
+                       d["polarity"])
 
 
 def step_to_dict(step: GroundStep) -> dict:
@@ -52,6 +56,14 @@ def step_to_dict(step: GroundStep) -> dict:
 
 def step_from_dict(d: dict) -> GroundStep:
     return GroundStep(d["action"], tuple(sorted(d["bindings"].items())))
+
+
+def _strings(value, what: str) -> tuple:
+    """``value``, which must be a JSON list of strings, as a tuple; a string
+    is not one, though iterating it gives strings."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"not a {FORMAT} document: {what} are not a list of strings")
+    return tuple(value)
 
 
 def _interval_to_list(interval: EvidentialInterval) -> list:
@@ -102,25 +114,31 @@ def _node_from_dict(d):
     if d is None:
         return SuperPlanNode(tuple(steps)) if steps else None
     branch = d["branch"]
-    ka = None
-    if branch.get("ka") is not None:
-        raw = branch["ka"]
-        ka = KnowledgeAcquisitionOperator(
-            observe=tuple(
-                (entry["level"], proposition_from_dict(entry["proposition"]))
-                for entry in raw["observe"]
-            ),
-            maps=tuple(sorted((k, v) for k, v in raw["maps"].items())),
-        )
     alternatives = tuple(
         SuperPlanAlternative(
             subtree=_node_from_dict(alt["subtree"]),
-            worlds=frozenset(alt["worlds"]),
+            worlds=frozenset(_strings(alt["worlds"], "an alternative's worlds")),
             weight=None if alt["weight"] is None
             else EvidentialInterval(*alt["weight"]),
         )
         for alt in branch["alternatives"]
     )
+    ka = None
+    if branch.get("ka") is not None:
+        raw = branch["ka"]
+        maps = tuple(sorted(raw["maps"].items()))
+        for outcome, index in maps:
+            if type(index) is not int or not 0 <= index < len(alternatives):
+                raise ValueError(f"not a {FORMAT} document: KA outcome {outcome!r} maps "
+                                 f"to {index!r}, not an index of its "
+                                 f"{len(alternatives)} alternatives")
+        ka = KnowledgeAcquisitionOperator(
+            observe=tuple(
+                (entry["level"], proposition_from_dict(entry["proposition"]))
+                for entry in raw["observe"]
+            ),
+            maps=maps,
+        )
     return SuperPlanNode(tuple(steps), ka, alternatives)
 
 
@@ -147,7 +165,7 @@ def superplan_from_dict(d: dict) -> SuperPlan:
 
 
 def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, built in one list."""
+    """``json.dumps(value, indent=0, sort_keys=True) + "\\n"``, built in one list."""
     out: list = []
     _dump(value, out.append)
     return "".join(out)
@@ -155,29 +173,27 @@ def _dumps(value) -> str:
 
 def _dump(value, emit) -> None:
     """Emit the text of ``_dumps(value)`` piece by piece."""
-    _write(value, 0, emit)
+    _write(value, emit)
     emit("\n")
 
 
-def _write(value, depth: int, emit) -> None:
-    # ``depth``: the indent level of ``value``'s closing bracket. Each indent
-    # string is built where it is emitted, so the recursion holds none.
+def _write(value, emit) -> None:
     if isinstance(value, str):
         emit(_escape(value))
     elif isinstance(value, dict) and value:
-        opener = "{"
+        opener = "{\n"
         for key in sorted(value):
-            emit(f'{opener}\n{"  " * (depth + 1)}{_escape(key)}: ')
-            _write(value[key], depth + 1, emit)
-            opener = ","
-        emit(f'\n{"  " * depth}}}')
+            emit(f"{opener}{_escape(key)}: ")
+            _write(value[key], emit)
+            opener = ",\n"
+        emit("\n}")
     elif isinstance(value, (list, tuple)) and value:
-        opener = "["
+        opener = "[\n"
         for item in value:
-            emit(f'{opener}\n{"  " * (depth + 1)}')
-            _write(item, depth + 1, emit)
-            opener = ","
-        emit(f'\n{"  " * depth}]')
+            emit(opener)
+            _write(item, emit)
+            opener = ",\n"
+        emit("\n]")
     else:  # every other scalar, and {} and []
         emit(json.dumps(value))
 
@@ -186,11 +202,25 @@ def dumps_superplan(sp: SuperPlan) -> str:
     return _dumps(superplan_to_dict(sp))
 
 
+# Pieces joined per write in ``dump_superplan``: a text file keeps each
+# pending piece as its own object until 8 KiB have built up.
+_BATCH = 64
+
+
 def dump_superplan(sp: SuperPlan, handle) -> None:
     """Write the text of :func:`dumps_superplan` to the text file ``handle``
-    piece by piece, never holding it whole in memory. A partial document may
-    have been written when this raises."""
-    _dump(superplan_to_dict(sp), handle.write)
+    in batches of pieces, never holding it whole in memory. A partial
+    document may have been written when this raises."""
+    batch: list = []
+
+    def emit(piece: str) -> None:
+        batch.append(piece)
+        if len(batch) == _BATCH:
+            handle.write("".join(batch))
+            batch.clear()
+
+    _dump(superplan_to_dict(sp), emit)
+    handle.write("".join(batch))
 
 
 def loads_superplan(text: str) -> SuperPlan:

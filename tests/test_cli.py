@@ -462,20 +462,19 @@ def test_plan_unwritable_stdout_in_a_process_exits_two(fixture_paths, sink, code
     assert done.returncode == 2
 
 
-def _fail_after_first_piece(monkeypatch, exc):
-    """Make the super-plan writer raise ``exc`` once it has written one piece."""
+def _fail_part_way(monkeypatch, exc):
+    """Make the super-plan writer raise ``exc`` part-way through its first
+    write, once that has written one character."""
     real = cli.dump_superplan
 
     class Handle:
         def __init__(self, handle):
-            self.pieces, self.handle = 0, handle
+            self.handle = handle
 
         def write(self, text):
-            if self.pieces:
-                raise exc
-            self.pieces += 1
-            self.handle.write(text)
+            self.handle.write(text[:1])
             self.handle.flush()
+            raise exc
 
     monkeypatch.setattr(cli, "dump_superplan",
                         lambda superplan, handle: real(superplan, Handle(handle)))
@@ -485,7 +484,7 @@ def test_plan_out_failing_part_way_leaves_no_file(fixture_paths, tmp_path,
                                                   monkeypatch, capsys):
     domain, evidence = fixture_paths
     out = tmp_path / "sp.json"
-    _fail_after_first_piece(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    _fail_part_way(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     assert main(["plan", domain, evidence, "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
         f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
@@ -496,7 +495,7 @@ def test_plan_out_other_failures_propagate_and_leave_no_file(fixture_paths, tmp_
                                                              monkeypatch):
     domain, evidence = fixture_paths
     out = tmp_path / "sp.json"
-    _fail_after_first_piece(monkeypatch, RecursionError("too deep"))
+    _fail_part_way(monkeypatch, RecursionError("too deep"))
     with pytest.raises(RecursionError, match="too deep"):
         main(["plan", domain, evidence, "--out", str(out)])
     assert not out.exists()
@@ -509,7 +508,7 @@ def test_plan_out_failure_keeps_a_symlinked_target(fixture_paths, tmp_path, monk
     target = tmp_path / "target.json"
     link = tmp_path / "sp.json"
     link.symlink_to(target)
-    _fail_after_first_piece(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    _fail_part_way(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     assert main(["plan", domain, evidence, "--out", str(link)]) == 2
     assert link.is_symlink()
 

@@ -5,6 +5,7 @@ import os
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,48 @@ def test_rejects_wrong_format():
         assert isinstance(info.value.__cause__, (KeyError, AttributeError))
 
 
+GOLDEN = Path(__file__).parent / "golden" / "air_combat.superplan.json"
+
+
+def _golden_branch(doc: dict) -> dict:
+    return doc["root"]["next"]["branch"]
+
+
+def _worlds_as_a_string(doc):
+    alternative = _golden_branch(doc)["alternatives"][0]
+    alternative["worlds"] = alternative["worlds"][0]
+
+
+def _args_as_a_string(doc):
+    _golden_branch(doc)["ka"]["observe"][0]["proposition"]["args"] = "ab"
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_worlds_as_a_string, "an alternative's worlds are not a list of strings",
+                 id="worlds"),
+    pytest.param(_args_as_a_string, "a proposition's args are not a list of strings",
+                 id="args"),
+])
+def test_rejects_a_string_where_a_list_of_strings_belongs(damage, message):
+    # Iterating a string gives strings, so without the check the golden's
+    # alternative would read as the worlds {'+', '_', 'a', ...} and the
+    # proposition's args as ('a', 'b').
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    damage(doc)
+    with pytest.raises(ValueError, match=f"not a uplan-superplan/1 document: {message}"):
+        loads_superplan(json.dumps(doc))
+
+
+@pytest.mark.parametrize("index", [7, 2, -1, True, "1"])
+def test_rejects_a_ka_outcome_mapped_to_no_alternative(index):
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    branch = _golden_branch(doc)
+    assert len(branch["alternatives"]) == 2
+    branch["ka"]["maps"]["F"] = index
+    with pytest.raises(ValueError, match="not a uplan-superplan/1 document: KA outcome 'F'"):
+        loads_superplan(json.dumps(doc))
+
+
 def test_step_bindings_round_trip():
     step = GroundStep("Fire", (("?target", "bandit-2"), ("?weapon", "aim9")))
     assert step_from_dict(step_to_dict(step)) == step
@@ -103,7 +146,7 @@ def test_plan_dump_shape(air_combat_spec, air_combat_worlds):
 
 def reference_dumps(value) -> str:
     """The layout uplan's writer reproduces, from the standard library."""
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    return json.dumps(value, indent=0, sort_keys=True) + "\n"
 
 
 _json_text = st.text(max_size=8) | st.sampled_from(
@@ -167,10 +210,20 @@ def test_a_run_longer_than_the_recursion_limit_converts_both_ways(branch):
     assert [node.steps for node in sp.branch_points()] == ([run] if branch else [])
 
 
+def test_text_grows_linearly_in_the_plan():
+    # A deterministic size budget: doubling a chain about doubles its text,
+    # though v1 nests once per step. Indented text would grow 3.9-fold here.
+    assert len(dumps_superplan(chain_superplan(800))) <= \
+        2.1 * len(dumps_superplan(chain_superplan(400)))
+
+
 def test_streaming_holds_memory_linear_in_the_plan():
-    # The 900-step chain nests 900 deep, so its text grows with the square of
-    # its length; converting and streaming it must not hold that text.
-    sp = chain_superplan(900)
+    # The chain nests 900 deep, and each step binds a value of 4,000
+    # characters, so the text outweighs the converted plan and the writer's
+    # recursion (whose frames tracemalloc counts on Python 3.10); converting
+    # and streaming it must not hold the text.
+    run = tuple(GroundStep(f"s{i}", (("?x", f"{i:04d}" * 1000),)) for i in range(900))
+    sp = SuperPlan(root=SuperPlanNode(run), worlds=(("w", EvidentialInterval(1.0, 1.0)),))
     length = len(dumps_superplan(sp))
     with open(os.devnull, "w", encoding="utf-8") as handle:
         tracemalloc.start()
@@ -179,4 +232,4 @@ def test_streaming_holds_memory_linear_in_the_plan():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < length / 5
+    assert peak < length / 2
