@@ -3,12 +3,12 @@
 Both formats are keyword-block UTF-8 text with s-expression proposition
 literals and ``;`` comments. ``findall`` of one regular expression splits the
 text into one list of token texts, with no object per token: a word is a run
-of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that ``->`` ends, and any other
-token's kind is looked up from its text. The text is split in slices of about
-32 KiB, each ending right after a newline, which no token or comment crosses,
-so that a list of fresh strings for the whole text never exists. Each parse
-has one symbol table, through which every token text, proposition and
-(proposition, level) pair is built: the token list holds one string per
+of letters, digits and ``_-?.+/'*<!&%$#~^|\\`` that ``->`` ends, and the
+parser tells tokens apart by their texts alone. The text is split in slices
+of about 32 KiB, each ending right after a newline, which no token or comment
+crosses, so that a list of fresh strings for the whole text never exists.
+Each parse has one symbol table, through which every token text, proposition
+and (proposition, level) pair is built: the token list holds one string per
 distinct token, and equal positive propositions are one object. The table
 belongs to the parse, so nothing outlives it. Whether a word is a number is
 asked only where the parser needs to know (a number, a name, a predicate head,
@@ -162,9 +162,8 @@ _TOKEN_RE = re.compile(r"""
 # ending right after a newline, which no token, comment or ``->`` crosses.
 _SLICE_CHARS = 1 << 15
 
-# Every token that is not a word has a kind of its own.
-_KINDS = {"=>": "darrow", "->": "arrow", "(": "lparen", ")": "rparen",
-          "{": "lbrace", "}": "rbrace", "@": "at", "=": "equals", "": "eof"}
+# The tokens that are not words, eof (``""``) among them.
+_MARKS = frozenset({"=>", "->", "(", ")", "{", "}", "@", "=", ""})
 # The characters besides ``str.isalnum`` ones (``\w`` less ``_``) that can
 # start a token.
 _TOKEN_STARTS = "_?.+/'*<!&%$#~^|\\-(){}@="
@@ -222,7 +221,7 @@ def _tokenize(text: str, filename: str, errors: list, symbols: dict) -> list:
                                          "unexpected characters", token[0]))
         while texts and not texts[-1]:
             texts.pop()
-    # Two eof tokens, so that ``kind(1)`` at the end needs no bounds check.
+    # Two eof tokens, so that ``token(1)`` at the end needs no bounds check.
     texts += ("", "")
     return texts
 
@@ -257,13 +256,9 @@ class _Parser:
         self.offsets = None  # of each token, from the first error on
         self.pos = 0
 
-    def kind(self, ahead: int = 0) -> str:
-        """The kind of the token ``ahead`` (0 or 1) places on; eof past the end."""
-        return _KINDS.get(self.texts[self.pos + ahead], "word")
-
-    def token(self) -> str:
-        """The text of the next token."""
-        return self.texts[self.pos]
+    def token(self, ahead: int = 0) -> str:
+        """The text of the token ``ahead`` (0 or 1) places on; eof past the end."""
+        return self.texts[self.pos + ahead]
 
     def advance(self) -> str:
         """Consume the next token and return its text; at eof, stay there."""
@@ -272,13 +267,30 @@ class _Parser:
             self.pos = i + 1
         return self.texts[i]
 
+    def take(self, token: str) -> bool:
+        """Consume the next token if its text is ``token``, which is not eof."""
+        if self.texts[self.pos] == token:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, token: str, message: str) -> bool:
+        """Consume the next token if its text is ``token``, else report ``message``."""
+        if self.take(token):
+            return True
+        self.error(message)
+        return False
+
     def at_keyword(self, words) -> bool:
         return self.texts[self.pos] in words  # every keyword is a word
+
+    def at_word(self) -> bool:
+        return self.texts[self.pos] not in _MARKS
 
     def at_name(self) -> bool:
         """Whether the next token is a word that is neither reserved nor a number."""
         word = self.texts[self.pos]
-        return word not in _KINDS and word not in RESERVED and _number(word) is None
+        return word not in _MARKS and word not in RESERVED and _number(word) is None
 
     def offset(self, index: int) -> int:
         """The offset in the text of token ``index``."""
@@ -310,15 +322,14 @@ class _Parser:
 
     def skip_to(self, keywords):
         """Error recovery: drop tokens until a statement keyword or EOF."""
-        while self.kind() != "eof" and not self.at_keyword(keywords):
+        while self.token() and not self.at_keyword(keywords):
             self.advance()
 
     def skip_group(self):
         """Drop tokens up to the ')' that closes the '(' at the cursor, or EOF."""
         opened = 0
-        while self.kind() != "eof":
-            opened += {"lparen": 1, "rparen": -1}.get(self.kind(), 0)
-            self.advance()
+        while self.token():
+            opened += {"(": 1, ")": -1}.get(self.advance(), 0)
             if not opened:
                 return
 
@@ -331,7 +342,7 @@ class _Parser:
     def number(self) -> float | None:
         """The value of the next token if it is a number, else None."""
         word = self.texts[self.pos]
-        return None if word in _KINDS else _number(word)
+        return None if word in _MARKS else _number(word)
 
     def expect_number(self, what: str, rule: str | None = None, low: float = -math.inf,
                       high: float = math.inf, integer: bool = False):
@@ -359,7 +370,7 @@ class _Parser:
         return self.expect_number(what, rule, low, integer=True)
 
     def parse_proposition(self, depth: int = 0) -> Proposition | None:
-        if self.kind() != "lparen":
+        if self.token() != "(":
             self.error("expected '(' starting a proposition")
             return None
         if depth > MAX_PROP_DEPTH:
@@ -367,29 +378,23 @@ class _Parser:
             self.skip_group()
             return None
         self.advance()
-        if self.token() == "not":
-            self.advance()
+        if self.take("not"):
             inner = self.parse_proposition(depth + 1)
-            if self.kind() == "rparen":
-                self.advance()
-            elif inner is not None:  # a rejected inner one was reported already
+            # A rejected inner one was reported already.
+            if not self.take(")") and inner is not None:
                 self.error("expected ')' closing (not ...)")
             return inner.negated() if inner else None
         if not self.at_name():
             self.error("expected predicate name")
-            while self.kind() not in ("rparen", "eof"):
+            while self.token() not in (")", ""):
                 self.advance()
-            if self.kind() == "rparen":
-                self.advance()
+            self.take(")")
             return None
         head = self.advance()
         args = []
-        while self.kind() == "word":
+        while self.at_word():
             args.append(self.advance())
-        if self.kind() == "rparen":
-            self.advance()
-        else:
-            self.error("expected ')' closing proposition")
+        if not self.expect(")", "expected ')' closing proposition"):
             return None
         key = (head, *args)
         prop = self.symbols.get(key)
@@ -400,8 +405,7 @@ class _Parser:
     def parse_level_suffix(self, missing: str | None = None) -> int | None:
         """An optional '@ <int>' after a proposition; if there is none,
         ``missing``, when given, is reported."""
-        if self.kind() == "at":
-            self.advance()
+        if self.take("@"):
             return self.expect_int("level index after '@'")
         if missing is not None:
             self.error(missing)
@@ -410,7 +414,7 @@ class _Parser:
     def parse_prop_list(self, missing: str | None = None):
         """(proposition, level or None) pairs, until a non-'(' token."""
         out = []
-        while self.kind() == "lparen":
+        while self.token() == "(":
             prop = self.parse_proposition()
             level = self.parse_level_suffix(missing)
             if prop is not None:
@@ -440,7 +444,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
     # on 1093 operators.
     level_checks = []
 
-    while p.kind() != "eof":
+    while p.token():
         reported = p.reported
         if not p.at_keyword(TOP_KEYWORDS):
             p.error(f"expected a top-level keyword, found {p.token()!r}")
@@ -466,8 +470,7 @@ def parse_domain(text: str, filename: str = "<domain>") -> DomainSpec:
                 if value is not None:
                     goal_fulfilment = value
         elif keyword == "review":
-            if p.at_keyword({"rho"}):
-                p.advance()
+            p.take("rho")
             value = p.expect_number("offset fraction after 'review rho'",
                                     "review rho must be >= 0", 0)
             if value is not None:
@@ -567,10 +570,7 @@ def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
     tok, reported = p.pos, p.reported
     if_prop = p.parse_proposition()
     if_level = p.parse_level_suffix("compat antecedent needs an explicit '@ level'")
-    if p.kind() == "darrow":
-        p.advance()
-    else:
-        p.error("expected '=>' in compat relation")
+    if not p.expect("=>", "expected '=>' in compat relation"):
         return None
     then_prop = p.parse_proposition()
     then_level = p.parse_level_suffix("compat consequent needs an explicit '@ level'")
@@ -582,31 +582,20 @@ def _parse_compat(p: _Parser) -> CompatibilityRelation | None:
 def _parse_rule(p: _Parser) -> CausalRule | None:
     tok, reported = p.pos, p.reported
     name = ""
-    if p.kind() == "word" and p.number() is None and not p.at_keyword({"when"}):
-        got = p.expect_ident("rule name")
-        name = got or ""
-    if p.at_keyword({"when"}):
-        p.advance()
-    else:
-        p.error("expected 'when' in rule")
+    if p.at_word() and p.number() is None and p.token() != "when":
+        name = p.expect_ident("rule name") or ""
+    if not p.expect("when", "expected 'when' in rule"):
         return None
-    retract_trigger = False
-    if p.at_keyword({"retract"}):
-        p.advance()
-        retract_trigger = True
+    retract_trigger = p.take("retract")
     trigger = p.parse_proposition()
     if trigger is None:
         return None
     if retract_trigger:
         trigger = trigger.negated()
     conditions = []
-    if p.at_keyword({"if"}):
-        p.advance()
+    if p.take("if"):
         conditions = p.parse_prop_list()
-    if p.at_keyword({"then"}):
-        p.advance()
-    else:
-        p.error("expected 'then' in rule")
+    if not p.expect("then", "expected 'then' in rule"):
         return None
     effects = []
     while p.at_keyword({"assert", "retract"}):
@@ -644,14 +633,10 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         elif slot == "satisfiable":
             satisfiable.extend(p.parse_prop_list())
         elif slot == "plot":
-            if p.at_keyword({"choose-one"}):
-                p.advance()
+            if p.take("choose-one"):
                 plot_mode = CHOOSE_ONE
-            elif p.at_keyword({"do-all"}):
-                p.advance()
-                plot_mode = DO_ALL
             else:
-                p.error("expected 'choose-one' or 'do-all' after 'plot'")
+                p.expect("do-all", "expected 'choose-one' or 'do-all' after 'plot'")
                 plot_mode = DO_ALL
             plot_entries.extend(_parse_plot_entries(p, name, subgoal_refs))
         elif slot == "probability":
@@ -660,10 +645,7 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
             if prob_default_seen:
                 p.error("probability 'when' clause after 'default'", p.pos - 1)
             conds = p.parse_prop_list()
-            if p.kind() == "darrow":
-                p.advance()
-            else:
-                p.error("expected '=>' after probability condition")
+            p.expect("=>", "expected '=>' after probability condition")
             index = p.pos
             value = p.expect_number("probability value")
             if value is not None:
@@ -677,15 +659,12 @@ def _parse_operator(p: _Parser, subgoal_refs: list, recover_refs: list):
         elif slot == "postconditions":
             postconditions.extend(p.parse_prop_list())
         elif slot == "planfail":
-            if p.at_keyword({"backtrack"}):
-                p.advance()
+            if p.take("backtrack"):
                 planfail = PLANFAIL_BACKTRACK
-            elif p.at_keyword({"reject-branch"}):
-                p.advance()
+            elif p.take("reject-branch"):
                 planfail = PLANFAIL_REJECT_BRANCH
-            elif p.at_keyword({"recover"}):
-                tok = p.pos
-                p.advance()
+            elif p.take("recover"):
+                tok = p.pos - 1
                 target = p.expect_ident("recovery operator name")
                 if target is not None:
                     planfail = target
@@ -768,7 +747,7 @@ def parse_evidence(text: str, filename: str = "<evidence>",
     frames: list = []
     masses = []  # (frame name, [(subset, value)], token index)
 
-    while p.kind() != "eof":
+    while p.token():
         reported = p.reported
         if not p.at_keyword(EVIDENCE_KEYWORDS):
             p.error(f"expected 'frame' or 'mass', found {p.token()!r}")
@@ -818,22 +797,16 @@ def _parse_frame(p: _Parser, n_levels: int | None) -> Frame | None:
     name = p.expect_ident("frame name")
     if name is None:
         return None
-    if p.kind() == "lbrace":
-        p.advance()
-    else:
-        p.error("expected '{' opening frame elements")
+    if not p.expect("{", "expected '{' opening frame elements"):
         p.rejected.add(name)
         return None
     elements = []
-    while p.kind() == "word":
+    while p.at_word():
         elements.append(p.advance())
-    if p.kind() == "rbrace":
-        p.advance()
-    else:
-        p.error("expected '}' closing frame elements")
+    p.expect("}", "expected '}' closing frame elements")
     mappings = []
     held = {}  # element -> the (fact, level) pairs its mappings so far give it
-    while p.at_name() and p.kind(1) == "arrow":
+    while p.at_name() and p.token(1) == "->":
         element_tok = p.pos
         element = p.advance()
         p.advance()  # ->
@@ -870,20 +843,12 @@ def _parse_mass(p: _Parser, masses: list):
     if frame_name is None:
         return
     assignments = []
-    while p.kind() == "lbrace":
-        p.advance()
+    while p.take("{"):
         subset = []
-        while p.kind() == "word":
+        while p.at_word():
             subset.append(p.advance())
-        if p.kind() == "rbrace":
-            p.advance()
-        else:
-            p.error("expected '}' closing mass subset")
-            break
-        if p.kind() == "equals":
-            p.advance()
-        else:
-            p.error("expected '=' after mass subset")
+        if not (p.expect("}", "expected '}' closing mass subset")
+                and p.expect("=", "expected '=' after mass subset")):
             break
         value = p.expect_number("mass value")
         if value is None:

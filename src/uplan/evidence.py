@@ -315,9 +315,11 @@ def generate_pstates(ev: EvidenceSet, compat, n_levels: int) -> list:
         edited = {}
         for rank, compat_rank in dict.fromkeys(pairs):
             changed = (outcomes[compat_rank] or {}).get(index)
+            # Enforcement only asserts, so each changed predicate holds the
+            # fact it asserted, and no bucket is left empty.
             edited[rank, compat_rank] = (built[rank] if changed is None else
-                                         AbstractionLevel._of(index, _replaced(buckets[rank],
-                                                                               changed)))
+                                         AbstractionLevel._of(index,
+                                                              {**buckets[rank], **changed}))
         columns.append(list(map(edited.__getitem__, pairs)))
     ids = map("+".join, itertools.product(*(f.elements for f in ev.frames)))
     worlds = [PState(wid, world_levels, EvidentialInterval(support, plaus))
@@ -353,16 +355,6 @@ def _enforced(buckets, compat, compat_predicates):
     return {level.index: {pred: after.chunks_for(pred) for pred in compat_predicates
                           if after.facts_for(pred) != level.facts_for(pred)}
             for level, after in zip(levels, enforced) if after is not level}
-
-
-def _replaced(buckets: dict, changed: dict) -> dict:
-    """``buckets`` with the ``changed`` predicates' buckets in place; a
-    predicate left with no facts is dropped."""
-    out = {**buckets, **changed}
-    for pred, facts in changed.items():
-        if not facts:
-            del out[pred]
-    return out
 
 
 def rank_pstates(pss) -> list:

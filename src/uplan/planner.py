@@ -17,8 +17,10 @@ with a postcondition at that level that unifies with the precondition.
 Achievers are tried best EF first, then by name; each is planned by a greedy
 depth-first sub-search with no review, whose choose-one plots keep the first
 child that completes with the postconditions true. The first helper that
-leaves the precondition true is kept. Helpers nest at most ``HELPER_DEPTH``
-(3) deep, and a node's helper steps run before its own.
+leaves the precondition true is kept. A helper's subplan is at most
+``HELPER_DEPTH`` (3) levels deep, the helper included: each plot reduction
+below it takes a level, as each helper nested in it does. A node's helper
+steps run before its own.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ from .model import (
 )
 
 DEFAULT_NODE_BUDGET = 100_000
-HELPER_DEPTH = 3  # how deep helpers may nest
+# Levels in a helper's subplan, the helper included; a plot reduction and a
+# nested helper each take one.
+HELPER_DEPTH = 3
 
 
 @dataclass(frozen=True, slots=True)

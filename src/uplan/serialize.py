@@ -18,12 +18,14 @@ recurses once per nesting level, and so once per step of a v1 document.
 ``_write`` hands each piece of text to an ``emit`` callable as it makes it.
 :func:`dump_superplan` streams the pieces to a file, joined in batches of a
 fixed count, so writing holds memory linear in the plan, not in its text;
-:func:`dumps_superplan` joins them into one string.
+:func:`dumps_superplan` streams them into a string buffer. A plan document
+nests only three deep, so :func:`dumps_plan` is ``json.dumps`` itself.
 ``docs/superplan-schema.md`` documents the schema.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -46,8 +48,9 @@ def proposition_to_dict(p: Proposition) -> dict:
 
 
 def proposition_from_dict(d: dict) -> Proposition:
-    return Proposition(d["predicate"], _strings(d["args"], "a proposition's args"),
-                       d["polarity"])
+    return Proposition(_typed(d["predicate"], str, "a proposition's predicate"),
+                       _strings(d["args"], "a proposition's args"),
+                       _typed(d["polarity"], bool, "a proposition's polarity"))
 
 
 def step_to_dict(step: GroundStep) -> dict:
@@ -55,7 +58,22 @@ def step_to_dict(step: GroundStep) -> dict:
 
 
 def step_from_dict(d: dict) -> GroundStep:
-    return GroundStep(d["action"], tuple(sorted(d["bindings"].items())))
+    bindings = tuple(sorted(d["bindings"].items()))
+    for _, value in bindings:
+        _typed(value, str, "a step's binding value")
+    return GroundStep(_typed(d["action"], str, "a step's action"), bindings)
+
+
+# The JSON name of each scalar type a document holds.
+_JSON_TYPES = {str: "a string", bool: "a boolean", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value``, which must be a JSON value of type ``kind``; ``True`` is not
+    an integer, though ``bool`` subclasses ``int``."""
+    if type(value) is not kind:
+        raise ValueError(f"not a {FORMAT} document: {what} is not {_JSON_TYPES[kind]}")
+    return value
 
 
 def _strings(value, what: str) -> tuple:
@@ -126,19 +144,27 @@ def _node_from_dict(d):
     ka = None
     if branch.get("ka") is not None:
         raw = branch["ka"]
+        observe = tuple(
+            (_typed(entry["level"], int, "an observation's level"),
+             proposition_from_dict(entry["proposition"]))
+            for entry in raw["observe"]
+        )
         maps = tuple(sorted(raw["maps"].items()))
         for outcome, index in maps:
+            if len(outcome) != len(observe) or not set(outcome) <= {"T", "F"}:
+                raise ValueError(f"not a {FORMAT} document: KA outcome {outcome!r} is "
+                                 f"not {len(observe)} of 'T' and 'F', one per observation")
             if type(index) is not int or not 0 <= index < len(alternatives):
                 raise ValueError(f"not a {FORMAT} document: KA outcome {outcome!r} maps "
                                  f"to {index!r}, not an index of its "
                                  f"{len(alternatives)} alternatives")
-        ka = KnowledgeAcquisitionOperator(
-            observe=tuple(
-                (entry["level"], proposition_from_dict(entry["proposition"]))
-                for entry in raw["observe"]
-            ),
-            maps=maps,
-        )
+        # Every world lies in the block of one outcome, and each block maps to
+        # the alternative of its worlds, so every alternative is reached.
+        unreached = set(range(len(alternatives))).difference(index for _, index in maps)
+        if unreached:
+            raise ValueError(f"not a {FORMAT} document: no KA outcome maps to "
+                             f"alternative {min(unreached)}")
+        ka = KnowledgeAcquisitionOperator(observe=observe, maps=maps)
     return SuperPlanNode(tuple(steps), ka, alternatives)
 
 
@@ -164,20 +190,9 @@ def superplan_from_dict(d: dict) -> SuperPlan:
                          f"({type(exc).__name__}: {exc})") from exc
 
 
-def _dumps(value) -> str:
-    """``json.dumps(value, indent=0, sort_keys=True) + "\\n"``, built in one list."""
-    out: list = []
-    _dump(value, out.append)
-    return "".join(out)
-
-
-def _dump(value, emit) -> None:
-    """Emit the text of ``_dumps(value)`` piece by piece."""
-    _write(value, emit)
-    emit("\n")
-
-
 def _write(value, emit) -> None:
+    """Emit the text of ``json.dumps(value, indent=0, sort_keys=True)`` piece
+    by piece."""
     if isinstance(value, str):
         emit(_escape(value))
     elif isinstance(value, dict) and value:
@@ -198,19 +213,16 @@ def _write(value, emit) -> None:
         emit(json.dumps(value))
 
 
-def dumps_superplan(sp: SuperPlan) -> str:
-    return _dumps(superplan_to_dict(sp))
-
-
 # Pieces joined per write in ``dump_superplan``: a text file keeps each
 # pending piece as its own object until 8 KiB have built up.
 _BATCH = 64
 
 
 def dump_superplan(sp: SuperPlan, handle) -> None:
-    """Write the text of :func:`dumps_superplan` to the text file ``handle``
-    in batches of pieces, never holding it whole in memory. A partial
-    document may have been written when this raises."""
+    """Write ``json.dumps(superplan_to_dict(sp), indent=0, sort_keys=True)``
+    and a newline to the text file ``handle`` in batches of pieces, never
+    holding the text whole in memory. A partial document may have been
+    written when this raises."""
     batch: list = []
 
     def emit(piece: str) -> None:
@@ -219,8 +231,15 @@ def dump_superplan(sp: SuperPlan, handle) -> None:
             handle.write("".join(batch))
             batch.clear()
 
-    _dump(superplan_to_dict(sp), emit)
+    _write(superplan_to_dict(sp), emit)
+    batch.append("\n")
     handle.write("".join(batch))
+
+
+def dumps_superplan(sp: SuperPlan) -> str:
+    out = io.StringIO()
+    dump_superplan(sp, out)
+    return out.getvalue()
 
 
 def loads_superplan(text: str) -> SuperPlan:
@@ -243,4 +262,4 @@ def plan_to_dict(plan: Plan) -> dict:
 
 
 def dumps_plan(plan: Plan) -> str:
-    return _dumps(plan_to_dict(plan))
+    return json.dumps(plan_to_dict(plan), indent=0, sort_keys=True) + "\n"

@@ -14,7 +14,6 @@ from uplan.dsl import (
     MAX_ERRORS,
     MAX_PROP_DEPTH,
     ParseError,
-    _KINDS,
     _Parser,
     _number,
     _where,
@@ -548,6 +547,15 @@ def test_an_over_deep_negation_is_one_error():
     assert parse_domain(_ONE_OP + f"  necessary {ok}@1\n").operator("A").necessary
 
 
+def test_an_unclosed_negation_is_one_error_at_the_next_token():
+    text = ("levels 1\ngoal A 1.0\noperator A\n  level 1\n  necessary (not (p) @1\n"
+            "  plot do-all\n    assert (x)@1\n")
+    with pytest.raises(ParseFailure) as info:
+        parse_domain(text, "d")
+    assert [str(e) for e in info.value.errors] == ["d:5:22: expected ')' closing (not ...)"]
+    assert info.value.errors[0].token == "@"
+
+
 def test_a_frame_element_may_not_contain_plus():
     # World ids join elements with '+': "a+b" of f with "c" of g and "a" of f
     # with "b+c" of g would both be "a+b+c".
@@ -816,12 +824,17 @@ def _same_value(a, b):
     return a == b or (a is not None and b is not None and math.isnan(a) and math.isnan(b))
 
 
+# The reference tokenizer's kind of each token that is not a word.
+_KINDS = {"=>": "darrow", "->": "arrow", "(": "lparen", ")": "rparen",
+          "{": "lbrace", "}": "rbrace", "@": "at", "=": "equals", "": "eof"}
+
+
 def _lexed(text: str) -> tuple:
     """The tokens the parser walks, as the reference gives them: (kind, text,
     value, (line, column)), ident and number split by ``_number``; and the
     errors of tokenizing."""
     p = _Parser(text, "f")
-    # Two eof tokens end the list, so that ``kind(1)`` needs no bounds check.
+    # Two eof tokens end the list, so that ``token(1)`` needs no bounds check.
     assert p.texts[-2:] == ["", ""]
     # The offset of each line's start: ``_where`` counts from the start of
     # the text, which is quadratic over a long one.
@@ -940,7 +953,7 @@ def test_cursor_stays_at_eof():
         p = _Parser(text, "f")
         for _ in range(len(p.texts) + 2):
             p.advance()
-        assert p.kind() == p.kind(1) == "eof" and p.token() == ""
+        assert p.token() == p.token(1) == ""
         assert p.offset(p.pos) == p.offset(p.pos + 1) == len(text)
 
 

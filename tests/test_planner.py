@@ -12,6 +12,7 @@ from uplan.model import (
     STATUS_COMPLETE,
     STATUS_REDUNDANT,
     CausalRule,
+    CompatibilityRelation,
     PlanNode,
     ProbabilityRule,
     ReductionOperator,
@@ -417,6 +418,55 @@ def test_helper_depth_bound_rejects():
     spec = spec_of("Main", ops, n_levels=1)
     with pytest.raises(PlanFailure):
         plan_for_pstate(make_pstate("w", 1), spec)
+
+
+def _helper_chain(length):
+    """Main needs (s)@1, which only the chain H -> A1 -> ... -> leaf L of
+    ``length`` reductions below the helper H achieves."""
+    names = ["H"] + [f"A{i}" for i in range(1, length)] + ["L"]
+    ops = [op("G", satisfiable=[(prop("(s)"), 1)],
+              plot=[state_edit(("assert", prop("(done)"), 1))]),
+           op("L", plot=[state_edit(("assert", prop("(s)"), 1))])]
+    ops += [op(name, post=[(prop("(s)"), 1)] if name == "H" else (),
+               plot=[subgoal(child, 1000)]) for name, child in zip(names, names[1:])]
+    return spec_of("G", ops, n_levels=1)
+
+
+def test_helper_depth_bounds_the_whole_helper_subplan():
+    # HELPER_DEPTH counts the reductions inside a helper, not only how deep
+    # helpers nest: H -> A1 -> L fits the budget of three, and one more
+    # reduction does not.
+    plan = plan_for_pstate(make_pstate("w", 1), _helper_chain(2))
+    assert [s.operator for s in plan.execution_sequence] == ["L", "G"]
+    with pytest.raises(PlanFailure, match=r"satisfiable precondition \(s\)@1 unachievable"):
+        plan_for_pstate(make_pstate("w", 1), _helper_chain(3))
+
+
+def test_a_helper_with_an_empty_choose_one_plot_is_skipped():
+    # Empty ranks first (EF 0.9 against 0.5) but cannot complete.
+    goal = op("G", satisfiable=[(prop("(s)"), 1)],
+              plot=[state_edit(("assert", prop("(done)"), 1))])
+    empty = op("Empty", plot_mode=CHOOSE_ONE, rules=((None, 0.9),), post=[(prop("(s)"), 1)])
+    real = op("Real", rules=((None, 0.5),), post=[(prop("(s)"), 1)],
+              plot=[state_edit(("assert", prop("(s)"), 1))])
+    spec = spec_of("G", [goal, empty, real], n_levels=1)
+    plan = plan_for_pstate(make_pstate("w", 1), spec)
+    assert [s.operator for s in plan.execution_sequence] == ["Real", "G"]
+
+
+def test_a_leaf_whose_edits_violate_compatibility_fails():
+    # Asserting (a) demands (b), whose negation the world holds.
+    bad = op("Bad", plot=[state_edit(("assert", prop("(a)"), 1))])
+    good = op("Good", plot=[state_edit(("assert", prop("(c)"), 1))])
+    goal = op("G", plot_mode=CHOOSE_ONE, plot=[subgoal("Bad", 900), subgoal("Good", 500)])
+    spec = spec_of("G", [goal, bad, good], n_levels=1,
+                   compat=[CompatibilityRelation(1, prop("(a)"), 1, prop("(b)"))])
+    trace = PlanTrace()
+    plan = plan_for_pstate(make_pstate("w", 1, contents={1: [prop("not (b)")]}), spec,
+                           trace=trace)
+    assert [(e.operator, e.detail) for e in trace if e.kind == "planfail"] == [
+        ("Bad", "effects violate compatibility or postconditions")]
+    assert [s.operator for s in plan.execution_sequence] == ["Good"]
 
 
 def test_achievers_sharing_a_name_rank_in_declaration_order():

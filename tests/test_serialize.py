@@ -19,8 +19,7 @@ from uplan.model import (
     SuperPlanNode,
 )
 from uplan.serialize import (
-    _dump,
-    _dumps,
+    _write,
     dump_superplan,
     dumps_plan,
     dumps_superplan,
@@ -127,6 +126,51 @@ def test_rejects_a_ka_outcome_mapped_to_no_alternative(index):
         loads_superplan(json.dumps(doc))
 
 
+def _set(path, value):
+    """Damage that sets the golden's part at ``path``, a key list from the
+    root's first action, to ``value``."""
+    def damage(doc):
+        part = doc["root"]
+        for key in path[:-1]:
+            part = part[key]
+        part[path[-1]] = value
+    return damage
+
+
+_OBSERVATION = ["next", "branch", "ka", "observe", 0]
+_MAPS = ["next", "branch", "ka", "maps"]
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_set(_OBSERVATION + ["proposition", "polarity"], "no"),
+                 "a proposition's polarity is not a boolean", id="polarity"),
+    pytest.param(_set(_OBSERVATION + ["proposition", "predicate"], 7),
+                 "a proposition's predicate is not a string", id="predicate"),
+    pytest.param(_set(_OBSERVATION + ["level"], "2"),
+                 "an observation's level is not an integer", id="level"),
+    pytest.param(_set(_OBSERVATION + ["level"], True),
+                 "an observation's level is not an integer", id="level-bool"),
+    pytest.param(_set(["action", "action"], ["Activate_Radar"]),
+                 "a step's action is not a string", id="action"),
+    pytest.param(_set(["action", "bindings", "?x"], 1),
+                 "a step's binding value is not a string", id="binding"),
+    pytest.param(_set(_MAPS, {"T": 0}), "no KA outcome maps to alternative 1",
+                 id="unreached"),
+    pytest.param(_set(_MAPS, {"T": 0, "F": 1, "TT": 1}),
+                 "KA outcome 'TT' is not 1 of 'T' and 'F'", id="long-outcome"),
+    pytest.param(_set(_MAPS, {"T": 0, "X": 1}),
+                 "KA outcome 'X' is not 1 of 'T' and 'F'", id="letter"),
+])
+def test_rejects_a_ka_branch_read_as_a_different_superplan(damage, message):
+    # Each damaged golden loaded before as a different super-plan: a truthy
+    # string as the polarity, a level no domain has, an outcome with no
+    # alternative to follow, or an alternative no outcome leads to.
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    damage(doc)
+    with pytest.raises(ValueError, match=f"not a uplan-superplan/1 document: {message}"):
+        loads_superplan(json.dumps(doc))
+
+
 def test_step_bindings_round_trip():
     step = GroundStep("Fire", (("?target", "bandit-2"), ("?weapon", "aim9")))
     assert step_from_dict(step_to_dict(step)) == step
@@ -168,14 +212,13 @@ _json_values = st.recursive(
 @settings(max_examples=600, deadline=None)
 @given(_json_values)
 def test_writer_matches_json_dumps(value):
-    expected = reference_dumps(value)
-    assert _dumps(value) == expected
-    assert streamed(value) == expected
+    assert written(value) == reference_dumps(value)
 
 
-def streamed(value) -> str:
+def written(value) -> str:
     handle = io.StringIO()
-    _dump(value, handle.write)
+    _write(value, handle.write)
+    handle.write("\n")
     return handle.getvalue()
 
 
