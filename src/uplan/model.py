@@ -31,6 +31,7 @@ of a plan costs O(n / CHUNK + CHUNK) new slots, not O(n).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
@@ -612,7 +613,9 @@ class PlanNode:
     subtree (helpers excluded), computed from the children given at
     construction, then refreshed with the values on the search's main tree.
     ``donor`` is the node of a donor plan that this node replays, or None
-    outside a replay's scripted region.
+    outside a replay's scripted region. ``fold`` is an AND node's fold
+    cursor ``(k, probability, fulfilment)``: children ``0..k-1`` are done,
+    and the two values are their fold (see :func:`uplan.planner.pending_child`).
     """
 
     operator: ReductionOperator
@@ -629,6 +632,7 @@ class PlanNode:
     plot_index: int = 0
     recovery_attempted: bool = False
     donor: "PlanNode | None" = field(default=None, repr=False)
+    fold: tuple = field(default=(0, 1.0, math.inf), repr=False)
     deepest_level: int = field(init=False)
 
     def __post_init__(self):
@@ -653,7 +657,9 @@ class PlanNode:
         return self.children[self.selected_index]
 
     def select(self, child: "PlanNode"):
+        """Select ``child``, whose values this OR node takes over."""
         self.selected_index = self.children.index(child)
+        self.fulfilment, self.probability = child.fulfilment, child.probability
 
     def walk(self):
         """Pre-order traversal of the whole tree (helpers excluded)."""

@@ -195,7 +195,8 @@ def rank_candidates(parent: PlanNode, ps: PState, spec) -> list:
 
 
 def update_or_node(parent: PlanNode) -> PlanNode:
-    """OR update rules: copy the max-EF applicable child and mark it selected."""
+    """OR update rules: select the max-EF applicable child, whose values
+    the node takes over."""
     applicable = parent.applicable_children()
     if not applicable:
         raise UplanError(f"{parent.name}: all children inapplicable")
@@ -203,105 +204,84 @@ def update_or_node(parent: PlanNode) -> PlanNode:
     for child in applicable[1:]:
         if child.ef > best.ef:
             best = child
-    parent.fulfilment, parent.probability = best.fulfilment, best.probability
     parent.select(best)
     return parent
 
 
+# --- the AND rule and its fold cursors -----------------------------------------
+#
+# Each AND node keeps in ``PlanNode.fold`` a cursor k at its first child that
+# is neither complete nor redundant, and the left fold of children 0..k-1: the
+# product of their probabilities and the minimum of their fulfilments. A done
+# child's values never change, so update_and_node goes on from the stored
+# prefix over children k onward: the same float operations in the same order
+# as a fold from the first child, hence the same bits. A node whose cursor
+# never moved starts from its first child. The product over the pending tail
+# is still recomputed on each update, since a float product regrouped could
+# differ in its last bit.
+
+_DONE = (STATUS_COMPLETE, STATUS_REDUNDANT)
+
+
 def update_and_node(parent: PlanNode) -> PlanNode:
     """AND update rules: probability is the product over the children,
-    fulfilment the minimum — one weak link caps the whole conjunction."""
-    probability = 1.0
-    fulfilment = math.inf
-    for child in parent.children:
-        probability *= child.probability
-        fulfilment = min(fulfilment, child.fulfilment)
+    fulfilment the minimum — one weak link caps the whole conjunction. The
+    fold goes on from the node's cursor over the children from it onward."""
     if not parent.children:
         return parent
+    k, probability, fulfilment = parent.fold
+    for child in islice(parent.children, k, None):
+        probability *= child.probability
+        if child.fulfilment < fulfilment:  # min(fulfilment, ...), without the call
+            fulfilment = child.fulfilment
     parent.fulfilment, parent.probability = fulfilment, probability
     return parent
 
 
-# --- AND-node fold cursors ----------------------------------------------------
-#
-# A search keeps, per AND node, a cursor k at its first child that is neither
-# complete nor redundant, and the left fold of children 0..k-1: the product
-# of their probabilities and the minimum of their fulfilments, computed as
-# update_and_node computes them. A complete child's values never change, so
-# an update folds only children k onward onto the stored prefix: the same
-# float operations in the same order as the full fold, hence the same bits.
-# The product over the pending tail is still recomputed on each update, since
-# a float product regrouped could differ in its last bit.
-
-_DONE = (STATUS_COMPLETE, STATUS_REDUNDANT)
-_NO_FOLD = (0, 1.0, math.inf)  # (cursor, probability, fulfilment) of no child
-
-
-def pending_child(node: PlanNode, folds: dict) -> PlanNode | None:
+def pending_child(node: PlanNode) -> PlanNode | None:
     """The first child of the AND ``node`` that is neither complete nor
-    redundant, or None when there is none. The search starts at the cursor
-    kept in ``folds[node]`` and folds each completed child it passes into
-    the stored prefix."""
-    k, probability, fulfilment = folds.get(node, _NO_FOLD)
+    redundant, or None when there is none. The search starts at the node's
+    cursor and adds each done child it passes to the cursor's fold."""
+    k, probability, fulfilment = node.fold
     children = node.children
     start = k
     while k < len(children) and children[k].status in _DONE:
         child = children[k]
         probability *= child.probability
-        if child.fulfilment < fulfilment:  # min(fulfilment, ...), without the call
+        if child.fulfilment < fulfilment:
             fulfilment = child.fulfilment
         k += 1
     if k != start:
-        folds[node] = (k, probability, fulfilment)
+        node.fold = (k, probability, fulfilment)
     return children[k] if k < len(children) else None
 
 
-def fold_and_node(node: PlanNode, folds: dict):
-    """:func:`update_and_node` from the cursor kept in ``folds[node]``: the
-    stored fold of the completed children, then the rest in plot order."""
-    if not node.children:
-        return
-    k, probability, fulfilment = folds.get(node, _NO_FOLD)
-    for child in islice(node.children, k, None):
-        probability *= child.probability
-        if child.fulfilment < fulfilment:
-            fulfilment = child.fulfilment
-    node.fulfilment, node.probability = fulfilment, probability
-
-
-def _refresh_node(node: PlanNode, changed: PlanNode | None = None,
-                  folds: dict | None = None):
+def _refresh_node(node: PlanNode, changed: PlanNode | None = None):
     """Recompute one node's deepest level and values from its children,
     honouring the standing OR selection. ``changed``, the only child changed
-    since the last refresh, spares the scan when it reaches the deepest level.
-    With ``folds``, an AND node folds from its cursor; without, from scratch."""
+    since the last refresh, spares the scan when it reaches the deepest level."""
     if changed is not None and changed.deepest_level >= node.deepest_level:
         node.deepest_level = changed.deepest_level
     else:
         node.deepest_level = max([node.operator.abstraction_level]
                                  + [child.deepest_level for child in node.children])
     if node.expansion == EXPANSION_AND:
-        if folds is None:
-            update_and_node(node)
-        else:
-            fold_and_node(node, folds)
+        update_and_node(node)
     elif node.expansion == EXPANSION_OR:
         selected = node.selected_child
         if selected is not None and selected.status != STATUS_FAILED:
-            node.fulfilment, node.probability = selected.fulfilment, selected.probability
+            node.select(selected)
 
 
-def propagate_updates(path: list, trace: PlanTrace | None = None,
-                      folds: dict | None = None) -> list:
+def propagate_updates(path: list, trace: PlanTrace | None = None) -> list:
     """Recompute the ancestors of ``path[-1]`` along its root-to-node
     ``path``, bottom-up until the root or one whose values and deepest level
-    both stay the same; returns those whose values changed. AND ancestors
-    fold from their cursors in ``folds``, if given."""
+    both stay the same; returns those whose values changed."""
     touched = []
     for i in range(len(path) - 2, -1, -1):
         current = path[i]
         before, deepest = _triple(current), current.deepest_level
-        _refresh_node(current, path[i + 1], folds)
+        _refresh_node(current, path[i + 1])
         after = _triple(current)
         if before == after:
             if deepest == current.deepest_level:
@@ -329,10 +309,9 @@ def review_offset(policy: ReviewPolicy, level_gap: int, candidate_ef: float) -> 
 
 
 def review_decisions(path: list, policy: ReviewPolicy,
-                     trace: PlanTrace | None = None, folds: dict | None = None) -> list:
+                     trace: PlanTrace | None = None) -> list:
     """Review the OR ancestors of a freshly expanded node, along its
-    root-to-node ``path``; the updates after a switch fold from the cursors
-    in ``folds``, if given.
+    root-to-node ``path``.
 
     At each OR ancestor the non-selected siblings are compared against the
     selected branch's updated EF plus the offset; the best sibling clearing it
@@ -359,14 +338,13 @@ def review_decisions(path: list, policy: ReviewPolicy,
             if best is not None:
                 before = _triple(current)
                 current.select(best)
-                current.fulfilment, current.probability = best.fulfilment, best.probability
                 if trace is not None:
                     trace.record(
                         "review-switch", current, before=before,
                         after=_triple(current),
                         detail=f"{selected.name}->{best.name}",
                     )
-                propagate_updates(path[:i + 1], trace, folds)
+                propagate_updates(path[:i + 1], trace)
                 switched.append(current)
     return switched
 
@@ -475,12 +453,12 @@ class Search:
     review's switch back, a recovery and :meth:`resume` read only entries
     still held; a finished search holds the state after the root and those
     of branches that were suspended or failed. A helper's states are passed
-    along, never held. A finished plan's tree holds no state. It also owns
-    each AND node's fold cursor in ``folds``: the index of its first
-    incomplete child and the fold of the children before it (see
-    :func:`pending_child`). :meth:`_next_point` finds the pending child from
-    the cursor, and updates fold only the children from it onward, so an
-    expansion neither rescans nor refolds the completed part of a plot.
+    along, never held. A finished plan's tree holds no state. Each AND
+    node keeps its own fold cursor (``PlanNode.fold``, see
+    :func:`pending_child`): :meth:`_next_point` finds the pending child from
+    it, and an update goes on from its fold over the children from it
+    onward, so an expansion neither rescans the completed part of a plot
+    nor computes its fold again.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -495,12 +473,10 @@ class Search:
         self.donor = donor
         self.halt_on_failure = halt_on_failure
         self.expansions = 0
-        self.executed_steps = 0
         self._next_id = 0
         self.root: PlanNode | None = None
         self.states_after_helpers: dict = {}
         self.states_after: dict = {}
-        self.folds: dict = {}
         self._halt = None        # (path, reason) of the planfail the search halted at
         self._unfinished = None  # the path to the node whose expansion that halt interrupted
 
@@ -559,7 +535,7 @@ class Search:
         while self.root.status not in _DONE:
             node, path = self.root, [self.root]
             while node.status != STATUS_NEW:
-                child = (pending_child(node, self.folds) if node.expansion == EXPANSION_AND
+                child = (pending_child(node) if node.expansion == EXPANSION_AND
                          else node.selected_child)
                 if child is None or child.status in _DONE:
                     self._finalize(path)
@@ -624,8 +600,8 @@ class Search:
         failed; after a recovery, ``path[-1]`` is the replacement."""
         if path[-1].status == STATUS_FAILED:
             return
-        propagate_updates(path, self.trace, self.folds)
-        review_decisions(path, self.policy, self.trace, self.folds)
+        propagate_updates(path, self.trace)
+        review_decisions(path, self.policy, self.trace)
 
     def _redundant(self, path: list, state: PState) -> bool:
         """During replay, an operator whose postconditions already hold is skipped."""
@@ -749,7 +725,6 @@ class Search:
         if not self._complete(node, after):
             return None
         node.expansion = EXPANSION_LEAF
-        self.executed_steps += 1
         return after
 
     def _apply_reduction(self, node: PlanNode, state: PState):
@@ -845,7 +820,7 @@ class Search:
         if self.trace is not None:
             self.trace.record("select", or_node, before=before, after=_triple(or_node),
                               detail=or_node.selected_child.name)
-        propagate_updates(path, self.trace, self.folds)
+        propagate_updates(path, self.trace)
 
     def _planfail(self, path: list, reason: str):
         """Record a planfail of ``path[-1]``, then halt there if the search
@@ -909,7 +884,7 @@ class Search:
         if self.trace is not None:
             self.trace.record("select", replacement, after=_triple(replacement),
                               detail=f"recovery for {node.name}")
-        propagate_updates(path, self.trace, self.folds)
+        propagate_updates(path, self.trace)
 
     # -- plan extraction --
 

@@ -42,7 +42,7 @@ class ReapplyResult:
     kind: str                    # "full" | "partial" | "none"
     donor: Plan
     plan: Plan | None = None     # rebuilt plan (full replays only)
-    prefix_length: int = 0       # executed steps before the failure
+    prefix_length: int = 0       # steps in the replay's tree: all (full), at the halt (partial)
     resume: PlanNode | None = None
     order: int = 0               # donor's position in the plan library
     # The replay's search, halted at its failure, until continue_from resumes it.
@@ -65,7 +65,8 @@ def reapply_plan(plan: Plan, ps: PState, spec, order: int = 0,
     except ReplayHalt as halt:
         if halt.node is search.root:
             return ReapplyResult("none", plan, order=order, search=search)
-        return ReapplyResult("partial", plan, prefix_length=search.executed_steps,
+        steps = Search._collect_steps(search.root)
+        return ReapplyResult("partial", plan, prefix_length=len(steps),
                              resume=halt.node, order=order, search=search)
     except PlanFailure:
         return ReapplyResult("none", plan, order=order)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -788,3 +789,14 @@ def test_a_fixture_mistake_gets_one_diagnostic_at_its_statement(mistake):
             assert err.getvalue().splitlines() and len(err.getvalue().splitlines()) == 1, \
                 err.getvalue()
             assert err.getvalue().startswith(f"{paths[kind]}:{line}:{column}: "), err.getvalue()
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # The benchmark's tracer reports a wrapped function that no longer
+    # exists only as "absent:" in its output, and reads 0 for its metrics.
+    # It finds each function in the modules loaded when it installs, which
+    # importing uplan.cli loads; the file is run from its path, not imported.
+    tracer = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))
+    missing = [f"{module}.{qualname}" for module, qualname, _ in tracer["COARSE"] + tracer["HOT"]
+               if not callable(tracer["_resolve"](module, qualname))]
+    assert missing == []

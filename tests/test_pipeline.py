@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -32,6 +33,7 @@ from uplan.model import (
 from uplan.planner import (
     DEFAULT_NODE_BUDGET,
     PlanTrace,
+    ReplayHalt,
     ReviewPolicy,
     Search,
     plan_for_pstate,
@@ -522,6 +524,80 @@ def test_a_planfail_is_resolved_where_it_is_raised():
     # resumed halts.
     assert stats["recoveries"] >= 500 and stats["resumed halts"] >= 50, stats
     assert stats["backtracks"] >= 30 and stats["reject-branches"] >= 20, stats
+
+
+def assert_folds_are_exact(root: PlanNode) -> int:
+    """Check every AND node's fold cursor ``(k, p, f)`` against a fold from
+    scratch: ``children[:k]`` are all complete or redundant, and ``(p, f)``
+    is, bit for bit, the product of their probabilities and the minimum of
+    their fulfilments, in plot order. Returns how many cursors had moved."""
+    moved = 0
+    for node in root.walk():
+        if node.expansion != EXPANSION_AND:
+            continue
+        k, probability, fulfilment = node.fold
+        want_probability, want_fulfilment = 1.0, math.inf
+        for child in node.children[:k]:
+            assert child.status in (STATUS_COMPLETE, STATUS_REDUNDANT), (node.name, child.name)
+            want_probability *= child.probability
+            want_fulfilment = min(want_fulfilment, child.fulfilment)
+        assert (probability.hex(), fulfilment.hex()) == (
+            want_probability.hex(), want_fulfilment.hex()), node.name
+        moved += k > 0
+    return moved
+
+
+@contextmanager
+def folds_checked():
+    """Inside the block, every search checks its tree with
+    :func:`assert_folds_are_exact` after each descent and each expansion,
+    one that halts a replay included. Yields a counter of the moved cursors
+    checked and of the halted expansions."""
+    stats = Counter()
+    next_point, expand = Search._next_point, Search._expand
+
+    def descended(self):
+        path = next_point(self)
+        stats["moved cursors"] += assert_folds_are_exact(self.root)
+        return path
+
+    def expanded(self, path):
+        try:
+            expand(self, path)
+        except ReplayHalt:
+            stats["halted expansions"] += 1
+            raise
+        finally:
+            stats["moved cursors"] += assert_folds_are_exact(self.root)
+
+    Search._next_point, Search._expand = descended, expanded
+    try:
+        yield stats
+    finally:
+        Search._next_point, Search._expand = next_point, expand
+
+
+def test_fold_cursors_hold_the_fold_of_their_done_children():
+    # Layered inputs through the pipeline halt replays, resume them and
+    # recover; random domains backtrack, reject branches and switch on
+    # review.
+    rng = random.Random(31)
+    layered = [layered_input(rng) for _ in range(20)]
+    searches = [(random_search_domain(rng), make_pstate("w", 3, contents={
+        level: [fact for fact in LAYERED_FACTS if rng.random() < 0.4]
+        for level in (1, 2, 3)})) for _ in range(300)]
+    with folds_checked() as stats:
+        for i, (spec, evidence) in enumerate(layered):
+            try:
+                plan_superplan(spec, evidence, policy=ReviewPolicy(0.0) if i % 2 else None)
+            except UplanError:
+                pass
+        for spec, ps in searches:
+            try:
+                Search(ps, spec, budget=300).run()
+            except UplanError:
+                pass
+    assert stats["moved cursors"] >= 100_000 and stats["halted expansions"] >= 50, stats
 
 
 # Each domain names one predicate, ``x``, in a single place: a compatibility

@@ -26,7 +26,6 @@ from uplan.planner import (
     Search,
     deduce_effects,
     expected_fulfilment,
-    fold_and_node,
     operator_probability,
     pending_child,
     plan_for_pstate,
@@ -261,8 +260,9 @@ def exact(n: PlanNode) -> tuple:
 def test_fold_cursor_equals_the_full_fold(data):
     # An AND node of any width, a completed prefix of any length, then
     # steps that change or complete the pending child: after each step the
-    # cursor sits at the first incomplete child, and the values folded from
-    # it equal update_and_node's fold from scratch, bit for bit.
+    # cursor sits at the first incomplete child, and update_and_node from it
+    # equals update_and_node on a fresh node, whose fold starts from the
+    # first child, bit for bit.
     width = data.draw(st.integers(1, 9), label="width")
     children = [node(0, 1) for _ in range(width)]
     for child in children:
@@ -270,11 +270,10 @@ def test_fold_cursor_equals_the_full_fold(data):
     parent = node(0, 1, expansion="AND", children=children)
     for child in children[:data.draw(st.integers(0, width), label="completed")]:
         child.status = data.draw(st.sampled_from([STATUS_COMPLETE, STATUS_REDUNDANT]))
-    folds = {}
     steps = data.draw(st.lists(st.sampled_from(["change", "complete", "change and complete"]),
                                max_size=2 * width), label="steps")
     for step in ["look", *steps]:
-        pending = pending_child(parent, folds)
+        pending = pending_child(parent)
         assert pending is next((c for c in children
                                 if c.status not in (STATUS_COMPLETE, STATUS_REDUNDANT)), None)
         if pending is None:
@@ -283,7 +282,7 @@ def test_fold_cursor_equals_the_full_fold(data):
             pending.fulfilment, pending.probability = data.draw(fold_values_st)
         if "complete" in step:
             pending.status = STATUS_COMPLETE
-        fold_and_node(parent, folds)
+        update_and_node(parent)
         want = update_and_node(node(0, 1, expansion="AND", children=children))
         assert exact(parent) == exact(want), step
 
@@ -452,6 +451,20 @@ def test_a_helper_with_an_empty_choose_one_plot_is_skipped():
     spec = spec_of("G", [goal, empty, real], n_levels=1)
     plan = plan_for_pstate(make_pstate("w", 1), spec)
     assert [s.operator for s in plan.execution_sequence] == ["Real", "G"]
+
+
+def test_an_empty_choose_one_plot_fails_inside_a_helper():
+    # H's only plan is E then L, which asserts (s). An empty choose-one plot
+    # is no leaf that makes no edit: E fails, so H does, and no other
+    # achiever of (s) exists.
+    goal = op("G", satisfiable=[(prop("(s)"), 1)],
+              plot=[state_edit(("assert", prop("(done)"), 1))])
+    helper = op("H", post=[(prop("(s)"), 1)], plot=[subgoal("E", 1000), subgoal("L", 1000)])
+    empty = op("E", plot_mode=CHOOSE_ONE)
+    asserts = op("L", plot=[state_edit(("assert", prop("(s)"), 1))])
+    spec = spec_of("G", [goal, helper, empty, asserts], n_levels=1)
+    with pytest.raises(PlanFailure, match=r"satisfiable precondition \(s\)@1 unachievable"):
+        plan_for_pstate(make_pstate("w", 1), spec)
 
 
 def test_a_leaf_whose_edits_violate_compatibility_fails():

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from uplan.dsl import parse_domain
 from uplan.errors import CoverageError, PlanFailure
 from uplan.model import (
     AbstractionLevel,
@@ -76,6 +77,61 @@ def test_partial_prefix_three_of_five():
     assert result.kind == "partial"
     assert result.prefix_length == 3
     assert result.resume.operator.name == "L4"
+
+
+def test_a_partial_prefix_counts_the_steps_of_the_halted_tree():
+    # H1 ranks first among (s)'s achievers; its L1 completes before its L2
+    # fails, so H2 achieves (s) instead. The replay in a world without (b)
+    # halts at B, with H2 and A in its tree: L1 is no step of it.
+    spec = parse_domain("""
+levels 1
+goal G 100.0
+operator G
+  level 1
+  plot do-all
+    A 100.0
+    B 100.0
+operator A
+  level 1
+  satisfiable (s)@1
+  plot do-all
+    assert (a)@1
+operator B
+  level 1
+  necessary (b)@1
+  plot do-all
+    assert (bdone)@1
+operator H1
+  level 1
+  plot do-all
+    L1 100.0
+    L2 100.0
+  probability
+    default 0.9
+  postconditions (s)@1
+operator L1
+  level 1
+  plot do-all
+    assert (junk)@1
+operator L2
+  level 1
+  necessary (never)@1
+  plot do-all
+    assert (s)@1
+operator H2
+  level 1
+  plot do-all
+    assert (s)@1
+  probability
+    default 0.5
+  postconditions (s)@1
+""")
+    donor = plan_for_pstate(make_pstate("on", 1, contents={1: [prop("(b)")]}), spec)
+    assert [s.operator for s in donor.execution_sequence] == ["H2", "A", "B"]
+    result = reapply_plan(donor, make_pstate("off", 1), spec)
+    assert result.kind == "partial"
+    assert result.resume.name == "B"
+    assert result.prefix_length == 2
 
 
 def test_root_necessary_violation_means_none():
