@@ -420,9 +420,10 @@ class Search:
     already hold, and a scripted OR selects its donor's choice and is pinned
     against review while it holds it. With ``halt_on_failure`` the search
     raises :class:`ReplayHalt` at the first planfail of a scripted node
-    instead of recovering; it records the planfail event first, and
-    :meth:`resume` then goes on from there exactly as a search without
-    ``halt_on_failure`` would have.
+    instead of recovering; it records the planfail event first, keeps the
+    planfail's arguments as its one halt record, ``_halt``, and
+    :meth:`resume` then applies them: it goes on from there exactly as a
+    search without ``halt_on_failure`` would have.
 
     A node whose expansion fails follows its operator's planfail
     directive. A recovery is tried once per node, and never to an operator
@@ -442,23 +443,22 @@ class Search:
 
     Plan trees link parent to child only: each step that needs a node's
     ancestors takes the root-to-node ``path`` the search descended along.
-    The search owns the states it threads, keyed by node identity, and holds
-    only those that it can still read: the state after a reduced node's
-    helpers, which its children thread from, in ``states_after_helpers``,
-    and the state after a completed or skipped node in ``states_after``.
-    When a node is done, :meth:`_done` releases the state after its helpers
-    and the state after its last (AND) or selected (OR) child, and in an
-    AND the state after its previous sibling. A pending node's state to
-    thread from is thus held until the node or its parent is done, so a
-    review's switch back, a recovery and :meth:`resume` read only entries
-    still held; a finished search holds the state after the root and those
-    of branches that were suspended or failed. A helper's states are passed
-    along, never held. A finished plan's tree holds no state. Each AND
-    node keeps its own fold cursor (``PlanNode.fold``, see
-    :func:`pending_child`): :meth:`_next_point` finds the pending child from
-    it, and an update goes on from its fold over the children from it
-    onward, so an expansion neither rescans the completed part of a plot
-    nor computes its fold again.
+    The search owns the states it threads in one map, ``states``, keyed by
+    node identity, and holds only those that it can still read: a pending
+    reduced node's entry is the state after its helpers, which its children
+    thread from, and a completed or skipped node's the state after it.
+    :meth:`_done` replaces the one with the other, and releases the entry
+    of the node's last (AND) or selected (OR) child and, in an AND, that of
+    its previous sibling. A pending node's state to thread from is thus
+    held until the node or its parent is done, so a review's switch back, a
+    recovery and :meth:`resume` read only entries still held; a finished
+    search holds the state after the root and those of branches that were
+    suspended or failed. A helper's states are passed along, never held. A
+    finished plan's tree holds no state. Each AND node keeps its own fold
+    cursor (``PlanNode.fold``, see :func:`pending_child`): :meth:`_next_point`
+    finds the pending child from it, and an update goes on from its fold
+    over the children from it onward, so an expansion neither rescans the
+    completed part of a plot nor computes its fold again.
     """
 
     def __init__(self, ps: PState, spec, policy: ReviewPolicy | None = None,
@@ -475,10 +475,8 @@ class Search:
         self.expansions = 0
         self._next_id = 0
         self.root: PlanNode | None = None
-        self.states_after_helpers: dict = {}
-        self.states_after: dict = {}
-        self._halt = None        # (path, reason) of the planfail the search halted at
-        self._unfinished = None  # the path to the node whose expansion that halt interrupted
+        self.states: dict = {}
+        self._halt = None  # (path, reason, review) of the planfail the search halted at
 
     # -- node bookkeeping --
 
@@ -512,12 +510,9 @@ class Search:
         """
         if self._halt is None:
             raise UplanError("only a halted search can be resumed")
-        (path, reason), self._halt = self._halt, None
-        unfinished, self._unfinished = self._unfinished, None
+        (path, reason, review), self._halt = self._halt, None
         self.halt_on_failure = False
-        self._apply_planfail(path, reason)
-        if unfinished is not None:
-            self._finish_expansion(unfinished)
+        self._apply_planfail(path, reason, review)
         return self._search()
 
     def _search(self) -> Plan:
@@ -573,33 +568,23 @@ class Search:
         if reason is not None:
             self._planfail(path, reason)
             return
-
         if node.operator.plot_mode == CHOOSE_ONE and not node.operator.plot:
-            self._fail_expansion(path, "choose-one plot is empty")
-        elif node.operator.is_leaf:
+            self._planfail(path, "choose-one plot is empty", review=True)
+            return
+        if node.operator.is_leaf:
             after = self._apply_leaf(node, state)
             if after is None:
-                self._fail_expansion(path, "effects violate compatibility or postconditions")
-            else:
-                self._done(path, after)
+                self._planfail(path, "effects violate compatibility or postconditions",
+                               review=True)
+                return
+            self._done(path, after)
         else:
             self._apply_reduction(node, state)
         self._finish_expansion(path)
 
-    def _fail_expansion(self, path: list, reason: str):
-        """Planfail ``path[-1]`` mid-expansion; a halt here leaves the
-        expansion for :meth:`resume` to finish."""
-        try:
-            self._planfail(path, reason)
-        except ReplayHalt:
-            self._unfinished = path
-            raise
-
     def _finish_expansion(self, path: list):
-        """Propagate and review after expanding ``path[-1]``, unless it
-        failed; after a recovery, ``path[-1]`` is the replacement."""
-        if path[-1].status == STATUS_FAILED:
-            return
+        """Propagate and review after expanding ``path[-1]``, or after its
+        own step failed and it was recovered: then it is the replacement."""
         propagate_updates(path, self.trace)
         review_decisions(path, self.policy, self.trace)
 
@@ -621,8 +606,8 @@ class Search:
             return self.initial
         parent, index = path[-2], path[-1].plot_index
         if parent.expansion == EXPANSION_AND and index > 0:
-            return self.states_after[parent.children[index - 1]]
-        return self.states_after_helpers[parent]
+            return self.states[parent.children[index - 1]]
+        return self.states[parent]
 
     def _preconditions(self, node: PlanNode, state: PState, depth: int) -> tuple:
         """Bind ``node``'s preconditions in ``state``, planning a helper for
@@ -730,7 +715,7 @@ class Search:
     def _apply_reduction(self, node: PlanNode, state: PState):
         op = node.operator
         node.status = STATUS_EXPANDED
-        self.states_after_helpers[node] = state  # what its children thread from
+        self.states[node] = state  # what its children thread from
         choose_one = op.plot_mode == CHOOSE_ONE
         if choose_one:
             # Instantiated best EF first, which fixes the node ids; kept in plot order.
@@ -779,31 +764,31 @@ class Search:
 
     def _done(self, path: list, state: PState):
         """Keep ``state`` as the one after ``path[-1]``, a main-tree node
-        just completed or skipped, and release the states that only the
-        node's own expansion read: the one its children threaded from, the
-        one its last (AND) or selected (OR) child left, and, in an AND, the
-        one its previous sibling left. No pending node threads from any of
-        them, so a suspended branch keeps what a switch back to it reads."""
+        just completed or skipped, in place of the one its children threaded
+        from, and release the states that only the node's own expansion
+        read: the one its last (AND) or selected (OR) child left and, in an
+        AND, the one its previous sibling left. No pending node threads from
+        any of them, so a suspended branch keeps what a switch back to it
+        reads."""
         node = path[-1]
-        self.states_after[node] = state
+        self.states[node] = state
         if node.expansion in (EXPANSION_AND, EXPANSION_OR):
-            self._release(self.states_after_helpers, node)
-            self._release(self.states_after, node.children[-1]
+            self._release(self.states, node.children[-1]
                           if node.expansion == EXPANSION_AND else node.selected_child)
         if node.plot_index > 0 and path[-2].expansion == EXPANSION_AND:
-            self._release(self.states_after, path[-2].children[node.plot_index - 1])
+            self._release(self.states, path[-2].children[node.plot_index - 1])
 
     @staticmethod
     def _release(states: dict, node: PlanNode):
-        """Drop ``node``'s entry from ``states``, one of the search's two
-        state maps. Reads index the maps, so a read of a released entry
-        raises ``KeyError`` rather than change a plan."""
+        """Drop ``node``'s entry from ``states``, the search's state map.
+        Reads index the map, so a read of a released entry raises
+        ``KeyError`` rather than change a plan."""
         del states[node]
 
     def _finalize(self, path: list):
         node = path[-1]
         last = node.children[-1] if node.expansion == EXPANSION_AND else node.selected_child
-        state = self.states_after[last]
+        state = self.states[last]
         if self._complete(node, state):
             self._done(path, state)
         else:
@@ -822,7 +807,7 @@ class Search:
                               detail=or_node.selected_child.name)
         propagate_updates(path, self.trace)
 
-    def _planfail(self, path: list, reason: str):
+    def _planfail(self, path: list, reason: str, review: bool = False):
         """Record a planfail of ``path[-1]``, then halt there if the search
         halts on the failure of a scripted node and this one is, or else
         apply the node's directive."""
@@ -830,21 +815,25 @@ class Search:
         if self.trace is not None:
             self.trace.record("planfail", node, before=_triple(node), detail=reason)
         if self.halt_on_failure and node.donor is not None:
-            self._halt = (path, reason)
+            self._halt = (path, reason, review)
             raise ReplayHalt(node, reason)
-        self._apply_planfail(path, reason)
+        self._apply_planfail(path, reason, review)
 
-    def _apply_planfail(self, path: list, reason: str):
+    def _apply_planfail(self, path: list, reason: str, review: bool = False):
         """Carry out ``path[-1]``'s planfail directive: recover it once, or
         fail it and backtrack to its OR ancestor or reject that whole branch.
         A recovery to an operator that already replaced a node on ``path``
-        backtracks instead."""
+        backtracks instead. A recovery with ``review``, which :meth:`_expand`
+        sets when the node's own step failed, finishes that expansion at
+        once; any other is reviewed once the replacement is expanded."""
         node = path[-1]
         directive = node.operator.planfail
         if directive not in (PLANFAIL_BACKTRACK, PLANFAIL_REJECT_BRANCH):
             if not node.recovery_attempted and not any(
                     n.recovery_attempted and n.operator.name == directive for n in path):
                 self._recover(path, directive)
+                if review:
+                    self._finish_expansion(path)
                 return
             directive = PLANFAIL_BACKTRACK
         node.status = STATUS_FAILED

@@ -88,6 +88,15 @@ def _interval_to_list(interval: EvidentialInterval) -> list:
     return [interval.support, interval.plausibility]
 
 
+def _interval_from_list(value, what: str) -> EvidentialInterval:
+    """``value``, which must be a JSON list of two numbers, as an interval;
+    ``false`` and ``true`` are not numbers, though ``bool`` subclasses ``int``."""
+    if not isinstance(value, list) or len(value) != 2 or not all(
+            type(bound) in (int, float) for bound in value):
+        raise ValueError(f"not a {FORMAT} document: {what} is not two numbers")
+    return EvidentialInterval(*value)
+
+
 def _node_to_dict(node: SuperPlanNode | None):
     """v1's nesting of ``node``: one action object per step of its run, each
     holding the next in ``next``, and the branch point innermost. Built by a
@@ -122,9 +131,10 @@ def _node_to_dict(node: SuperPlanNode | None):
     return tail
 
 
-def _node_from_dict(d):
+def _node_from_dict(d, world_ids: frozenset):
     """The node whose run is the chain of action objects from ``d`` on, and
-    whose branch point is the branch object that ends the chain, if any."""
+    whose branch point is the branch object that ends the chain, if any.
+    Its alternatives name only worlds in ``world_ids``, the document's."""
     steps = []
     while d is not None and "branch" not in d:
         steps.append(step_from_dict(d["action"]))
@@ -132,15 +142,18 @@ def _node_from_dict(d):
     if d is None:
         return SuperPlanNode(tuple(steps)) if steps else None
     branch = d["branch"]
-    alternatives = tuple(
-        SuperPlanAlternative(
-            subtree=_node_from_dict(alt["subtree"]),
-            worlds=frozenset(_strings(alt["worlds"], "an alternative's worlds")),
+    alternatives = []
+    for alt in branch["alternatives"]:
+        worlds = frozenset(_strings(alt["worlds"], "an alternative's worlds"))
+        if not worlds <= world_ids:
+            raise ValueError(f"not a {FORMAT} document: an alternative's world "
+                             f"{min(worlds - world_ids)!r} is not one of the "
+                             "document's worlds")
+        alternatives.append(SuperPlanAlternative(
+            subtree=_node_from_dict(alt["subtree"], world_ids), worlds=worlds,
             weight=None if alt["weight"] is None
-            else EvidentialInterval(*alt["weight"]),
-        )
-        for alt in branch["alternatives"]
-    )
+            else _interval_from_list(alt["weight"], "an alternative's weight"),
+        ))
     ka = None
     if branch.get("ka") is not None:
         raw = branch["ka"]
@@ -165,7 +178,13 @@ def _node_from_dict(d):
             raise ValueError(f"not a {FORMAT} document: no KA outcome maps to "
                              f"alternative {min(unreached)}")
         ka = KnowledgeAcquisitionOperator(observe=observe, maps=maps)
-    return SuperPlanNode(tuple(steps), ka, alternatives)
+    # A branch is chosen by its KA operator, or else by the alternatives' weights.
+    for index, alt in enumerate(alternatives):
+        if (alt.weight is None) == (ka is None):
+            raise ValueError(f"not a {FORMAT} document: alternative {index} of a branch "
+                             + ("with a KA operator has a weight" if ka is not None
+                                else "without a KA operator has no weight"))
+    return SuperPlanNode(tuple(steps), ka, tuple(alternatives))
 
 
 def superplan_to_dict(sp: SuperPlan) -> dict:
@@ -181,10 +200,12 @@ def superplan_from_dict(d: dict) -> SuperPlan:
         raise ValueError(f"not a {FORMAT} document")
     try:
         worlds = tuple(sorted(
-            ((wid, EvidentialInterval(*pair)) for wid, pair in d["worlds"].items()),
+            ((wid, _interval_from_list(pair, f"world {wid!r}'s interval"))
+             for wid, pair in d["worlds"].items()),
             key=lambda pair: pair[0],
         ))
-        return SuperPlan(root=_node_from_dict(d["root"]), worlds=worlds)
+        return SuperPlan(root=_node_from_dict(d["root"], frozenset(d["worlds"])),
+                         worlds=worlds)
     except (KeyError, AttributeError, TypeError) as exc:
         raise ValueError(f"not a {FORMAT} document: a part is missing or mistyped "
                          f"({type(exc).__name__}: {exc})") from exc

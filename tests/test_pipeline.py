@@ -473,9 +473,9 @@ def planfails_resolved():
     stats = Counter()
     apply_planfail, resume = Search._apply_planfail, Search.resume
 
-    def applied(self, path, reason):
+    def applied(self, path, reason, review=False):
         node = path[-1]
-        apply_planfail(self, path, reason)
+        apply_planfail(self, path, reason, review)
         if path[-1] is not node:  # a recovery put its replacement in the path
             stats["recoveries"] += 1
         elif node.operator.planfail == PLANFAIL_REJECT_BRANCH:
@@ -904,13 +904,15 @@ def test_continue_from_resumes_a_result_once(air_combat_spec, air_combat_worlds)
         continue_from(result)
 
 
-def test_resume_finishes_the_expansion_its_halt_interrupted():
-    # The donor world lacks (open), so the donor recovers Pick through the
-    # do-all Both, and a replay's choose-one Pick is left unpinned. In the
-    # new world the scripted Fast fails its postconditions, a weak Crawl
-    # recovers it, and the review that ends Fast's expansion switches Pick
-    # to Slow before Crawl is expanded.
-    spec = parse_domain("""
+def resumed_at_fast(fast: str) -> list:
+    """Replay, halt at Fast and resume, in a domain whose Fast operator has
+    the lines ``fast`` between its level and its planfail. Fast recovers
+    through a weak Crawl. The donor world lacks (open), so the donor
+    recovers Pick through the do-all Both, and a replay's choose-one Pick is
+    left unpinned. The new world holds (open) and (jam). Checks the plan,
+    ['Slow'], and the trace against one search that never halts; returns
+    the (kind, operator) of each trace event."""
+    spec = parse_domain(f"""
 levels 1
 goal Root 100.0
 operator Root
@@ -931,10 +933,7 @@ operator Both
     Slow 50.0
 operator Fast
   level 1
-  plot do-all
-    assert (fast)@1
-  postconditions (fast)@1 (not (jam))@1
-  planfail recover Crawl
+{fast}  planfail recover Crawl
 operator Crawl
   level 1
   plot do-all
@@ -958,6 +957,24 @@ operator Slow
     assert [s.operator for s in plan.execution_sequence] == ["Slow"]
     assert plan.execution_sequence == want.execution_sequence
     assert trace.to_lines() == want_trace.to_lines()
-    kinds = [(event.kind, event.operator) for event in trace]
+    return [(event.kind, event.operator) for event in trace]
+
+
+def test_resume_finishes_the_expansion_its_halt_interrupted():
+    # The scripted Fast fails its postconditions, a failure of its own
+    # step, and the review that ends Fast's expansion switches Pick to Slow
+    # before Crawl is expanded.
+    kinds = resumed_at_fast("  plot do-all\n    assert (fast)@1\n"
+                            "  postconditions (fast)@1 (not (jam))@1\n")
     assert kinds[5:9] == [("planfail", "Fast"), ("select", "Crawl"),
                           ("update", "Root"), ("review-switch", "Pick")]
+
+
+def test_resume_reviews_a_recovery_from_failed_preconditions_once_it_is_expanded():
+    # The scripted Fast fails its necessary precondition, so its expansion
+    # ends before its step: Crawl is expanded before the review that
+    # switches Pick to Slow.
+    kinds = resumed_at_fast("  necessary (not (jam))@1\n  plot do-all\n"
+                            "    assert (fast)@1\n  postconditions (fast)@1\n")
+    assert kinds[5:10] == [("planfail", "Fast"), ("select", "Crawl"), ("update", "Root"),
+                           ("expand", "Crawl"), ("review-switch", "Pick")]

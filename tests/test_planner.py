@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uplan.planner
 from uplan.dsl import DomainSpec
 from uplan.errors import BudgetExceededError, PlanFailure
 from uplan.model import (
@@ -533,7 +534,7 @@ def test_leaf_with_edits_changes_state():
     spec = spec_of("Do", [leaf], n_levels=1)
     search = Search(make_pstate("w", 1), spec)
     plan = search.run()
-    assert search.states_after[plan.root].level(1).propositions == \
+    assert search.states[plan.root].level(1).propositions == \
         frozenset([prop("(done)")])
     assert plan.root.children == ()
 
@@ -709,6 +710,71 @@ def test_trace_replay_reproduces_final_values(air_combat_spec, air_combat_worlds
             f, p, ef = replayed[n.node_id]
             assert (f, p) == (n.fulfilment, n.probability)
             assert ef == pytest.approx(n.ef, abs=1e-12)
+
+
+# --- complexity budgets ------------------------------------------------------------
+#
+# Work is counted by wrapping a function, on inputs of size n and 2n; work that
+# should be linear may grow at most 2.3x per doubling. Axes over their bound
+# today are strict xfails naming the ROADMAP item that owns them.
+
+def nested_chain(n: int):
+    """G0 -> G1 -> ... -> Gn, each Gi a one-entry do-all plot and Gn a leaf."""
+    chain = [op(f"G{i}", plot=[subgoal(f"G{i + 1}", 100.0)]) for i in range(n)]
+    leaf = op(f"G{n}", plot=[state_edit(("assert", prop("(done)"), 1))])
+    return spec_of("G0", chain + [leaf], n_levels=1)
+
+
+def one_wide_choose_one(n: int):
+    """One choose-one of n alternatives, each failing its necessary
+    precondition (never)@1 except the last."""
+    pick = op("Pick", plot_mode=CHOOSE_ONE,
+              plot=[subgoal(f"A{i}", 100.0) for i in range(n)])
+    alternatives = [op(f"A{i}", necessary=[(prop("(never)"), 1)] if i < n - 1 else [],
+                       plot=[state_edit(("assert", prop(f"(a{i})"), 1))])
+                    for i in range(n)]
+    return spec_of("Pick", [pick] + alternatives, n_levels=1)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 14: each descent starts at the root, so pending_child "
+                          "runs n^2 times in nesting depth (40,200 at 200, 160,400 at 400)")
+def test_descent_steps_grow_linearly_in_nesting_depth(monkeypatch):
+    counts = []
+    for n in (200, 400):
+        calls = [0]
+
+        def counting(node, original=uplan.planner.pending_child):
+            calls[0] += 1
+            return original(node)
+
+        monkeypatch.setattr(uplan.planner, "pending_child", counting)
+        plan = plan_for_pstate(make_pstate("w", 1), nested_chain(n))
+        monkeypatch.undo()
+        assert [step.operator for step in plan.execution_sequence] == [f"G{n}"]
+        counts.append(calls[0])
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 14: each reselection scans every applicable alternative, "
+                          "so PlanNode.ef is read n^2 times in choose-one width "
+                          "(63,502 at 250, 252,002 at 500)")
+def test_ef_reads_grow_linearly_in_choose_one_width(monkeypatch):
+    counts = []
+    for n in (250, 500):
+        reads = [0]
+
+        def counting(node, original=PlanNode.ef):
+            reads[0] += 1
+            return original.fget(node)
+
+        monkeypatch.setattr(PlanNode, "ef", property(counting))
+        plan = plan_for_pstate(make_pstate("w", 1), one_wide_choose_one(n))
+        monkeypatch.undo()
+        assert [step.operator for step in plan.execution_sequence] == [f"A{n - 1}"]
+        counts.append(reads[0])
+    assert counts[1] <= 2.3 * counts[0], counts
 
 
 # --- update-rule properties (hypothesis) -------------------------------------

@@ -171,6 +171,56 @@ def test_rejects_a_ka_branch_read_as_a_different_superplan(damage, message):
         loads_superplan(json.dumps(doc))
 
 
+def _set_world(value):
+    """Damage that sets the golden's first world interval to ``value``."""
+    def damage(doc):
+        doc["worlds"][min(doc["worlds"])] = value
+    return damage
+
+
+_ALTERNATIVE = ["next", "branch", "alternatives", 0]
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(_set(["next", "branch", "ka"], None),
+                 "alternative 0 of a branch without a KA operator has no weight",
+                 id="no-ka-no-weight"),
+    pytest.param(_set(_ALTERNATIVE + ["weight"], [0.2, 0.5]),
+                 "alternative 0 of a branch with a KA operator has a weight",
+                 id="ka-and-weight"),
+    pytest.param(_set_world([False, True]),
+                 "world 'bomber\\+radar_contact''s interval is not two numbers",
+                 id="world-bools"),
+    pytest.param(_set(_ALTERNATIVE + ["weight"], [False, True]),
+                 "an alternative's weight is not two numbers", id="weight-bools"),
+    pytest.param(_set(_ALTERNATIVE + ["worlds"], ["nowhere"]),
+                 "an alternative's world 'nowhere' is not one of the document's worlds",
+                 id="unlisted-world"),
+])
+def test_rejects_a_branch_no_executor_can_follow(damage, message):
+    # Each damaged golden loaded before: a branch with neither a KA operator
+    # nor weights to choose by, or with both; an interval of booleans read
+    # as EvidentialInterval(False, True); a world no interval describes.
+    doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    damage(doc)
+    with pytest.raises(ValueError, match=f"not a uplan-superplan/1 document: {message}"):
+        loads_superplan(json.dumps(doc))
+
+
+def test_loads_integer_bounds_and_overlapping_world_sets():
+    # Integer bounds are JSON numbers, and merge_plans writes alternatives
+    # whose world sets overlap when it is given overlapping sets.
+    doc = superplan_to_dict(weighted_superplan())
+    doc["worlds"]["w1"] = [0, 1]
+    alternatives = doc["root"]["next"]["branch"]["alternatives"]
+    alternatives[1]["worlds"] = ["w1", "w2"]
+    alternatives[1]["weight"] = [0, 1]
+    sp = loads_superplan(json.dumps(doc))
+    assert dict(sp.worlds)["w1"] == EvidentialInterval(0, 1)
+    assert [(alt.worlds, alt.weight) for alt in sp.root.alternatives] == [
+        ({"w1"}, EvidentialInterval(0.6, 1.0)), ({"w1", "w2"}, EvidentialInterval(0, 1))]
+
+
 def test_step_bindings_round_trip():
     step = GroundStep("Fire", (("?target", "bandit-2"), ("?weapon", "aim9")))
     assert step_from_dict(step_to_dict(step)) == step

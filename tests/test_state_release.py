@@ -22,13 +22,18 @@ from uplan import plan_superplan
 from uplan.dsl import parse_domain, parse_evidence
 from uplan.errors import UplanError
 from uplan.evidence import generate_pstates, rank_pstates
-from uplan.model import make_pstate
+from uplan.model import (
+    EXPANSION_AND,
+    STATUS_COMPLETE,
+    STATUS_REDUNDANT,
+    make_pstate,
+)
 from uplan.planner import DEFAULT_NODE_BUDGET, PlanTrace, ReviewPolicy, Search
 from uplan.reapply import continue_from, reapply_plan
 from uplan.serialize import dumps_superplan
 
-from test_pipeline import layered_input, multi_world_cases
-from test_search_robustness import chain_mission
+from test_pipeline import layered_input, multi_world_cases, planfails_resolved
+from test_search_robustness import PROPS, chain_mission, random_domain
 
 
 @contextmanager
@@ -72,7 +77,7 @@ def values(root) -> list:
 
 
 def held(search) -> int:
-    return len(search.states_after) + len(search.states_after_helpers)
+    return len(search.states)
 
 
 def pipeline_outcome(spec, evidence, **kwargs) -> tuple:
@@ -175,6 +180,111 @@ def test_released_states_change_no_plan_value_or_trace_line():
     assert stats["recovered"] >= 20 and stats["switched"] >= 15, stats
 
 
+class CheckedStates(dict):
+    """A search's state map that checks each read against the one entry
+    its reader may read, set in ``expected`` as (node, whether it is done,
+    role) just before the read. An entry is stored with whether its node
+    was done then, so a read that finds the node in another phase than its
+    entry's fails here: a stale read, which the one map would serve
+    without an error. Counts the reads by role in ``roles``."""
+
+    def __init__(self, roles: Counter):
+        super().__init__()
+        self.roles = roles
+        self.stored_done = {}
+        self.expected = None
+
+    def __setitem__(self, node, state):
+        self.stored_done[node] = node.status in _DONE
+        super().__setitem__(node, state)
+
+    def __getitem__(self, node):
+        assert self.expected is not None, "a state read by neither _thread_state nor _finalize"
+        (want, done, role), self.expected = self.expected, None
+        assert node is want, f"{role}: read {node.name}, not {want.name}"
+        assert (node.status in _DONE) == done == self.stored_done[node], role
+        self.roles[role] += 1
+        return super().__getitem__(node)
+
+
+_DONE = (STATUS_COMPLETE, STATUS_REDUNDANT)
+
+
+@contextmanager
+def reads_checked():
+    """Inside the block, every search reads its states through a
+    :class:`CheckedStates`. ``_thread_state`` may read a pending parent's
+    entry, the state after its helpers, or in an AND past the first child
+    the entry of the previous sibling, which is done; ``_finalize`` the
+    entry of the last (AND) or selected (OR) child, which is done. Yields
+    the counter of reads by role."""
+    roles = Counter()
+    init, thread_state, finalize = Search.__init__, Search._thread_state, Search._finalize
+
+    def checked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.states = CheckedStates(roles)
+
+    def checked_thread_state(self, path):
+        if len(path) > 1:
+            parent, node = path[-2], path[-1]
+            if parent.expansion == EXPANSION_AND and node.plot_index > 0:
+                self.states.expected = (parent.children[node.plot_index - 1], True,
+                                        "previous sibling")
+            else:
+                self.states.expected = (parent, False, "pending parent")
+        state = thread_state(self, path)
+        self.states.expected = None
+        return state
+
+    def checked_finalize(self, path):
+        node = path[-1]
+        last = (node.children[-1] if node.expansion == EXPANSION_AND
+                else node.selected_child)
+        self.states.expected = (last, True, "finalized child")
+        finalize(self, path)
+
+    Search.__init__, Search._thread_state, Search._finalize = (
+        checked_init, checked_thread_state, checked_finalize)
+    try:
+        yield roles
+    finally:
+        Search.__init__, Search._thread_state, Search._finalize = init, thread_state, finalize
+
+
+def test_every_state_read_is_the_entry_its_reader_may_read():
+    # One map holds a pending node's state after its helpers and a done
+    # node's state after it; each read must find the entry of its phase.
+    # Random domains recover, backtrack and reject branches; layered inputs
+    # through the pipeline also halt replays and resume them.
+    rng = random.Random(32)
+    with reads_checked() as searched, planfails_resolved() as searched_planfails:
+        for _ in range(400):
+            ps = make_pstate("w", 3, contents={
+                level: [p for p in PROPS if rng.random() < 0.4] for level in (1, 2, 3)})
+            try:
+                Search(ps, random_domain(rng), budget=300).run()
+            except UplanError:
+                pass
+    with reads_checked() as pipelined, planfails_resolved() as pipelined_planfails:
+        for i in range(30):
+            spec, evidence = layered_input(rng)
+            try:
+                plan_superplan(spec, evidence, policy=ReviewPolicy(0.0) if i % 2 else None)
+            except UplanError:
+                pass
+    # The searches make 190 pending-parent reads and 28 recoveries; the
+    # pipeline about 3,900 pending-parent, 8,850 previous-sibling and 2,870
+    # finalized-child reads, 1,080 recoveries and 80 resumed halts.
+    assert searched["pending parent"] >= 100, searched
+    assert searched_planfails["recoveries"] >= 10, searched_planfails
+    assert pipelined["pending parent"] >= 2000 and pipelined["previous sibling"] >= 4000, \
+        pipelined
+    assert pipelined["finalized child"] >= 1500, pipelined
+    assert pipelined_planfails["recoveries"] >= 500, pipelined_planfails
+    assert pipelined_planfails["resumed halts"] >= 40, pipelined_planfails
+
+
 SWITCH_BACK = """
 levels 1
 goal Root 100.0
@@ -212,7 +322,7 @@ def test_a_review_switch_back_reads_the_suspended_branch():
         "detail=A->B", "detail=B->A"]
     assert [line.split()[3] for line in lines if " expand " in line][-1] == "op=A3"
     # Root's state, and B's, which it was left with unfinished.
-    assert (holds, kept) == (3, 10)
+    assert (holds, kept) == (3, 8)
 
 
 RECOVERY = """
@@ -239,7 +349,7 @@ def test_a_recovery_threads_from_the_state_its_previous_sibling_left():
     spec = parse_domain(RECOVERY)
     lines, holds, kept = assert_search_unchanged(plan_with(spec, make_pstate("w", 1)))
     assert any("detail=recovery for Bad" in line for line in lines)
-    assert (holds, kept) == (1, 5)
+    assert (holds, kept) == (1, 4)
 
 
 def test_a_resumed_replay_reads_only_states_its_halt_kept(
